@@ -292,8 +292,10 @@ pub(crate) fn bdsqr_into_ext<R: Real>(
     ws.out.extend(d.iter().map(|x| x.abs()));
     // In-place unstable sort: all keys are non-negative with well-defined
     // bit patterns, so the output sequence is bit-identical to a stable
-    // sort — without the merge buffer a stable sort allocates.
-    ws.out.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
+    // sort — without the merge buffer a stable sort allocates. A total
+    // order keeps a non-finite input's NaN/Inf values from panicking it.
+    ws.out
+        .sort_unstable_by(|a, b| b.to_f64().total_cmp(&a.to_f64()));
     Ok(())
 }
 
@@ -386,7 +388,8 @@ pub(crate) fn bisect_topk_into<R: Real>(
         }
         ws.out.push((lo + hi) * R::HALF);
     }
-    ws.out.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
+    ws.out
+        .sort_unstable_by(|a, b| b.to_f64().total_cmp(&a.to_f64()));
 }
 
 /// Accounts the stage-3 CPU cost on the device trace (the paper runs this

@@ -219,7 +219,7 @@ pub fn dqds_into<R: Real>(
     for v in out.iter_mut() {
         *v = v.max(R::ZERO).sqrt();
     }
-    out.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap());
+    out.sort_unstable_by(|a, b| b.to_f64().total_cmp(&a.to_f64()));
     Ok(())
 }
 

@@ -770,42 +770,33 @@ impl<T: Scalar> SvdPlan<T> {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn execute_into(&mut self, a: &Matrix<T>, out: &mut SvdOutput) -> Result<(), SvdError> {
-        self.dev.reset();
-        execute_core(
-            &self.core,
-            &mut self.ws,
-            &self.dev,
-            &self.buf,
-            &self.tau,
-            a,
-            DriverCost::Amortized,
-            out,
-        )
+        self.run(a, DriverCost::Amortized, out)
     }
 
-    /// Runs one solve accounting the **full one-shot host driver
-    /// overhead** instead of the amortized dispatch share — the
-    /// first-use path of a serving layer, where validation and workspace
-    /// allocation genuinely happened on this request (a cache miss just
-    /// paid for planning). The produced *values* are bit-identical to
-    /// [`execute`](SvdPlan::execute); only the summary's host-overhead
-    /// attribution differs.
+    /// [`execute_into`](SvdPlan::execute_into) accounting the **full
+    /// one-shot host driver overhead** instead of the amortized dispatch
+    /// share — the first-use path of a serving layer, where validation
+    /// and workspace allocation genuinely happened on this request (a
+    /// cache miss just paid for planning). The produced *values* are
+    /// bit-identical to [`execute_into`](SvdPlan::execute_into); only
+    /// the summary's host-overhead attribution differs.
     ///
     /// # Errors
     /// Exactly as [`execute`](SvdPlan::execute).
-    pub fn execute_cold(&mut self, a: &Matrix<T>) -> Result<SvdOutput, SvdError> {
-        let mut out = SvdOutput::empty();
-        self.execute_cold_into(a, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`execute_cold`](SvdPlan::execute_cold) writing into an existing
-    /// [`SvdOutput`] in place — the cache-miss twin of
-    /// [`execute_into`](SvdPlan::execute_into), used by serving layers
-    /// whose output shells are caller-owned.
     pub fn execute_cold_into(
         &mut self,
         a: &Matrix<T>,
+        out: &mut SvdOutput,
+    ) -> Result<(), SvdError> {
+        self.run(a, DriverCost::OneShot, out)
+    }
+
+    /// One solve on the plan's own device and workspaces, charging
+    /// `driver` as the host driver overhead.
+    fn run(
+        &mut self,
+        a: &Matrix<T>,
+        driver: DriverCost,
         out: &mut SvdOutput,
     ) -> Result<(), SvdError> {
         self.dev.reset();
@@ -816,7 +807,7 @@ impl<T: Scalar> SvdPlan<T> {
             &self.buf,
             &self.tau,
             a,
-            DriverCost::OneShot,
+            driver,
             out,
         )
     }

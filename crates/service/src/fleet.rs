@@ -28,10 +28,11 @@
 
 use crate::queue::Pending;
 use crate::router::{best, Candidate, Placement, PlacementMap, RouteKey};
-use crate::service::{Knobs, ServiceError, ServiceStats, SvdService};
+use crate::service::{ServiceBuilder, ServiceError, ServiceStats, SvdService};
 use crate::ticket::{ticket_pair, Ticket};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use unisvd_core::{PlanError, PlanSignature, Svd, SvdConfig, SvdError, SvdOutput};
 use unisvd_gpu::HardwareDescriptor;
@@ -187,14 +188,29 @@ impl std::error::Error for FleetBuildError {}
 ///     .device(hw::mi250())
 ///     .device(hw::m1_pro())
 ///     .replicate_after(4)
+///     .backends(|s| s.retry(2).verify_outputs(true))
 ///     .build();
 /// assert_eq!(fleet.device_count(), 3);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct FleetBuilder {
     devices: Vec<HardwareDescriptor>,
-    knobs: Knobs,
+    /// Knob sets from [`backends`](Self::backends), applied in order to
+    /// every backend's [`ServiceBuilder`].
+    knobs: Vec<BackendKnobs>,
     replicate_after: u64,
+}
+
+type BackendKnobs = Arc<dyn Fn(ServiceBuilder) -> ServiceBuilder + Send + Sync>;
+
+impl std::fmt::Debug for FleetBuilder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FleetBuilder")
+            .field("devices", &self.devices)
+            .field("knob_sets", &self.knobs.len())
+            .field("replicate_after", &self.replicate_after)
+            .finish()
+    }
 }
 
 impl FleetBuilder {
@@ -216,78 +232,21 @@ impl FleetBuilder {
         self
     }
 
-    /// Submission-queue depth bound applied to every backend (see
-    /// [`ServiceBuilder::queue_depth`](crate::ServiceBuilder::queue_depth)).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.knobs.max_queue_depth = depth;
-        self
-    }
-
-    /// Coalescing window applied to every backend (see
-    /// [`ServiceBuilder::coalesce_window`](crate::ServiceBuilder::coalesce_window)).
-    pub fn coalesce_window(mut self, window: Duration) -> Self {
-        self.knobs.coalesce_window = window;
-        self
-    }
-
-    /// Per-batch coalescing bound applied to every backend (see
-    /// [`ServiceBuilder::max_coalesce`](crate::ServiceBuilder::max_coalesce)).
-    pub fn max_coalesce(mut self, max: usize) -> Self {
-        self.knobs.max_coalesce = max;
-        self
-    }
-
-    /// Cache shard count applied to every backend (see
-    /// [`ServiceBuilder::shards`](crate::ServiceBuilder::shards)).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.knobs.shards = shards;
-        self
-    }
-
-    /// Resident-plan bound per shard applied to every backend (see
-    /// [`ServiceBuilder::plans_per_shard`](crate::ServiceBuilder::plans_per_shard)).
-    pub fn plans_per_shard(mut self, plans: usize) -> Self {
-        self.knobs.plans_per_shard = plans;
-        self
-    }
-
-    /// Shedding headroom floor applied to every backend (see
-    /// [`ServiceBuilder::shed_headroom`](crate::ServiceBuilder::shed_headroom)).
-    pub fn shed_headroom(mut self, bytes: u64) -> Self {
-        self.knobs.shed_headroom_bytes = bytes;
-        self
-    }
-
-    /// Out-of-core fallback applied to every backend (see
-    /// [`ServiceBuilder::oocore_fallback`](crate::ServiceBuilder::oocore_fallback)).
-    /// Routing also changes: a shape every device rejects as
-    /// over-capacity — but which the out-of-core subsystem accepts — is
-    /// placed (as a never-"fits" candidate, so any in-core-capable
-    /// backend still wins) instead of failing with
-    /// [`ServiceError::NoDeviceSupports`].
-    pub fn oocore_fallback(mut self, enabled: bool) -> Self {
-        self.knobs.oocore_fallback = enabled;
-        self
-    }
-
-    /// Bounded transient-fault retries applied to every backend (see
-    /// [`ServiceBuilder::retry`](crate::ServiceBuilder::retry)).
-    pub fn retry(mut self, retries: usize) -> Self {
-        self.knobs.retries = retries;
-        self
-    }
-
-    /// Retry backoff applied to every backend (see
-    /// [`ServiceBuilder::retry_backoff`](crate::ServiceBuilder::retry_backoff)).
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.knobs.retry_backoff = backoff;
-        self
-    }
-
-    /// Output verification applied to every backend (see
-    /// [`ServiceBuilder::verify_outputs`](crate::ServiceBuilder::verify_outputs)).
-    pub fn verify_outputs(mut self, enabled: bool) -> Self {
-        self.knobs.verify_outputs = enabled;
+    /// Applies a [`ServiceBuilder`] knob set to every backend: `knobs`
+    /// receives each device's [`SvdService::builder`] and returns it
+    /// configured, e.g. `.backends(|s| s.retry(2).verify_outputs(true))`.
+    /// Repeated calls compose in call order. Routing honours the
+    /// backends' knobs too: with
+    /// [`oocore_fallback`](ServiceBuilder::oocore_fallback) enabled, a
+    /// shape every device rejects as over-capacity — but which the
+    /// out-of-core subsystem accepts — is placed (as a never-"fits"
+    /// candidate, so any in-core-capable backend still wins) instead of
+    /// failing with [`ServiceError::NoDeviceSupports`].
+    pub fn backends(
+        mut self,
+        knobs: impl Fn(ServiceBuilder) -> ServiceBuilder + Send + Sync + 'static,
+    ) -> Self {
+        self.knobs.push(Arc::new(knobs));
         self
     }
 
@@ -310,7 +269,12 @@ impl FleetBuilder {
             backends: self
                 .devices
                 .iter()
-                .map(|hw| SvdService::from_knobs(hw, self.knobs))
+                .map(|hw| {
+                    self.knobs
+                        .iter()
+                        .fold(SvdService::builder(hw), |b, knobs| knobs(b))
+                        .build()
+                })
                 .collect(),
             dead: self
                 .devices
@@ -421,7 +385,7 @@ impl SvdFleet {
     pub fn builder() -> FleetBuilder {
         FleetBuilder {
             devices: Vec::new(),
-            knobs: Knobs::default(),
+            knobs: Vec::new(),
             replicate_after: DEFAULT_REPLICATE_AFTER,
         }
     }
@@ -1079,7 +1043,7 @@ mod tests {
 
         let streaming = SvdFleet::builder()
             .device(tiny.clone())
-            .oocore_fallback(true)
+            .backends(|s| s.oocore_fallback(true))
             .build();
         let out = streaming
             .solve(&a, &cfg)
@@ -1089,7 +1053,7 @@ mod tests {
         let mixed = SvdFleet::builder()
             .device(tiny)
             .device(hw::h100())
-            .oocore_fallback(true)
+            .backends(|s| s.oocore_fallback(true))
             .build();
         mixed.solve(&a, &cfg).expect("supported on h100");
         assert_eq!(

@@ -72,8 +72,6 @@ mod ticket;
 pub use fleet::{
     DeviceHealth, DeviceStats, FailoverReport, FleetBuildError, FleetBuilder, FleetStats, SvdFleet,
 };
-#[allow(deprecated)]
-pub use service::ServiceConfig;
 pub use service::{CacheStats, QueueStats, ServiceBuilder, ServiceError, ServiceStats, SvdService};
 pub use ticket::Ticket;
 

@@ -13,9 +13,8 @@ use unisvd_matrix::Matrix;
 use unisvd_oocore::{OocMode, OutOfCore};
 use unisvd_scalar::{PrecisionKind, Scalar, F16};
 
-/// The service's internal tuning knobs — the non-deprecated owner of
-/// the values [`ServiceBuilder`] accumulates (and the deprecated
-/// [`ServiceConfig`] converts into).
+/// The service's internal tuning knobs — the values [`ServiceBuilder`]
+/// accumulates.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Knobs {
     /// Independently locked cache shards (`0` clamps to 1).
@@ -62,102 +61,11 @@ impl Default for Knobs {
     }
 }
 
-/// Tuning knobs for an [`SvdService`]'s plan cache and submission queue.
-///
-/// Deprecated in favor of the builder — construct services with
-/// [`SvdService::builder`], which names every knob as a method instead
-/// of a struct literal (see the README migration table):
-///
-/// ```
-/// use unisvd_gpu::hw;
-/// use unisvd_service::SvdService;
-///
-/// let service = SvdService::builder(&hw::h100())
-///     .shards(4)
-///     .plans_per_shard(16)
-///     .queue_depth(256)
-///     .build();
-/// assert_eq!(service.hw().name, "NVIDIA H100");
-/// ```
-#[deprecated(note = "use `SvdService::builder(&hw)` and its knob methods instead")]
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceConfig {
-    /// Number of independently locked cache shards (`0` is clamped to
-    /// 1). More shards mean less lock contention between unrelated
-    /// signatures; the default (8) is ample for the lock hold times
-    /// involved (map operations only — never a solve).
-    pub shards: usize,
-    /// Resident-plan bound per shard. `0` disables caching entirely:
-    /// every request plans from scratch (the cold-path baseline the
-    /// throughput bench measures against).
-    pub plans_per_shard: usize,
-    /// Device-memory budget for all resident plans, in bytes. `None`
-    /// uses the device's full budget (memory net of the 25% workspace
-    /// headroom — the same rule behind `PlanError::ExceedsDeviceMemory`).
-    pub max_cache_bytes: Option<u64>,
-    /// Submission-queue depth bound: [`submit`](SvdService::submit)
-    /// returns [`ServiceError::QueueFull`] once this many requests are
-    /// queued unexecuted (`0` is clamped to 1). Default 1024.
-    pub max_queue_depth: usize,
-    /// How long the drainer holds a batch open for further
-    /// same-signature arrivals after the first — the coalescing window.
-    /// `Duration::ZERO` batches only what is already queued. Default
-    /// 200 µs.
-    pub coalesce_window: Duration,
-    /// Most requests coalesced into one batched execute (`0` is clamped
-    /// to 1). Default 64, matching the batch executor's chunk bound.
-    pub max_coalesce: usize,
-    /// Admission floor on device-memory headroom: a submission whose
-    /// plan is *not* resident (it may need new device memory) is refused
-    /// with [`ServiceError::Shedding`] while the cache ledger's
-    /// available bytes are below this. Resident-signature requests are
-    /// always admitted — they need no new memory. `0` (the default)
-    /// disables shedding.
-    pub shed_headroom_bytes: u64,
-}
-
-#[allow(deprecated)]
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        let k = Knobs::default();
-        ServiceConfig {
-            shards: k.shards,
-            plans_per_shard: k.plans_per_shard,
-            max_cache_bytes: k.max_cache_bytes,
-            max_queue_depth: k.max_queue_depth,
-            coalesce_window: k.coalesce_window,
-            max_coalesce: k.max_coalesce,
-            shed_headroom_bytes: k.shed_headroom_bytes,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<ServiceConfig> for Knobs {
-    fn from(cfg: ServiceConfig) -> Knobs {
-        Knobs {
-            shards: cfg.shards,
-            plans_per_shard: cfg.plans_per_shard,
-            max_cache_bytes: cfg.max_cache_bytes,
-            max_queue_depth: cfg.max_queue_depth,
-            coalesce_window: cfg.coalesce_window,
-            max_coalesce: cfg.max_coalesce,
-            shed_headroom_bytes: cfg.shed_headroom_bytes,
-            // The deprecated config predates the out-of-core subsystem
-            // and the self-healing knobs; both stay opt-in through the
-            // builder only.
-            oocore_fallback: false,
-            retries: 0,
-            retry_backoff: Duration::ZERO,
-            verify_outputs: false,
-        }
-    }
-}
-
 /// Accumulates an [`SvdService`]'s tuning knobs, then
 /// [`build`](Self::build)s it. Obtained from [`SvdService::builder`];
-/// every knob has the same default the old `ServiceConfig::default()`
-/// had, so `SvdService::builder(&hw).build()` ≡ `SvdService::new(&hw)`.
+/// `SvdService::builder(&hw).build()` ≡ `SvdService::new(&hw)`. A fleet
+/// applies the same knob methods to every backend through
+/// [`FleetBuilder::backends`](crate::FleetBuilder::backends).
 ///
 /// ```
 /// use std::time::Duration;
@@ -294,7 +202,32 @@ impl ServiceBuilder {
 
     /// The configured service.
     pub fn build(self) -> SvdService {
-        SvdService::from_knobs(&self.hw, self.knobs)
+        let ServiceBuilder { hw, knobs } = self;
+        let budget = knobs.max_cache_bytes.unwrap_or_else(|| hw.budget_bytes());
+        // A faulted descriptor injects into the cache ledger too: plan
+        // publishes can transiently fail their reservation, exactly like
+        // a real allocator under pressure.
+        let mut ledger = MemoryLedger::new(budget);
+        if let Some(plan) = hw.fault.clone().filter(|p| p.is_active()) {
+            ledger = ledger.with_fault_injector(FaultInjector::new(plan, hw.name));
+        }
+        SvdService {
+            inner: Arc::new(Inner {
+                hw,
+                cache: PlanCache::new(knobs.shards.max(1), knobs.plans_per_shard, ledger),
+                knobs,
+                queue: SubmitQueue::new(),
+                failures: AtomicU64::new(0),
+                submitted: AtomicU64::new(0),
+                rejected: AtomicU64::new(0),
+                shed: AtomicU64::new(0),
+                batches: AtomicU64::new(0),
+                coalesced: AtomicU64::new(0),
+                in_flight: AtomicU64::new(0),
+                fault_streak: AtomicU64::new(0),
+            }),
+            drainer: Mutex::new(None),
+        }
     }
 }
 
@@ -602,41 +535,6 @@ impl SvdService {
         }
     }
 
-    /// A service for device `hw` with explicit cache knobs.
-    #[deprecated(note = "use `SvdService::builder(&hw)` and its knob methods instead")]
-    #[allow(deprecated)]
-    pub fn with_config(hw: &HardwareDescriptor, cfg: ServiceConfig) -> Self {
-        Self::from_knobs(hw, cfg.into())
-    }
-
-    pub(crate) fn from_knobs(hw: &HardwareDescriptor, knobs: Knobs) -> Self {
-        let budget = knobs.max_cache_bytes.unwrap_or_else(|| hw.budget_bytes());
-        // A faulted descriptor injects into the cache ledger too: plan
-        // publishes can transiently fail their reservation, exactly like
-        // a real allocator under pressure.
-        let mut ledger = MemoryLedger::new(budget);
-        if let Some(plan) = hw.fault.clone().filter(|p| p.is_active()) {
-            ledger = ledger.with_fault_injector(FaultInjector::new(plan, hw.name));
-        }
-        SvdService {
-            inner: Arc::new(Inner {
-                hw: hw.clone(),
-                cache: PlanCache::new(knobs.shards.max(1), knobs.plans_per_shard, ledger),
-                knobs,
-                queue: SubmitQueue::new(),
-                failures: AtomicU64::new(0),
-                submitted: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
-                in_flight: AtomicU64::new(0),
-                fault_streak: AtomicU64::new(0),
-            }),
-            drainer: Mutex::new(None),
-        }
-    }
-
     /// The device this service solves on.
     pub fn hw(&self) -> &HardwareDescriptor {
         &self.inner.hw
@@ -659,11 +557,15 @@ impl SvdService {
     ///
     /// Protocol: the plan is checked **out** of its cache shard (no lock
     /// is held while solving), executed, and returned. A cache hit runs
-    /// [`SvdPlan::execute`] (amortized host driver overhead); a miss
-    /// plans first and runs [`SvdPlan::execute_cold`], whose summary
-    /// carries the full one-shot driver overhead the planning work
-    /// actually cost — so the trace honestly separates warm from cold
-    /// serving cost. The *values* are bit-identical either way.
+    /// [`SvdPlan::execute_into`] (amortized host driver overhead); a
+    /// miss plans first and runs [`SvdPlan::execute_cold_into`], whose
+    /// summary carries the full one-shot driver overhead the planning
+    /// work actually cost — so the trace honestly separates warm from
+    /// cold serving cost. The *values* are bit-identical either way.
+    /// [`solve_batch`](Self::solve_batch) and the
+    /// [`submit`](Self::submit) drainer run the same group execution, so
+    /// retries, output verification and failure counting apply
+    /// identically on every entry path.
     ///
     /// # Errors
     /// Exactly the plan API's errors: unsupported (device, precision)
@@ -694,7 +596,16 @@ impl SvdService {
         out: &mut SvdOutput,
     ) -> Result<(), SvdError> {
         let _flight = self.inner.begin_flight(1);
-        self.inner.solve_into(a, cfg, out)
+        let sig = self.signature::<T>(a.rows(), a.cols(), cfg);
+        let mut status = [Ok(())];
+        self.inner.execute_group(
+            &sig,
+            std::slice::from_ref(&a),
+            std::slice::from_mut(out),
+            &mut status,
+        );
+        let [status] = status;
+        status
     }
 
     /// Enqueues one request and returns a [`Ticket`] for its result —
@@ -716,18 +627,7 @@ impl SvdService {
     /// signature is resident. On `Err` nothing was enqueued (the matrix
     /// is dropped); solve-time errors arrive through the ticket instead.
     pub fn submit<T: Scalar>(&self, a: Matrix<T>, cfg: &SvdConfig) -> Result<Ticket, ServiceError> {
-        let sig = self.signature::<T>(a.rows(), a.cols(), cfg);
-        let (ticket, resolver) = ticket_pair();
-        let pending = Pending {
-            sig,
-            mat: Box::new(a),
-            resolver,
-            deadline: None,
-        };
-        match self.submit_pending(pending) {
-            Ok(()) => Ok(ticket),
-            Err((_, e)) => Err(e),
-        }
+        self.enqueue(a, cfg, None)
     }
 
     /// [`submit`](Self::submit) with a submit-time deadline: if the
@@ -754,18 +654,26 @@ impl SvdService {
                 waited: Duration::ZERO,
             });
         }
-        let sig = self.signature::<T>(a.rows(), a.cols(), cfg);
+        self.enqueue(a, cfg, Some(Instant::now() + deadline))
+    }
+
+    /// Wraps `a` in a [`Pending`] with a fresh ticket and admits it.
+    fn enqueue<T: Scalar>(
+        &self,
+        a: Matrix<T>,
+        cfg: &SvdConfig,
+        deadline: Option<Instant>,
+    ) -> Result<Ticket, ServiceError> {
         let (ticket, resolver) = ticket_pair();
         let pending = Pending {
-            sig,
+            sig: self.signature::<T>(a.rows(), a.cols(), cfg),
             mat: Box::new(a),
             resolver,
-            deadline: Some(Instant::now() + deadline),
+            deadline,
         };
-        match self.submit_pending(pending) {
-            Ok(()) => Ok(ticket),
-            Err((_, e)) => Err(e),
-        }
+        self.submit_pending(pending)
+            .map(|()| ticket)
+            .map_err(|(_, e)| e)
     }
 
     /// [`submit`](Self::submit)'s admission core, over an assembled
@@ -836,6 +744,19 @@ impl SvdService {
         }
     }
 
+    /// Joins the drainer thread, if one is running, once the queue has
+    /// been shut down or failed.
+    fn join_drainer(&self) {
+        let handle = self
+            .drainer
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
+        }
+    }
+
     /// Simulates losing this device: fails the queue (no further
     /// admissions), joins the drainer after its current batch (whose
     /// tickets resolve normally), then hands back everything stranded —
@@ -846,14 +767,7 @@ impl SvdService {
     /// ([`SvdFleet::fail_device`](crate::SvdFleet::fail_device)).
     pub(crate) fn fail_for_reroute(&self) -> (Vec<Pending>, Vec<PlanSignature>) {
         self.inner.queue.fail();
-        let handle = self
-            .drainer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        self.join_drainer();
         let orphans = self.inner.queue.drain_remaining();
         self.inner
             .in_flight
@@ -912,7 +826,7 @@ impl SvdService {
     }
 
     /// Solves a batch of requests, coalescing same-signature requests
-    /// into [`SvdPlan::execute_batch_refs`] calls that fan out on the
+    /// into [`SvdPlan::execute_batch_refs_into`] calls that fan out on the
     /// host work-stealing pool — one plan checkout (or build) per
     /// distinct shape instead of per request.
     ///
@@ -927,13 +841,40 @@ impl SvdService {
     ///
     /// Errors are **per request**: a failing solve (or a group whose
     /// plan cannot be built) leaves every other request's result intact.
+    /// Retries and output verification apply exactly as in
+    /// [`solve`](Self::solve).
     pub fn solve_batch<T: Scalar>(
         &self,
         mats: &[Matrix<T>],
         cfg: &SvdConfig,
     ) -> Vec<Result<SvdOutput, SvdError>> {
         let _flight = self.inner.begin_flight(mats.len() as u64);
-        self.inner.solve_batch(mats, cfg)
+        let mut results: Vec<Option<Result<SvdOutput, SvdError>>> =
+            mats.iter().map(|_| None).collect();
+        for first in 0..mats.len() {
+            if results[first].is_some() {
+                continue;
+            }
+            // A new shape opens a group holding every later request of
+            // that shape (earlier ones would have opened it sooner).
+            let shape = (mats[first].rows(), mats[first].cols());
+            let group: Vec<usize> = (first..mats.len())
+                .filter(|&i| (mats[i].rows(), mats[i].cols()) == shape)
+                .collect();
+            let refs: Vec<&Matrix<T>> = group.iter().map(|&i| &mats[i]).collect();
+            let mut outs: Vec<SvdOutput> = group.iter().map(|_| SvdOutput::empty()).collect();
+            let mut statuses = vec![Ok(()); group.len()];
+            let sig = self.signature::<T>(shape.0, shape.1, cfg);
+            self.inner
+                .execute_group(&sig, &refs, &mut outs, &mut statuses);
+            for ((i, out), status) in group.into_iter().zip(outs).zip(statuses) {
+                results[i] = Some(status.map(|()| out));
+            }
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every request belongs to exactly one group"))
+            .collect()
     }
 
     /// One coherent snapshot of the cache counters/residency and the
@@ -990,14 +931,7 @@ impl Drop for SvdService {
         // (resolving its ticket) before exiting, so dropping the service
         // never strands an accepted submission.
         self.inner.queue.shutdown();
-        let handle = self
-            .drainer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
+        self.join_drainer();
     }
 }
 
@@ -1028,7 +962,6 @@ impl Inner {
     fn checkout_or_plan<T: Scalar>(
         &self,
         sig: &PlanSignature,
-        cfg: &SvdConfig,
     ) -> Result<(Box<SvdPlan<T>>, bool), SvdError> {
         match self.cache.checkout(sig) {
             Some(cached) => {
@@ -1039,7 +972,7 @@ impl Inner {
                 Ok((plan, true))
             }
             None => {
-                let plan = self.builder::<T>(cfg).plan(sig.rows, sig.cols)?;
+                let plan = self.builder::<T>(&sig.config).plan(sig.rows, sig.cols)?;
                 Ok((Box::new(plan), false))
             }
         }
@@ -1090,48 +1023,6 @@ impl Inner {
         plan.execute_into(a, out)
     }
 
-    /// One solve attempt — no retry, no failure counting. Checks the
-    /// plan out (or builds it), executes, verifies when configured, and
-    /// publishes the plan back; the retry wrapper calls this once per
-    /// attempt so every attempt gets a fresh checkout.
-    fn solve_once<T: Scalar>(
-        &self,
-        a: &Matrix<T>,
-        cfg: &SvdConfig,
-        out: &mut SvdOutput,
-    ) -> Result<(), SvdError> {
-        let sig = self.builder::<T>(cfg).signature(a.rows(), a.cols());
-        let (mut plan, warm) = match self.checkout_or_plan::<T>(&sig, cfg) {
-            Ok(found) => found,
-            Err(e) if self.oocore_absorbs(&e) => {
-                return self.oocore_solve_into(a, cfg, out);
-            }
-            Err(e) => return Err(e),
-        };
-        let res = if warm {
-            plan.execute_into(a, out)
-        } else {
-            plan.execute_cold_into(a, out)
-        };
-        // The plan survives a solve-time fault (the *data path* was hit,
-        // not the resident factor layout), so it goes back either way.
-        self.publish(sig, plan);
-        res.and_then(|()| self.verify_out(out))
-    }
-
-    /// [`SvdOutput::verify`] as a policy hook: when enabled, a failing
-    /// check becomes a *transient* corruption fault — retried like any
-    /// other transient, then surfaced as [`SvdError::DeviceFault`].
-    fn verify_out(&self, out: &SvdOutput) -> Result<(), SvdError> {
-        if self.knobs.verify_outputs && out.verify().is_err() {
-            return Err(SvdError::DeviceFault(DeviceFault {
-                device: self.hw.name,
-                kind: FaultKind::Corruption,
-            }));
-        }
-        Ok(())
-    }
-
     /// Sleeps the configured backoff before retry attempt `attempt`
     /// (1-based), doubling per attempt. Zero backoff sleeps nothing.
     fn backoff(&self, attempt: usize) {
@@ -1154,28 +1045,93 @@ impl Inner {
         }
     }
 
-    fn solve_into<T: Scalar>(
+    /// Executes one same-signature group — the single execution path
+    /// behind [`SvdService::solve_into`] (a group of 1),
+    /// [`SvdService::solve_batch`] (one call per shape group) and the
+    /// drainer (one call per coalesced batch). `mats`, `outs` and
+    /// `statuses` are parallel; every matrix has `sig`'s shape. After
+    /// the first attempt, each request that failed transiently is
+    /// retried on its own, up to the retry bound, with a fresh checkout
+    /// per attempt; then every final outcome feeds the fault streak and
+    /// the failure counter.
+    fn execute_group<T: Scalar>(
         &self,
-        a: &Matrix<T>,
-        cfg: &SvdConfig,
-        out: &mut SvdOutput,
-    ) -> Result<(), SvdError> {
-        let mut attempt = 0;
-        let res = loop {
-            let res = self.solve_once(a, cfg, out);
-            match &res {
-                Err(e) if e.is_transient() && attempt < self.knobs.retries => {
-                    attempt += 1;
-                    self.backoff(attempt);
-                }
-                _ => break res,
+        sig: &PlanSignature,
+        mats: &[&Matrix<T>],
+        outs: &mut [SvdOutput],
+        statuses: &mut [Result<(), SvdError>],
+    ) {
+        self.attempt_group(sig, mats, outs, statuses);
+        for i in 0..statuses.len() {
+            let mut attempt = 0;
+            while matches!(&statuses[i], Err(e) if e.is_transient()) && attempt < self.knobs.retries
+            {
+                attempt += 1;
+                self.backoff(attempt);
+                self.attempt_group(
+                    sig,
+                    std::slice::from_ref(&mats[i]),
+                    std::slice::from_mut(&mut outs[i]),
+                    std::slice::from_mut(&mut statuses[i]),
+                );
             }
-        };
-        self.note_device_health(&res);
-        if res.is_err() {
-            self.record_failures(1);
         }
-        res
+        for s in statuses.iter() {
+            self.note_device_health(s);
+        }
+        self.record_failures(statuses.iter().filter(|s| s.is_err()).count());
+    }
+
+    /// One attempt at a group — no retry, no failure counting. Checks
+    /// the plan out (or builds it) once for the whole group; the first
+    /// request runs on the plan itself (cold driver cost on a miss, so
+    /// cold serving cost is attributed identically on every path) and
+    /// the rest fan out through the plan's pooled batch workers. A
+    /// plan-time rejection fails the whole group; one the out-of-core
+    /// path absorbs streams each request instead. With
+    /// `verify_outputs`, an output failing [`SvdOutput::verify`] becomes
+    /// a *transient* corruption fault — retried like any other
+    /// transient, then surfaced as [`SvdError::DeviceFault`].
+    fn attempt_group<T: Scalar>(
+        &self,
+        sig: &PlanSignature,
+        mats: &[&Matrix<T>],
+        outs: &mut [SvdOutput],
+        statuses: &mut [Result<(), SvdError>],
+    ) {
+        match self.checkout_or_plan::<T>(sig) {
+            Ok((mut plan, warm)) => {
+                statuses[0] = if warm {
+                    plan.execute_into(mats[0], &mut outs[0])
+                } else {
+                    plan.execute_cold_into(mats[0], &mut outs[0])
+                };
+                if mats.len() > 1 {
+                    plan.execute_batch_refs_into(&mats[1..], &mut outs[1..], &mut statuses[1..]);
+                }
+                // The plan survives a solve-time fault (the *data path*
+                // was hit, not the resident factor layout), so it goes
+                // back either way.
+                self.publish(*sig, plan);
+            }
+            Err(e) if self.oocore_absorbs(&e) => {
+                for ((a, out), status) in mats.iter().zip(outs.iter_mut()).zip(statuses.iter_mut())
+                {
+                    *status = self.oocore_solve_into(a, &sig.config, out);
+                }
+            }
+            Err(e) => statuses.fill(Err(e)),
+        }
+        if self.knobs.verify_outputs {
+            for (out, status) in outs.iter().zip(statuses.iter_mut()) {
+                if status.is_ok() && out.verify().is_err() {
+                    *status = Err(SvdError::DeviceFault(DeviceFault {
+                        device: self.hw.name,
+                        kind: FaultKind::Corruption,
+                    }));
+                }
+            }
+        }
     }
 
     /// Builds and publishes one plan for `sig` (already vetted for this
@@ -1195,84 +1151,11 @@ impl Inner {
         }
     }
 
-    fn solve_batch<T: Scalar>(
-        &self,
-        mats: &[Matrix<T>],
-        cfg: &SvdConfig,
-    ) -> Vec<Result<SvdOutput, SvdError>> {
-        // Group request indices by shape, in first-seen order (a linear
-        // scan per distinct shape: batches have few distinct shapes).
-        let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
-        for (i, a) in mats.iter().enumerate() {
-            let shape = (a.rows(), a.cols());
-            match groups.iter_mut().find(|(s, _)| *s == shape) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((shape, vec![i])),
-            }
-        }
-        let mut results: Vec<Option<Result<SvdOutput, SvdError>>> =
-            mats.iter().map(|_| None).collect();
-        for ((rows, cols), idxs) in groups {
-            let sig = self.builder::<T>(cfg).signature(rows, cols);
-            let (mut plan, warm) = match self.checkout_or_plan::<T>(&sig, cfg) {
-                Ok(found) => found,
-                Err(e) if self.oocore_absorbs(&e) => {
-                    // The whole group shares the oversized signature;
-                    // stream each member independently so a per-request
-                    // failure stays per-request.
-                    for i in idxs {
-                        let mut out = SvdOutput::empty();
-                        results[i] = Some(
-                            self.oocore_solve_into(&mats[i], cfg, &mut out)
-                                .map(|()| out),
-                        );
-                    }
-                    continue;
-                }
-                Err(e) => {
-                    // A plan-time rejection is inherently group-wide (the
-                    // whole group shares the failing signature) — but it
-                    // stays *within* the group: other groups' results are
-                    // untouched.
-                    for i in idxs {
-                        results[i] = Some(Err(e.clone()));
-                    }
-                    continue;
-                }
-            };
-            // The group's first request uses the plan's own workspaces —
-            // and on a miss carries the one-shot driver cost, so cold
-            // serving cost is attributed identically to `solve`.
-            let first = idxs[0];
-            results[first] = Some(if warm {
-                plan.execute(&mats[first])
-            } else {
-                plan.execute_cold(&mats[first])
-            });
-            let rest = &idxs[1..];
-            if !rest.is_empty() {
-                let refs: Vec<&Matrix<T>> = rest.iter().map(|&i| &mats[i]).collect();
-                for (i, out) in rest.iter().zip(plan.execute_batch_refs(&refs)) {
-                    results[*i] = Some(out);
-                }
-            }
-            self.publish(sig, plan);
-        }
-        let results: Vec<Result<SvdOutput, SvdError>> = results
-            .into_iter()
-            .map(|r| r.expect("every request index belongs to exactly one group"))
-            .collect();
-        self.record_failures(results.iter().filter(|r| r.is_err()).count());
-        results
-    }
-
     /// The drainer thread's main loop: pop coalesced same-signature
-    /// batches until the queue is drained *and* shut down. Batch
-    /// assembly buffers are reused across iterations.
+    /// batches until the queue is drained *and* shut down. The batch
+    /// buffer is reused across iterations.
     fn drain_loop(&self) {
         let mut batch: Vec<Pending> = Vec::new();
-        let mut outs: Vec<SvdOutput> = Vec::new();
-        let mut statuses: Vec<Result<(), SvdError>> = Vec::new();
         while self.queue.next_batch(
             self.knobs.coalesce_window,
             self.knobs.max_coalesce,
@@ -1281,28 +1164,22 @@ impl Inner {
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.coalesced
                 .fetch_add(batch.len().saturating_sub(1) as u64, Ordering::Relaxed);
+            self.expire_deadlines(&mut batch);
+            if batch.is_empty() {
+                continue;
+            }
             match batch[0].sig.precision {
-                PrecisionKind::Fp64 => self.run_group::<f64>(&mut batch, &mut outs, &mut statuses),
-                PrecisionKind::Fp32 => self.run_group::<f32>(&mut batch, &mut outs, &mut statuses),
-                PrecisionKind::Fp16 => self.run_group::<F16>(&mut batch, &mut outs, &mut statuses),
+                PrecisionKind::Fp64 => self.run_batch::<f64>(&mut batch),
+                PrecisionKind::Fp32 => self.run_batch::<f32>(&mut batch),
+                PrecisionKind::Fp16 => self.run_batch::<F16>(&mut batch),
             }
         }
     }
 
-    /// Executes one coalesced same-signature batch and resolves its
-    /// tickets in arrival order. Mirrors `solve_batch`'s group body: the
-    /// first request runs on the checked-out plan (cold driver cost on a
-    /// miss), the rest fan out through the plan's pooled batch workers;
-    /// failures are per request.
-    fn run_group<T: Scalar>(
-        &self,
-        batch: &mut Vec<Pending>,
-        outs: &mut Vec<SvdOutput>,
-        statuses: &mut Vec<Result<(), SvdError>>,
-    ) {
-        // Expired submit-time deadlines resolve with the typed timeout
-        // *before* the batch claims any pool time — late answers nobody
-        // is waiting for must not slow down answers somebody is.
+    /// Resolves expired submit-time deadlines with the typed timeout
+    /// *before* the batch claims any pool time — late answers nobody is
+    /// waiting for must not slow down answers somebody is.
+    fn expire_deadlines(&self, batch: &mut Vec<Pending>) {
         let now = Instant::now();
         let mut expired = 0;
         let mut i = 0;
@@ -1320,105 +1197,32 @@ impl Inner {
             }
         }
         self.record_failures(expired);
-        if batch.is_empty() {
-            return;
-        }
-        let n = batch.len() as u64;
-        let sig = batch[0].sig;
-        let (mut plan, warm) = match self.checkout_or_plan::<T>(&sig, &sig.config) {
-            Ok(found) => found,
-            Err(e) if self.oocore_absorbs(&e) => {
-                // Oversized but streamable: solve each coalesced request
-                // through the out-of-core path, then resolve its ticket
-                // with exactly what `solve` would have produced.
-                let mut failed = 0;
-                self.in_flight.fetch_sub(n, Ordering::Relaxed);
-                for p in batch.drain(..) {
-                    let a = p
-                        .mat
-                        .downcast_ref::<Matrix<T>>()
-                        .expect("a batch signature encodes its matrices' precision");
-                    let mut out = SvdOutput::empty();
-                    let result = self
-                        .oocore_solve_into(a, &sig.config, &mut out)
-                        .map(|()| out);
-                    failed += usize::from(result.is_err());
-                    p.resolver.resolve(result);
-                }
-                self.record_failures(failed);
-                return;
-            }
-            Err(e) => {
-                self.record_failures(batch.len());
-                // Decrement before resolving: a waiter unblocked by the
-                // resolve must never observe its own request still
-                // counted in flight.
-                self.in_flight.fetch_sub(n, Ordering::Relaxed);
-                for p in batch.drain(..) {
-                    p.resolver.resolve(Err(e.clone()));
-                }
-                return;
-            }
-        };
+    }
+
+    /// Executes one coalesced same-signature batch through
+    /// [`execute_group`](Self::execute_group) and resolves its tickets in
+    /// arrival order.
+    fn run_batch<T: Scalar>(&self, batch: &mut Vec<Pending>) {
         let n = batch.len();
-        outs.clear();
-        outs.resize_with(n, SvdOutput::empty);
-        statuses.clear();
-        statuses.resize(n, Ok(()));
         // The drain loop checked `sig.precision == T::KIND` dispatching
         // here, and every batch entry shares `sig`, so the downcasts are
         // infallible.
-        fn matrix_of<T: Scalar>(p: &Pending) -> &Matrix<T> {
-            p.mat
-                .downcast_ref::<Matrix<T>>()
-                .expect("a batch signature encodes its matrices' precision")
-        }
-        statuses[0] = if warm {
-            plan.execute_into(matrix_of(&batch[0]), &mut outs[0])
-        } else {
-            plan.execute_cold_into(matrix_of(&batch[0]), &mut outs[0])
-        };
-        if n > 1 {
-            let refs: Vec<&Matrix<T>> = batch[1..].iter().map(matrix_of).collect();
-            plan.execute_batch_refs_into(&refs, &mut outs[1..], &mut statuses[1..]);
-        }
-        self.publish(sig, plan);
-        if self.knobs.verify_outputs {
-            for i in 0..n {
-                if statuses[i].is_ok() {
-                    statuses[i] = self.verify_out(&outs[i]);
-                }
-            }
-        }
-        // Bounded per-request retries for transient faults — each
-        // attempt re-checks the plan out of the cache (`solve_once`), so
-        // a retried request is indistinguishable from a fresh solve.
-        if self.knobs.retries > 0 {
-            for i in 0..n {
-                let mut attempt = 0;
-                while matches!(&statuses[i], Err(e) if e.is_transient())
-                    && attempt < self.knobs.retries
-                {
-                    attempt += 1;
-                    self.backoff(attempt);
-                    statuses[i] =
-                        self.solve_once(matrix_of::<T>(&batch[i]), &sig.config, &mut outs[i]);
-                }
-            }
-        }
-        for s in statuses.iter() {
-            self.note_device_health(s);
-        }
-        self.record_failures(statuses.iter().filter(|s| s.is_err()).count());
-        // Same ordering rule as the plan-failure path above: the gauge
-        // drops before any waiter can return from `Ticket::wait`.
+        let mats: Vec<&Matrix<T>> = batch
+            .iter()
+            .map(|p| {
+                p.mat
+                    .downcast_ref::<Matrix<T>>()
+                    .expect("a batch signature encodes its matrices' precision")
+            })
+            .collect();
+        let mut outs: Vec<SvdOutput> = (0..n).map(|_| SvdOutput::empty()).collect();
+        let mut statuses = vec![Ok(()); n];
+        self.execute_group(&batch[0].sig, &mats, &mut outs, &mut statuses);
+        // Decrement before resolving: a waiter unblocked by the resolve
+        // must never observe its own request still counted in flight.
         self.in_flight.fetch_sub(n as u64, Ordering::Relaxed);
-        for (i, p) in batch.drain(..).enumerate() {
-            let result = match std::mem::replace(&mut statuses[i], Ok(())) {
-                Ok(()) => Ok(std::mem::replace(&mut outs[i], SvdOutput::empty())),
-                Err(e) => Err(e),
-            };
-            p.resolver.resolve(result);
+        for ((p, out), status) in batch.drain(..).zip(outs).zip(statuses) {
+            p.resolver.resolve(status.map(|()| out));
         }
     }
 }

@@ -590,32 +590,87 @@ fn warm_reports_zero_when_caching_is_disabled() {
     assert_eq!(service.stats().cache.resident_plans, 0);
 }
 
+fn random_square_f64(n: usize, seed: u64) -> Matrix<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    testmat::test_matrix::<f64, _>(n, SvDistribution::Logarithmic, false, &mut rng).0
+}
+
 #[test]
-#[allow(deprecated)]
-fn deprecated_service_config_still_compiles_and_works() {
-    // The pre-builder construction path stays source-compatible for one
-    // release: `ServiceConfig` + `with_config` must keep producing a
-    // service equivalent to the builder's.
-    use unisvd_service::ServiceConfig;
-    let service = SvdService::with_config(
-        &h100(),
-        ServiceConfig {
-            shards: 1,
-            plans_per_shard: 2,
-            ..ServiceConfig::default()
-        },
-    );
+fn infinite_entry_resolves_its_ticket_and_the_service_keeps_serving() {
+    // One `+Inf` entry under the default Bdsqr solver must not wedge the
+    // drainer: its own ticket resolves, the next request is served
+    // bit-identically to a direct plan, the in-flight gauge returns to
+    // zero, and the blocking batch path returns instead of panicking.
+    let service = SvdService::new(&h100());
     let cfg = SvdConfig::default();
-    let a = random_square(24, 77);
-    let legacy = service.solve(&a, &cfg).unwrap();
-    let modern = SvdService::builder(&h100())
-        .shards(1)
-        .plans_per_shard(2)
-        .build()
-        .solve(&a, &cfg)
+    let good = random_square_f64(32, 41);
+    let mut bad = good.clone();
+    bad[(3, 5)] = f64::INFINITY;
+    let direct = Svd::on(&h100())
+        .precision::<f64>()
+        .config(cfg)
+        .plan(32, 32)
+        .unwrap()
+        .execute(&good)
         .unwrap();
-    assert_eq!(bits(&legacy.values), bits(&modern.values));
-    assert_eq!(service.stats().cache.misses, 1);
+    let limit = Duration::from_secs(5);
+    let bad_ticket = service.submit(bad.clone(), &cfg).expect("admitted");
+    let bad_out = bad_ticket
+        .wait_timeout(limit)
+        .expect("the bad ticket resolves");
+    assert!(bad_out.values.iter().any(|v| !v.is_finite()));
+    let good_ticket = service.submit(good.clone(), &cfg).expect("admitted");
+    let served = good_ticket
+        .wait_timeout(limit)
+        .expect("the drainer keeps serving");
+    assert_eq!(bits(&served.values), bits(&direct.values));
+    assert_eq!(service.stats().queue.in_flight, 0);
+    let batch = service.solve_batch(&[bad, good], &cfg);
+    assert_eq!(
+        bits(&batch[1].as_ref().expect("batch survives").values),
+        bits(&direct.values)
+    );
+    assert_eq!(service.stats().queue.in_flight, 0);
+}
+
+#[test]
+fn solve_batch_honours_the_retry_policy_like_solve_and_submit() {
+    // A 30% corruption schedule with `retry(8)`: every entry point must
+    // retry its transient faults away, and the failure counter must
+    // agree with what the callers saw.
+    use unisvd_gpu::FaultPlan;
+    let chaotic = h100().with_faults(FaultPlan::seeded(7).corrupt_rate(0.3));
+    let cfg = SvdConfig::default();
+    let mats: Vec<Matrix<f64>> = (0..40).map(|i| random_square_f64(24, 500 + i)).collect();
+    let service = || SvdService::builder(&chaotic).retry(8).build();
+
+    let blocking = service();
+    let solve_failed = mats
+        .iter()
+        .filter(|a| blocking.solve(a, &cfg).is_err())
+        .count();
+    let queued = service();
+    let submit_failed = mats
+        .iter()
+        .filter(|a| {
+            let ticket = queued.submit((*a).clone(), &cfg).expect("admitted");
+            ticket.wait().is_err()
+        })
+        .count();
+    let batched = service();
+    let batch_failed = mats
+        .iter()
+        .filter(|a| batched.solve_batch(std::slice::from_ref(*a), &cfg)[0].is_err())
+        .count();
+
+    for (path, failed, svc) in [
+        ("solve", solve_failed, &blocking),
+        ("submit/wait", submit_failed, &queued),
+        ("solve_batch", batch_failed, &batched),
+    ] {
+        assert_eq!(failed, 0, "{path} surfaced a retryable fault");
+        assert_eq!(svc.stats().cache.failures, 0, "{path} failure count");
+    }
 }
 
 #[test]

@@ -105,7 +105,7 @@ fn main() {
     let refused = strict.solve(&a, &cfg).is_err();
     let fleet = SvdFleet::builder()
         .device(tiny)
-        .oocore_fallback(true)
+        .backends(|s| s.oocore_fallback(true))
         .build();
     let served = fleet.solve(&a, &cfg).expect("fallback streams it");
     println!(

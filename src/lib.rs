@@ -76,8 +76,6 @@ pub use unisvd_matrix::{
 };
 pub use unisvd_oocore::{OocMode, OutOfCore, OutOfCorePlan};
 pub use unisvd_scalar::{PrecisionKind, Real, Scalar, F16};
-#[allow(deprecated)]
-pub use unisvd_service::ServiceConfig;
 pub use unisvd_service::{
     CacheStats, DeviceHealth, DeviceStats, FailoverReport, FleetBuildError, FleetBuilder,
     FleetStats, QueueStats, ServiceBuilder, ServiceError, ServiceStats, SvdFleet, SvdService,

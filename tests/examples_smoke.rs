@@ -1,10 +1,10 @@
 //! Smoke test: every example in `examples/` must build and run to
 //! completion, so the quickstart paths shown in the crate docs stay
-//! honest. Runs the debug binaries (the examples are sized to finish in
-//! a few seconds each even unoptimised).
+//! honest. Runs the debug binaries concurrently (the examples are sized
+//! to finish in a few seconds each even unoptimised).
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 const EXAMPLES: [&str; 11] = [
     "quickstart",
@@ -36,12 +36,25 @@ fn all_examples_run() {
         .expect("failed to invoke cargo");
     assert!(status.success(), "cargo build --examples failed");
 
+    // Launch every example before waiting on any, so the suite's wall
+    // time is the slowest example's rather than the sum of all of them.
     let bin_dir = target_dir().join("debug").join("examples");
-    for name in EXAMPLES {
-        let out = Command::new(bin_dir.join(name))
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .unwrap_or_else(|e| panic!("could not launch example {name}: {e}"));
+    let running: Vec<_> = EXAMPLES
+        .iter()
+        .map(|name| {
+            let child = Command::new(bin_dir.join(name))
+                .current_dir(env!("CARGO_MANIFEST_DIR"))
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .unwrap_or_else(|e| panic!("could not launch example {name}: {e}"));
+            (name, child)
+        })
+        .collect();
+    for (name, child) in running {
+        let out = child
+            .wait_with_output()
+            .unwrap_or_else(|e| panic!("could not wait on example {name}: {e}"));
         assert!(
             out.status.success(),
             "example {name} exited with {:?}\n--- stderr ---\n{}",

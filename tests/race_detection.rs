@@ -317,7 +317,7 @@ fn chaos_hammer_resolves_every_ticket_and_balances_ledgers() {
     let fleet = SvdFleet::builder()
         .device(chaotic)
         .device(hw::a100())
-        .retry(2)
+        .backends(|s| s.retry(2))
         .replicate_after(2)
         .build();
     let submitted = AtomicU64::new(0);
