@@ -91,7 +91,7 @@ impl Library {
     /// singular value computation onto `dev` and returns the accumulated
     /// summary. Works in either execution mode (the stream carries no
     /// numerics). The caller is responsible for `dev.reset()` beforehand.
-    pub fn svdvals_cost(
+    pub fn cost(
         self,
         dev: &Device,
         n: usize,
@@ -380,7 +380,7 @@ mod tests {
 
     fn cost(lib: Library, dev: &Device, n: usize) -> f64 {
         dev.reset();
-        lib.svdvals_cost(dev, n, PrecisionKind::Fp32)
+        lib.cost(dev, n, PrecisionKind::Fp32)
             .unwrap()
             .total_seconds()
     }
@@ -398,7 +398,7 @@ mod tests {
     #[should_panic(expected = "does not run on")]
     fn wrong_backend_panics() {
         let dev = Device::trace_only(pvc());
-        let _ = Library::CuSolver.svdvals_cost(&dev, 128, PrecisionKind::Fp32);
+        let _ = Library::CuSolver.cost(&dev, 128, PrecisionKind::Fp32);
     }
 
     #[test]
@@ -450,7 +450,7 @@ mod tests {
         // first on supported backends.)
         let dev = Device::trace_only(mi250());
         assert!(Library::RocSolver
-            .svdvals_cost(&dev, 128, PrecisionKind::Fp16)
+            .cost(&dev, 128, PrecisionKind::Fp16)
             .is_err());
     }
 }

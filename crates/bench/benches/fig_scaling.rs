@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::time::Instant;
-use unisvd_core::{svdvals_batched, SvdConfig, SvdError};
+use unisvd_core::{Svd, SvdError, SvdOutput};
 use unisvd_gpu::hw::h100;
 use unisvd_matrix::{testmat, Matrix, SvDistribution};
 
@@ -35,18 +35,15 @@ fn pool(threads: usize) -> ThreadPool {
         .expect("pool build")
 }
 
-fn to_bits(results: &[Result<Vec<f64>, SvdError>]) -> Vec<Vec<u64>> {
-    results
-        .iter()
-        .map(|r| r.as_ref().unwrap().iter().map(|v| v.to_bits()).collect())
-        .collect()
+fn to_bits(results: &[Result<SvdOutput, SvdError>]) -> Vec<Vec<u64>> {
+    let bits = |o: &SvdOutput| o.values.iter().map(|v| v.to_bits()).collect();
+    results.iter().map(|r| bits(r.as_ref().unwrap())).collect()
 }
 
 fn fig_scaling(c: &mut Criterion) {
     let mats = batch();
-    let hw = h100();
-    let cfg = SvdConfig::default();
-    let reference = to_bits(&pool(1).install(|| svdvals_batched(&mats, &hw, &cfg)));
+    let plan = Svd::on(&h100()).precision::<f32>().plan(N, N).unwrap();
+    let reference = to_bits(&pool(1).install(|| plan.execute_batch(&mats)));
 
     let mut g = c.benchmark_group("fig_scaling");
     g.sample_size(10);
@@ -54,10 +51,10 @@ fn fig_scaling(c: &mut Criterion) {
         let p = pool(t);
         // Determinism gate before timing: any thread count must reproduce
         // the sequential bits exactly.
-        let got = to_bits(&p.install(|| svdvals_batched(&mats, &hw, &cfg)));
+        let got = to_bits(&p.install(|| plan.execute_batch(&mats)));
         assert_eq!(got, reference, "{t} threads changed the results");
         g.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, _| {
-            b.iter(|| p.install(|| svdvals_batched(&mats, &hw, &cfg)))
+            b.iter(|| p.install(|| plan.execute_batch(&mats)))
         });
     }
     g.finish();
@@ -68,11 +65,11 @@ fn fig_scaling(c: &mut Criterion) {
     println!("\nfig_scaling speedup (batch of {BATCH} {N}x{N} f32 solves):");
     for &t in &THREADS {
         let p = pool(t);
-        p.install(|| svdvals_batched(&mats, &hw, &cfg)); // warm-up
+        p.install(|| plan.execute_batch(&mats)); // warm-up
         let mut times: Vec<f64> = (0..reps)
             .map(|_| {
                 let t0 = Instant::now();
-                criterion::black_box(p.install(|| svdvals_batched(&mats, &hw, &cfg)));
+                criterion::black_box(p.install(|| plan.execute_batch(&mats)));
                 t0.elapsed().as_secs_f64() * 1e3
             })
             .collect();

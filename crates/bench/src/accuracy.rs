@@ -67,8 +67,8 @@ pub fn table1(sizes: &[usize], matrices_per_dist: usize) -> Vec<AccuracyRow> {
         .collect()
 }
 
-/// Paper values for Table 1 (unified column), for EXPERIMENTS.md
-/// comparison: (n, FP64, FP32, FP16).
+/// Paper values for Table 1 (unified column), for comparison with the
+/// measured rows: (n, FP64, FP32, FP16).
 pub const PAPER_TABLE1_UNIFIED: [(usize, f64, f64, f64); 5] = [
     (64, 5.8e-16, 9.6e-8, 4.3e-3),
     (256, 8.3e-16, 8.1e-8, 3.3e-3),

@@ -152,7 +152,7 @@ fn main() {
     let all = wanted.is_empty() || wanted.contains(&"all");
     let want = |name: &str| all || wanted.contains(&name);
 
-    println!("unisvd reproduction harness (simulated devices; see DESIGN.md / EXPERIMENTS.md)");
+    println!("unisvd reproduction harness (simulated devices; see README.md / ARCHITECTURE.md)");
     if want("table2") {
         table2();
     }

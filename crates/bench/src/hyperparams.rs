@@ -68,8 +68,8 @@ pub fn table3() -> Vec<Table3Row> {
         .collect()
 }
 
-/// Paper's Table 3 values, same layout as [`Table3Row`] (for
-/// EXPERIMENTS.md): (n, TILESIZE row, COLPERBLOCK row).
+/// Paper's Table 3 values, same layout as [`Table3Row`] (for comparison
+/// with the measured rows): (n, TILESIZE row, COLPERBLOCK row).
 pub const PAPER_TABLE3: [(usize, [f64; 4], [f64; 4]); 5] = [
     (128, [38.0, 39.0, 30.0, 30.0], [2.1, 0.0, 0.0, -1.0]),
     (512, [40.0, 41.0, 32.0, 38.0], [0.7, 0.0, -0.2, 0.0]),

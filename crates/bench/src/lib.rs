@@ -1,16 +1,15 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
 //! Each `pub fn` regenerates one artifact and returns structured rows that
-//! the `harness` binary prints (and optionally serialises to JSON). The
-//! per-experiment index lives in `DESIGN.md`; paper-vs-measured numbers are
-//! recorded in `EXPERIMENTS.md`.
+//! the `harness` binary prints (and optionally serialises to JSON); the
+//! README's "Build, test, bench" section shows how to run it.
 
 pub mod accuracy;
 pub mod figures;
 pub mod hyperparams;
 pub mod ratios;
 
-use unisvd_core::{svdvals_cost, SvdConfig};
+use unisvd_core::{Svd, SvdConfig};
 use unisvd_gpu::{Device, HardwareDescriptor, TraceSummary};
 use unisvd_kernels::HyperParams;
 use unisvd_matrix::Matrix;
@@ -28,7 +27,9 @@ pub fn unified_seconds(
     unified_summary(hw, n, prec, params, fused).map(|s| s.total_seconds())
 }
 
-/// Per-stage summary of the unified implementation (trace mode).
+/// Per-stage summary of the unified implementation: the per-execute
+/// [`cost`](unisvd_core::SvdPlan::cost) of a trace-only plan, `None`
+/// outside the Table 2 support matrix.
 pub fn unified_summary(
     hw: &HardwareDescriptor,
     n: usize,
@@ -36,18 +37,20 @@ pub fn unified_summary(
     params: Option<HyperParams>,
     fused: bool,
 ) -> Option<TraceSummary> {
-    let dev = Device::trace_only(hw.clone());
+    fn cost<T: Scalar>(hw: &HardwareDescriptor, cfg: SvdConfig, n: usize) -> Option<TraceSummary> {
+        let builder = Svd::on(hw).precision::<T>().config(cfg).trace_only();
+        builder.plan(n, n).ok().map(|p| p.cost())
+    }
     let cfg = SvdConfig {
         params,
         fused,
         ..SvdConfig::default()
     };
-    let res = match prec {
-        PrecisionKind::Fp16 => svdvals_cost::<F16>(n, &dev, &cfg),
-        PrecisionKind::Fp32 => svdvals_cost::<f32>(n, &dev, &cfg),
-        PrecisionKind::Fp64 => svdvals_cost::<f64>(n, &dev, &cfg),
-    };
-    res.ok()
+    match prec {
+        PrecisionKind::Fp16 => cost::<F16>(hw, cfg, n),
+        PrecisionKind::Fp32 => cost::<f32>(hw, cfg, n),
+        PrecisionKind::Fp64 => cost::<f64>(hw, cfg, n),
+    }
 }
 
 /// Simulated runtime of a comparator library.
@@ -61,9 +64,7 @@ pub fn library_seconds(
         return None;
     }
     let dev = Device::trace_only(hw.clone());
-    lib.svdvals_cost(&dev, n, prec)
-        .ok()
-        .map(|s| s.total_seconds())
+    lib.cost(&dev, n, prec).ok().map(|s| s.total_seconds())
 }
 
 /// Geometric mean of a nonempty slice.

@@ -226,8 +226,9 @@ mod tests {
         let roc = find("MI250");
         assert!(roc.points.iter().all(|&(_, r)| r > 1.0), "{roc:?}");
         // cuSOLVER on consumer RTX4060: unified wins at large sizes
-        // (paper: at all sizes; our simulation loses the sub-512 points
-        // to the modelled cuSOLVER small-batch path — see EXPERIMENTS.md).
+        // (paper: at all sizes; our simulation wins n = 128 too, at
+        // ~1.14, and loses only n = 256, at ~0.40, to the modelled
+        // cuSOLVER small-batch path).
         let rtx = find("RTX4060");
         for &(n, r) in &rtx.points {
             if n >= 1024 {
@@ -272,7 +273,7 @@ mod tests {
         // MAGMA: unified wins at n ≥ 2048 on RTX4060 and H100 (paper: on
         // every platform; our A100/MI250 land at 0.75–1.0 — the unified
         // implementation's simulated A100 throughput runs below the
-        // paper's, see EXPERIMENTS.md).
+        // paper's).
         for c in curves.iter().filter(|c| c.library == "MAGMA") {
             for &(n, r) in &c.points {
                 if n >= 2048 {

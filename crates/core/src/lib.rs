@@ -35,6 +35,5 @@ pub use bidiag_svd::{bdsqr, bdsqr_into, bisect, bisect_into, NoConvergence, Stag
 pub use dqds::{dqds, dqds_into};
 pub use plan::{PlanError, PlanProbe, PlanSignature, Svd, SvdPlan};
 pub use svd::{
-    resolve_params, svdvals, svdvals_batched, svdvals_batched_with, svdvals_cost, svdvals_with,
-    Stage3Solver, SvdConfig, SvdError, SvdOutput, Want,
+    resolve_params, svdvals, svdvals_with, Stage3Solver, SvdConfig, SvdError, SvdOutput, Want,
 };

@@ -151,6 +151,57 @@ impl PlanSignature {
         self.backend = hw.backend;
         self
     }
+
+    /// Runs every admission check planning this request on `hw` would —
+    /// the Table 2 support matrix and the device-capacity rule —
+    /// **without building anything**: no device buffers, no host
+    /// staging, no workspace allocation. The signature's own device
+    /// fields are ignored, so fleet routing asks the same question of
+    /// every candidate device, for any precision, before paying for
+    /// planning anywhere. `Ok` guarantees that planning the request on
+    /// `hw` succeeds, and vice versa; [`Svd::probe`] is this check on the
+    /// builder's own device.
+    pub fn probe(&self, hw: &HardwareDescriptor) -> Result<PlanProbe, PlanError> {
+        let (dev, core, device_bytes) = self.admit(hw)?;
+        Ok(PlanProbe {
+            padded: core.padded,
+            device_bytes,
+            oocore_eligible: core.oocore_eligible(&dev),
+        })
+    }
+
+    /// The one admission implementation behind [`probe`](Self::probe)
+    /// and [`Svd::plan`]: the device handle, the resolved plan core, and
+    /// the device bytes a built plan would pin (its `device_bytes()`
+    /// before any batch workers; 0 for trace-only plans, which allocate
+    /// no data).
+    fn admit(&self, hw: &HardwareDescriptor) -> Result<(Device, PlanCore, u64), PlanError> {
+        let mode = if self.trace_only {
+            ExecMode::TraceOnly
+        } else {
+            ExecMode::Numeric
+        };
+        let dev = Device::new(hw.clone(), mode);
+        let core = PlanCore::new(&dev, self.precision, &self.config, self.rows, self.cols)?;
+        if mode != ExecMode::Numeric {
+            return Ok((dev, core, 0));
+        }
+        // Everything the plan will hold on the device: the padded matrix
+        // plus the τ-factor vector. Matching device_bytes() exactly
+        // means a plan that passes this check can always be admitted by
+        // an empty budget_bytes()-sized cache ledger.
+        let padded = core.padded as u64;
+        let bytes = (padded * padded + padded) * self.precision.bytes() as u64;
+        if padded > 0 && !hw.fits(bytes) {
+            return Err(PlanError::ExceedsDeviceMemory {
+                device: hw.name,
+                padded: core.padded,
+                bytes,
+                oocore_eligible: core.oocore_eligible(&dev),
+            });
+        }
+        Ok((dev, core, bytes))
+    }
 }
 
 impl std::fmt::Display for PlanSignature {
@@ -168,8 +219,8 @@ impl std::fmt::Display for PlanSignature {
     }
 }
 
-/// What [`Svd::probe`] learns about a plan without building it: the
-/// geometry and device-memory footprint admission decisions need.
+/// What [`PlanSignature::probe`] learns about a plan without building
+/// it: the geometry and device-memory footprint admission decisions need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanProbe {
     /// Padded device problem edge the plan would use (0 for empty
@@ -236,13 +287,14 @@ pub(crate) struct PlanCore {
 impl PlanCore {
     /// All one-time planning work: support-matrix check, shape-strategy
     /// selection, hyperparameter resolution, tile padding.
-    pub(crate) fn new<T: Scalar>(
+    pub(crate) fn new(
         dev: &Device,
+        precision: PrecisionKind,
         cfg: &SvdConfig,
         rows: usize,
         cols: usize,
     ) -> Result<Self, UnsupportedPrecision> {
-        dev.supports(T::KIND)?;
+        dev.supports(precision)?;
         let mindim = rows.min(cols);
         let numeric = dev.mode() == ExecMode::Numeric;
         let (kind, device_n) = if mindim == 0 {
@@ -259,7 +311,7 @@ impl PlanCore {
         let (params, padded) = if device_n == 0 {
             (HyperParams::reference(), 0)
         } else {
-            let p = resolve_params::<T>(dev, cfg, device_n);
+            let p = resolve_params(dev, precision, cfg, device_n);
             (p, device_n.div_ceil(p.tilesize) * p.tilesize)
         };
         Ok(PlanCore {
@@ -275,6 +327,16 @@ impl PlanCore {
 
     pub(crate) fn padded(&self) -> usize {
         self.padded
+    }
+
+    /// Whether the out-of-core subsystem accepts this request on `dev`:
+    /// any nonempty numeric *values-only* solve can be panel-streamed (or
+    /// TSQR-reduced) regardless of the one-upload capacity rule. Solves
+    /// requesting singular vectors are not eligible — the out-of-core
+    /// pipeline discards the panel factors it streams, so it has nothing
+    /// to replay vectors from.
+    fn oocore_eligible(&self, dev: &Device) -> bool {
+        dev.mode() == ExecMode::Numeric && self.padded > 0 && self.cfg.vectors == Want::None
     }
 
     /// Host workspace sized for this plan on a device of `mode`
@@ -507,17 +569,10 @@ impl<T: Scalar> Svd<T> {
         }
     }
 
-    /// Runs every admission check [`plan`](Svd::plan) would — the
-    /// Table 2 support matrix and the device-capacity rule — **without
-    /// building anything**: no device buffers, no host staging, no
-    /// workspace allocation. On success the returned [`PlanProbe`]
-    /// reports the padded problem edge and the device bytes a real plan
-    /// would pin, so a serving layer can decide *where* to place a
-    /// signature (fleet routing compares these against each candidate
-    /// device's ledger headroom) before paying for planning anywhere.
-    ///
-    /// A probe that returns `Ok` guarantees `plan(rows, cols)` on the
-    /// same builder succeeds, and vice versa.
+    /// Runs every admission check [`plan`](Svd::plan) would, without
+    /// building anything: [`PlanSignature::probe`] on this builder's
+    /// device. On success the returned [`PlanProbe`] reports the padded
+    /// problem edge and the device bytes a real plan would pin.
     ///
     /// ```
     /// use unisvd_core::{PlanError, Svd};
@@ -535,58 +590,14 @@ impl<T: Scalar> Svd<T> {
     /// # Ok::<(), PlanError>(())
     /// ```
     pub fn probe(&self, rows: usize, cols: usize) -> Result<PlanProbe, PlanError> {
-        let dev = Device::new(self.hw.clone(), self.mode);
-        let core = PlanCore::new::<T>(&dev, &self.cfg, rows, cols)?;
-        let bytes = Self::capacity_check(&dev, &core)?;
-        Ok(PlanProbe {
-            padded: core.padded,
-            device_bytes: bytes,
-            oocore_eligible: Self::oocore_eligible(&dev, &core),
-        })
-    }
-
-    /// Whether the out-of-core subsystem accepts this request: any
-    /// nonempty numeric *values-only* solve can be panel-streamed (or
-    /// TSQR-reduced) regardless of the one-upload capacity rule below.
-    /// Solves requesting singular vectors are not eligible — the
-    /// out-of-core pipeline discards the panel factors it streams, so it
-    /// has nothing to replay vectors from.
-    fn oocore_eligible(dev: &Device, core: &PlanCore) -> bool {
-        dev.mode() == ExecMode::Numeric && core.padded > 0 && core.cfg.vectors == Want::None
-    }
-
-    /// The device-capacity admission rule shared by [`plan`](Svd::plan)
-    /// and [`probe`](Svd::probe); returns the device bytes a built plan
-    /// would pin (its `device_bytes()` before any batch workers).
-    fn capacity_check(dev: &Device, core: &PlanCore) -> Result<u64, PlanError> {
-        // Everything the plan will hold on the device: the padded
-        // matrix plus the τ-factor vector. Matching device_bytes()
-        // exactly means a plan that passes this check can always be
-        // admitted by an empty budget_bytes()-sized cache ledger.
-        let bytes = ((core.padded as u64).pow(2) + core.padded as u64) * T::KIND.bytes() as u64;
-        if dev.mode() == ExecMode::Numeric && core.padded > 0 && !dev.hw().fits(bytes) {
-            return Err(PlanError::ExceedsDeviceMemory {
-                device: dev.hw().name,
-                padded: core.padded,
-                bytes,
-                oocore_eligible: Self::oocore_eligible(dev, core),
-            });
-        }
-        // Trace-only plans allocate no data: nothing to pin.
-        if dev.mode() == ExecMode::Numeric {
-            Ok(bytes)
-        } else {
-            Ok(0)
-        }
+        self.signature(rows, cols).probe(&self.hw)
     }
 
     /// Performs all one-time work — support-matrix check, hyperparameter
     /// resolution, tile padding, capacity check, workspace allocation —
     /// and returns the reusable plan for `rows × cols` inputs.
     pub fn plan(self, rows: usize, cols: usize) -> Result<SvdPlan<T>, PlanError> {
-        let dev = Device::new(self.hw.clone(), self.mode);
-        let core = PlanCore::new::<T>(&dev, &self.cfg, rows, cols)?;
-        Self::capacity_check(&dev, &core)?;
+        let (dev, core, _) = self.signature(rows, cols).admit(&self.hw)?;
         Ok(SvdPlan::from_parts(dev, core))
     }
 }
@@ -948,8 +959,8 @@ impl<T: Scalar> SvdPlan<T> {
 
     /// Simulated per-execute cost of this plan: replays the identical
     /// launch stream on a fresh trace-only device and returns the
-    /// per-stage summary. Subsumes the cost-only free function for
-    /// planned workloads — and unlike it, works from numeric plans too.
+    /// per-stage summary. Works from numeric plans too; a `trace_only()`
+    /// plan is the cheap way to cost paper-scale sizes.
     pub fn cost(&self) -> TraceSummary {
         let dev = Device::trace_only(self.dev.hw().clone());
         if self.core.kind != PlanKind::Empty {
@@ -1041,20 +1052,23 @@ pub(crate) fn execute_core<T: Scalar>(
         return Ok(());
     }
 
+    // One pass over the input serves both the finiteness check and the
+    // rescale factor (`max_abs` propagates NaN, so any NaN or ±Inf entry
+    // makes it non-finite). Trace-only inputs carry no data to check.
+    let numeric = dev.mode() == ExecMode::Numeric;
+    let max_abs = a.max_abs();
+    if numeric && !max_abs.is_finite() {
+        return Err(SvdError::NonFiniteInput);
+    }
     // Rescale so the largest entry is O(1): σ(cA) = c·σ(A), and narrow
     // storage formats (FP16) overflow otherwise.
-    let scale = if core.cfg.rescale {
-        let m = a.max_abs();
-        if m > 0.0 && !(0.25..=4.0).contains(&m) {
-            m
-        } else {
-            1.0
-        }
+    let scale = if core.cfg.rescale && max_abs > 0.0 && !(0.25..=4.0).contains(&max_abs) {
+        max_abs
     } else {
         1.0
     };
 
-    if dev.mode() == ExecMode::Numeric {
+    if numeric {
         let padded = core.padded;
         // No per-solve re-zero of the staging buffer: it starts zeroed
         // and every execute writes exactly the same index set (the m×n
@@ -1673,19 +1687,24 @@ mod tests {
         assert!(s.seconds_of(PanelFactorization) > 0.0);
         assert!(s.seconds_of(BandToBidiagonal) > 0.0);
         assert!(s.seconds_of(BidiagonalSvd) > 0.0);
-        // The replay must agree with the cost-only free function on every
-        // device stage (the host driver share differs by design).
-        let dev = Device::trace_only(h100());
-        let free = crate::svd::svdvals_cost::<f32>(64, &dev, &SvdConfig::default()).unwrap();
+        // The replay must agree with a trace-only plan's execute on every
+        // stage, host driver share included (both charge the amortized
+        // dispatch share).
+        let mut traced = Svd::on(&h100())
+            .precision::<f32>()
+            .trace_only()
+            .plan(64, 64)
+            .unwrap();
+        let run = traced.execute(&Matrix::zeros(64, 64)).unwrap().summary;
         for class in [
             PanelFactorization,
             TrailingUpdate,
             BandToBidiagonal,
             BidiagonalSvd,
+            Other,
         ] {
-            assert_eq!(s.seconds_of(class), free.seconds_of(class));
+            assert_eq!(s.seconds_of(class), run.seconds_of(class));
         }
-        assert!(s.seconds_of(Other) < free.seconds_of(Other));
     }
 
     #[test]

@@ -7,15 +7,11 @@
 //! band→bidiagonal bulge chasing, stage 3 bidiagonal→values on the CPU.
 
 use crate::bidiag_svd::NoConvergence;
-use crate::plan::{
-    execute_core, run_pipeline, DriverCost, PipelineScratch, PlanCore, PlanError, Svd,
-};
-use unisvd_gpu::{
-    Device, DeviceFault, ExecMode, HardwareDescriptor, TraceSummary, UnsupportedPrecision,
-};
+use crate::plan::{execute_core, DriverCost, PlanCore, PlanError};
+use unisvd_gpu::{Device, DeviceFault, TraceSummary, UnsupportedPrecision};
 use unisvd_kernels::HyperParams;
 use unisvd_matrix::Matrix;
-use unisvd_scalar::Scalar;
+use unisvd_scalar::{PrecisionKind, Scalar};
 
 /// Stage-3 bidiagonal solver selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -280,6 +276,11 @@ pub enum SvdError {
     /// discarded rather than served. [`is_transient`](Self::is_transient)
     /// distinguishes retryable faults from terminal death.
     DeviceFault(DeviceFault),
+    /// The input holds a `NaN` or `±Inf` entry. Rejected before any
+    /// device work, like LAPACK's `xGESDD` rejecting a non-finite norm:
+    /// no solver returns meaningful values for it, and it is the
+    /// caller's data, not the device, so it is never retried.
+    NonFiniteInput,
     /// The request missed its deadline: a
     /// `Ticket::wait_timeout` elapsed, or the serving drainer found the
     /// request's submit-time deadline already expired before execution.
@@ -316,6 +317,7 @@ impl std::fmt::Display for SvdError {
             SvdError::Plan(e) => write!(f, "{e}"),
             SvdError::Rejected { reason } => write!(f, "request rejected: {reason}"),
             SvdError::DeviceFault(e) => write!(f, "device fault: {e}"),
+            SvdError::NonFiniteInput => write!(f, "input has a NaN or infinite entry"),
             SvdError::Timeout { waited } => {
                 write!(f, "request timed out after {:.1?}", waited)
             }
@@ -334,6 +336,7 @@ impl std::error::Error for SvdError {
             SvdError::Plan(e) => Some(e),
             SvdError::DeviceFault(e) => Some(e),
             SvdError::ShapeMismatch { .. }
+            | SvdError::NonFiniteInput
             | SvdError::Rejected { .. }
             | SvdError::Timeout { .. } => None,
         }
@@ -367,10 +370,15 @@ impl From<PlanError> for SvdError {
 
 /// Resolves the hyperparameters for a device/precision/config, clamping
 /// `TILESIZE` so tiny matrices still factor (at least one tile).
-pub fn resolve_params<T: Scalar>(dev: &Device, cfg: &SvdConfig, n: usize) -> HyperParams {
+pub fn resolve_params(
+    dev: &Device,
+    precision: PrecisionKind,
+    cfg: &SvdConfig,
+    n: usize,
+) -> HyperParams {
     let p = cfg
         .params
-        .unwrap_or_else(|| HyperParams::tuned(dev.hw().backend, T::KIND));
+        .unwrap_or_else(|| HyperParams::tuned(dev.hw().backend, precision));
     if n >= p.tilesize {
         p
     } else {
@@ -393,15 +401,15 @@ pub fn svdvals<T: Scalar>(a: &Matrix<T>, dev: &Device) -> Result<Vec<f64>, SvdEr
 ///
 /// One-shot compatibility wrapper over the plan path: builds a fresh
 /// plan core + workspaces per call (exactly the old per-call work —
-/// amortize it with [`Svd`] when solving the same shape repeatedly) and
-/// executes once on the caller's device, accumulating into the caller's
-/// trace as before.
+/// amortize it with [`Svd`](crate::Svd) when solving the same shape
+/// repeatedly) and executes once on the caller's device, accumulating
+/// into the caller's trace as before.
 pub fn svdvals_with<T: Scalar>(
     a: &Matrix<T>,
     dev: &Device,
     cfg: &SvdConfig,
 ) -> Result<SvdOutput, SvdError> {
-    let core = PlanCore::new::<T>(dev, cfg, a.rows(), a.cols())?;
+    let core = PlanCore::new(dev, T::KIND, cfg, a.rows(), a.cols())?;
     let buf = dev.alloc::<T>(core.padded() * core.padded());
     let tau = dev.alloc::<T>(core.padded());
     let mut ws = core.host_workspace::<T>(dev.mode());
@@ -419,114 +427,10 @@ pub fn svdvals_with<T: Scalar>(
     Ok(out)
 }
 
-/// Cost-only solve for paper-scale size sweeps: runs the identical launch
-/// stream on a trace-only device without any data. Returns the per-stage
-/// summary accumulated since the device's last reset.
-pub fn svdvals_cost<T: Scalar>(
-    n: usize,
-    dev: &Device,
-    cfg: &SvdConfig,
-) -> Result<TraceSummary, SvdError> {
-    assert_eq!(
-        dev.mode(),
-        ExecMode::TraceOnly,
-        "use svdvals_with on numeric devices"
-    );
-    dev.supports(T::KIND)?;
-    let p = resolve_params::<T>(dev, cfg, n);
-    let ts = p.tilesize;
-    let padded = n.div_ceil(ts) * ts;
-    let buf = dev.alloc::<T>(0);
-    let tau = dev.alloc::<T>(0);
-    let mut pipe = PipelineScratch::for_trace(padded, cfg.vectors, n);
-    let mut values = Vec::new();
-    run_pipeline::<T>(
-        dev,
-        &buf,
-        &tau,
-        padded,
-        &p,
-        cfg,
-        DriverCost::OneShot,
-        &mut pipe,
-        &mut values,
-    )?;
-    Ok(dev.summary())
-}
-
-/// Batched singular values: solves many independent problems, one device
-/// stream each, in parallel on the host work-stealing pool — the
-/// many-small-adapters pattern of the LoRA workloads that motivate the
-/// paper's introduction. Returns one result per input, in order.
-///
-/// Runs on the current pool (`RAYON_NUM_THREADS`, or an installed
-/// [`rayon::ThreadPool`](rayon::ThreadPoolBuilder)); each matrix gets its
-/// own [`Device`], and collection is index-ordered, so results are
-/// **bit-identical** for any thread count — including the sequential
-/// 1-thread fallback.
-pub fn svdvals_batched<T: Scalar>(
-    mats: &[Matrix<T>],
-    hw: &HardwareDescriptor,
-    cfg: &SvdConfig,
-) -> Vec<Result<Vec<f64>, SvdError>> {
-    svdvals_batched_with(mats, hw, cfg)
-        .into_iter()
-        .map(|r| r.map(|o| o.values))
-        .collect()
-}
-
-/// [`svdvals_batched`] returning the full [`SvdOutput`] per matrix
-/// (resolved hyperparameters, padded size, per-solve stage summary — the
-/// values-only batched path discards all of these).
-///
-/// Uniform-shape batches run over one [`SvdPlan`](crate::SvdPlan) via
-/// [`execute_batch`](crate::SvdPlan::execute_batch), cloning per-worker
-/// workspaces onto the work-stealing pool; mixed-shape batches fall back
-/// to one device per matrix, unsupported (backend, precision) pairs are
-/// reported per matrix exactly like the pre-plan API, and any other
-/// plan-time rejection (e.g. over-capacity shapes) surfaces as
-/// [`SvdError::Plan`] per matrix instead of attempting hopeless solves.
-/// Either way results are index-ordered and bit-identical for any thread
-/// count.
-pub fn svdvals_batched_with<T: Scalar>(
-    mats: &[Matrix<T>],
-    hw: &HardwareDescriptor,
-    cfg: &SvdConfig,
-) -> Vec<Result<SvdOutput, SvdError>> {
-    if mats.is_empty() {
-        return Vec::new();
-    }
-    let shape = (mats[0].rows(), mats[0].cols());
-    if mats.iter().all(|a| (a.rows(), a.cols()) == shape) {
-        match Svd::on(hw)
-            .precision::<T>()
-            .config(*cfg)
-            .plan(shape.0, shape.1)
-        {
-            Ok(plan) => return plan.execute_batch(mats),
-            // The per-matrix fallback below reproduces this error for
-            // every matrix, matching the pre-plan batched API.
-            Err(PlanError::Unsupported(_)) => {}
-            Err(e) => {
-                return mats
-                    .iter()
-                    .map(|_| Err(SvdError::Plan(e.clone())))
-                    .collect()
-            }
-        }
-    }
-    use rayon::prelude::*;
-    mats.par_iter()
-        .map(|a| {
-            let dev = Device::numeric(hw.clone());
-            svdvals_with(a, &dev, cfg)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Svd;
     use rand::{rngs::StdRng, SeedableRng};
     use unisvd_gpu::hw::{h100, m1_pro, mi250};
     use unisvd_matrix::{reference::sv_relative_error, testmat, SvDistribution};
@@ -654,29 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_solves_match_individual() {
-        let mut rng = StdRng::seed_from_u64(202);
-        let mats: Vec<Matrix<f32>> = (0..6)
-            .map(|_| {
-                testmat::test_matrix::<f32, _>(24, SvDistribution::Arithmetic, false, &mut rng).0
-            })
-            .collect();
-        let hw = h100();
-        let cfg = SvdConfig::default();
-        let batched = svdvals_batched(&mats, &hw, &cfg);
-        assert_eq!(batched.len(), 6);
-        for (a, res) in mats.iter().zip(&batched) {
-            let dev = Device::numeric(hw.clone());
-            let single = svdvals(a, &dev).unwrap();
-            assert_eq!(
-                res.as_ref().unwrap(),
-                &single,
-                "batched must equal individual"
-            );
-        }
-    }
-
-    #[test]
     fn tall_skinny_qr_fast_path() {
         let mut rng = StdRng::seed_from_u64(88);
         // 96×12: triggers the m ≥ 2n QR-first path. Build with known σ by
@@ -797,8 +678,12 @@ mod tests {
 
     #[test]
     fn trace_only_solve_produces_stage_breakdown() {
-        let dev = Device::trace_only(h100());
-        let s = svdvals_cost::<f32>(2048, &dev, &SvdConfig::default()).unwrap();
+        let s = Svd::on(&h100())
+            .precision::<f32>()
+            .trace_only()
+            .plan(2048, 2048)
+            .unwrap()
+            .cost();
         use unisvd_gpu::KernelClass::*;
         assert!(s.seconds_of(PanelFactorization) > 0.0);
         assert!(s.seconds_of(TrailingUpdate) > 0.0);

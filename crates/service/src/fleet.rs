@@ -10,8 +10,8 @@
 //!
 //! * **support** — a Table 2 rejection (`mi250` has no FP16, `m1_pro`
 //!   no FP64) or an over-capacity shape becomes "route elsewhere"
-//!   instead of "fail", answered by `Svd::probe` without building a
-//!   plan;
+//!   instead of "fail", answered by `PlanSignature::probe` without
+//!   building a plan;
 //! * **memory headroom** — each backend's `MemoryLedger` budget, both
 //!   absolute fit and relative fraction;
 //! * **load** — the observed in-flight gauge from `QueueStats`.
@@ -27,19 +27,19 @@
 //! resolves.
 
 use crate::queue::Pending;
-use crate::router::{best, Candidate, Placement, PlacementMap, RouteKey};
+use crate::router::{best, Candidate, Placement, PlacementMap};
 use crate::service::{ServiceBuilder, ServiceError, ServiceStats, SvdService};
 use crate::ticket::{ticket_pair, Ticket};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use unisvd_core::{PlanError, PlanSignature, Svd, SvdConfig, SvdError, SvdOutput};
+use unisvd_core::{PlanError, PlanSignature, SvdConfig, SvdError, SvdOutput};
 use unisvd_gpu::HardwareDescriptor;
 use unisvd_matrix::Matrix;
-use unisvd_scalar::{PrecisionKind, Scalar, F16};
+use unisvd_scalar::Scalar;
 
-/// How many requests a route key must have served before the fleet
+/// How many requests a signature must have served before the fleet
 /// replicates its plan to a second device (each request past the first
 /// is a cache hit on the primary — the hotness signal).
 const DEFAULT_REPLICATE_AFTER: u64 = 8;
@@ -222,7 +222,7 @@ impl FleetBuilder {
         self
     }
 
-    /// Requests a route key must serve before its plan is replicated to
+    /// Requests a signature must serve before its plan is replicated to
     /// a second device. Default 8. `0` is rejected at build time
     /// ([`FleetBuildError::ZeroReplicateAfter`]); to effectively disable
     /// replication, pass a threshold larger than any realistic request
@@ -374,7 +374,7 @@ pub struct SvdFleet {
     /// breaker makes the router skip it like a dead device, but with a
     /// self-healing path (half-open probes).
     breakers: Vec<Breaker>,
-    /// Route key → placement, amortized across same-signature requests.
+    /// Signature → placement, amortized across same-signature requests.
     router: Mutex<PlacementMap>,
     replicate_after: u64,
 }
@@ -442,9 +442,8 @@ impl SvdFleet {
         cfg: &SvdConfig,
         out: &mut SvdOutput,
     ) -> Result<(), SvdError> {
-        let idx = self
-            .place::<T>(a.rows(), a.cols(), cfg, false, 0)
-            .map_err(SvdError::from)?;
+        let sig = self.backends[0].signature::<T>(a.rows(), a.cols(), cfg);
+        let idx = self.place(&sig, 0).map_err(SvdError::from)?;
         self.backends[idx].solve_into(a, cfg, out)
     }
 
@@ -491,10 +490,9 @@ impl SvdFleet {
         cfg: &SvdConfig,
         deadline: Option<std::time::Instant>,
     ) -> Result<Ticket, ServiceError> {
-        let (rows, cols) = (a.rows(), a.cols());
         let (ticket, resolver) = ticket_pair();
         let mut p = Pending {
-            sig: self.backends[0].signature::<T>(rows, cols, cfg),
+            sig: self.backends[0].signature::<T>(a.rows(), a.cols(), cfg),
             mat: Box::new(a),
             resolver,
             deadline,
@@ -502,7 +500,7 @@ impl SvdFleet {
         let mut exclude = 0u64;
         let mut last: Option<ServiceError> = None;
         loop {
-            match self.place::<T>(rows, cols, cfg, false, exclude) {
+            match self.place(&p.sig, exclude) {
                 Ok(idx) => {
                     p.sig = p.sig.for_device(self.backends[idx].hw());
                     match self.backends[idx].submit_pending(p) {
@@ -639,15 +637,7 @@ impl SvdFleet {
     /// Routes `sig` afresh and prewarms its plan on the chosen backend.
     /// Returns whether a home was found.
     fn replant(&self, sig: &PlanSignature) -> bool {
-        match sig.precision {
-            PrecisionKind::Fp64 => self.replant_as::<f64>(sig),
-            PrecisionKind::Fp32 => self.replant_as::<f32>(sig),
-            PrecisionKind::Fp16 => self.replant_as::<F16>(sig),
-        }
-    }
-
-    fn replant_as<T: Scalar>(&self, sig: &PlanSignature) -> bool {
-        match self.place::<T>(sig.rows, sig.cols, &sig.config, sig.trace_only, 0) {
+        match self.place(sig, 0) {
             Ok(idx) => {
                 let target = sig.for_device(self.backends[idx].hw());
                 self.backends[idx].warm(&[target]);
@@ -660,24 +650,10 @@ impl SvdFleet {
     /// Re-homes one stranded request; `true` when a survivor adopted
     /// it, `false` when its ticket was resolved with a rejection (no
     /// survivor supports it). Either way the ticket resolves.
-    fn reroute(&self, p: Pending) -> bool {
-        match p.sig.precision {
-            PrecisionKind::Fp64 => self.reroute_as::<f64>(p),
-            PrecisionKind::Fp32 => self.reroute_as::<f32>(p),
-            PrecisionKind::Fp16 => self.reroute_as::<F16>(p),
-        }
-    }
-
-    fn reroute_as<T: Scalar>(&self, mut p: Pending) -> bool {
+    fn reroute(&self, mut p: Pending) -> bool {
         let mut exclude = 0u64;
         loop {
-            match self.place::<T>(
-                p.sig.rows,
-                p.sig.cols,
-                &p.sig.config,
-                p.sig.trace_only,
-                exclude,
-            ) {
+            match self.place(&p.sig, exclude) {
                 Ok(idx) => {
                     p.sig = p.sig.for_device(self.backends[idx].hw());
                     match self.backends[idx].adopt(p) {
@@ -699,26 +675,15 @@ impl SvdFleet {
         }
     }
 
-    /// The placement decision for one request: looks up (or makes) the
-    /// route key's placement, bumps its served count, triggers hot
-    /// replication, and returns the target backend index. `exclude` is a
-    /// bitmask of backends the caller already tried (admission refusals,
-    /// concurrent deaths).
-    fn place<T: Scalar>(
-        &self,
-        rows: usize,
-        cols: usize,
-        cfg: &SvdConfig,
-        trace_only: bool,
-        exclude: u64,
-    ) -> Result<usize, ServiceError> {
-        let key = RouteKey {
-            precision: T::KIND,
-            rows,
-            cols,
-            config: *cfg,
-            trace_only,
-        };
+    /// The placement decision for one request signature (on any
+    /// device): looks up (or makes) its placement, bumps its served
+    /// count, triggers hot replication, and returns the target backend
+    /// index. `exclude` is a bitmask of backends the caller already
+    /// tried (admission refusals, concurrent deaths).
+    fn place(&self, sig: &PlanSignature, exclude: u64) -> Result<usize, ServiceError> {
+        // Placements are keyed by the signature retargeted to backend 0,
+        // so one routing decision covers the request on every device.
+        let key = sig.for_device(self.backends[0].hw());
         // Dead, already-tried, and breaker-refused backends are equally
         // unusable; the breaker's `admit` doubles as the state pump
         // (trips on a fault streak, goes half-open after enough skips).
@@ -747,13 +712,7 @@ impl SvdFleet {
                             && self.replicate_after > 0
                             && pl.served >= self.replicate_after
                         {
-                            if let Some(r) = self.pick::<T>(
-                                rows,
-                                cols,
-                                cfg,
-                                trace_only,
-                                exclude | 1 << pl.primary,
-                            ) {
+                            if let Some(r) = self.pick(&key, exclude | 1 << pl.primary) {
                                 pl.replica = Some(r);
                                 warm_replica = Some(r);
                             }
@@ -773,7 +732,7 @@ impl SvdFleet {
             };
             match routed {
                 Some(idx) => Ok(idx),
-                None => match self.pick::<T>(rows, cols, cfg, trace_only, exclude) {
+                None => match self.pick(&key, exclude) {
                     Some(primary) => {
                         map.insert(
                             key,
@@ -785,18 +744,15 @@ impl SvdFleet {
                         );
                         Ok(primary)
                     }
-                    None => Err(ServiceError::NoDeviceSupports {
-                        signature: self.backends[0].signature::<T>(rows, cols, cfg),
-                    }),
+                    None => Err(ServiceError::NoDeviceSupports { signature: key }),
                 },
             }
         };
         // Prewarm the new replica outside the router lock (planning is
         // expensive; routing must not serialize behind it).
         if let Some(r) = warm_replica {
-            if !trace_only {
-                let sig = self.backends[r].signature::<T>(rows, cols, cfg);
-                self.backends[r].warm(&[sig]);
+            if !key.trace_only {
+                self.backends[r].warm(&[key.for_device(self.backends[r].hw())]);
             }
         }
         decision
@@ -805,14 +761,7 @@ impl SvdFleet {
     /// Scores every usable backend for a fresh placement (see the
     /// [router](crate::router) policy) and returns the best, or `None`
     /// when no backend passes the support/capacity probe.
-    fn pick<T: Scalar>(
-        &self,
-        rows: usize,
-        cols: usize,
-        cfg: &SvdConfig,
-        trace_only: bool,
-        exclude: u64,
-    ) -> Option<usize> {
+    fn pick(&self, sig: &PlanSignature, exclude: u64) -> Option<usize> {
         let mut candidates = Vec::with_capacity(self.backends.len());
         for (i, svc) in self.backends.iter().enumerate() {
             if self.dead[i].load(Ordering::SeqCst)
@@ -821,16 +770,12 @@ impl SvdFleet {
             {
                 continue;
             }
-            let mut probe = Svd::on(svc.hw()).precision::<T>().config(*cfg);
-            if trace_only {
-                probe = probe.trace_only();
-            }
             // Table 2 support and device capacity, without building a
             // plan: a rejection here is "route elsewhere" — except an
             // over-capacity shape the out-of-core streaming path would
             // absorb, which stays a candidate (never "fits", so any
             // backend that can solve in core still outranks it).
-            let probe = match probe.probe(rows, cols) {
+            let probe = match sig.probe(svc.hw()) {
                 Ok(p) => Some(p),
                 Err(PlanError::ExceedsDeviceMemory {
                     oocore_eligible: true,
@@ -877,6 +822,7 @@ impl std::fmt::Debug for SvdFleet {
 mod tests {
     use super::*;
     use unisvd_gpu::{hw, FaultPlan};
+    use unisvd_scalar::F16;
 
     #[test]
     fn try_build_rejects_degenerate_configurations_typed() {
@@ -1136,5 +1082,59 @@ mod tests {
         let hits_before = fleet.backend(survivor).stats().cache.hits;
         fleet.solve(&a, &cfg).expect("survivor serves");
         assert_eq!(fleet.backend(survivor).stats().cache.hits, hits_before + 1);
+    }
+
+    #[test]
+    fn failover_reroutes_every_precision_to_a_supporting_device() {
+        // The H100 holds resident plans and queued tickets in F16, f32 and
+        // f64. Its survivors split the support matrix (the MI250 has no
+        // FP16, the M1 Pro no FP64), so each signature and ticket must
+        // land on a survivor that can plan it. The coalesce window keeps
+        // the tickets queued on the H100 until it dies.
+        let fleet = SvdFleet::builder()
+            .device(hw::h100())
+            .device(hw::mi250())
+            .device(hw::m1_pro())
+            .backends(|s| s.coalesce_window(Duration::from_millis(500)))
+            .build();
+        let cfg = SvdConfig::default();
+        let sigs = [
+            fleet.backend(0).signature::<F16>(16, 16, &cfg),
+            fleet.backend(0).signature::<f32>(16, 16, &cfg),
+            fleet.backend(0).signature::<f64>(16, 16, &cfg),
+        ];
+        // Pin all three signatures to the H100: warm them while it is
+        // the only live device, then bring the others back cold.
+        fleet.fail_device(1);
+        fleet.fail_device(2);
+        assert_eq!(fleet.warm(&sigs), 3);
+        assert!(fleet.revive_device(1) && fleet.revive_device(2));
+        assert_eq!(fleet.backend(0).stats().cache.resident_plans, 3);
+        let tickets = [
+            fleet.submit(Matrix::<F16>::identity(16), &cfg),
+            fleet.submit(Matrix::<f32>::identity(16), &cfg),
+            fleet.submit(Matrix::<f64>::identity(16), &cfg),
+        ];
+        let report = fleet.fail_device(0);
+        assert_eq!(
+            (report.rerouted, report.rejected, report.replanned),
+            (3, 0, 3)
+        );
+        for ticket in tickets {
+            let out = ticket
+                .expect("admitted")
+                .wait_timeout(Duration::from_secs(10))
+                .expect("a supporting survivor serves it");
+            assert!((out.values[0] - 1.0).abs() < 1e-3, "{:?}", out.values);
+        }
+        // F16 can only live on the M1 Pro and f64 only on the MI250; f32
+        // on either. Every re-routed ticket found its replanted plan.
+        let survivors = [fleet.backend(1).stats(), fleet.backend(2).stats()];
+        assert!(survivors.iter().all(|s| s.cache.resident_plans >= 1));
+        let resident: usize = survivors.iter().map(|s| s.cache.resident_plans).sum();
+        assert_eq!(resident, 3);
+        let hits: u64 = survivors.iter().map(|s| s.cache.hits).sum();
+        assert_eq!(hits, 3);
+        assert_eq!(fleet.stats().total.queue.in_flight, 0);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! A placement decision ranks the devices that *can* plan a signature
 //! (the paper's Table 2 support matrix plus the device-memory capacity
-//! rule, both answered by `Svd::probe` without building a plan) by,
-//! in order:
+//! rule, both answered by `PlanSignature::probe` without building a
+//! plan) by, in order:
 //!
 //! 1. **memory fit** — devices whose ledger headroom can admit the
 //!    plan's working set outrank devices that would have to evict;
@@ -17,24 +17,10 @@
 //! 4. **index** — lowest wins, making ties deterministic.
 
 use std::collections::HashMap;
-use unisvd_core::SvdConfig;
-use unisvd_scalar::PrecisionKind;
+use unisvd_core::PlanSignature;
 
-/// The device-agnostic part of a `PlanSignature` — what a request
-/// asks for, independent of which backend serves it. The fleet's
-/// placement map is keyed by this, so one routing decision covers the
-/// same request on any device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct RouteKey {
-    pub precision: PrecisionKind,
-    pub rows: usize,
-    pub cols: usize,
-    pub config: SvdConfig,
-    pub trace_only: bool,
-}
-
-/// Where one route key's requests go: a primary backend, an optional
-/// hot-signature replica, and how many requests the key has served —
+/// Where one signature's requests go: a primary backend, an optional
+/// hot-signature replica, and how many requests it has served —
 /// the hotness signal (each served request past the first is a cache
 /// hit on its backend) that triggers replication.
 #[derive(Clone, Copy, Debug)]
@@ -44,10 +30,11 @@ pub(crate) struct Placement {
     pub served: u64,
 }
 
-/// The placement map: route key → decision, amortized across every
+/// The placement map: request signature (retargeted to backend 0, so
+/// the key is device-agnostic) → decision, amortized across every
 /// subsequent request of the signature (the FFTW-wisdom argument,
 /// applied to routing).
-pub(crate) type PlacementMap = HashMap<RouteKey, Placement>;
+pub(crate) type PlacementMap = HashMap<PlanSignature, Placement>;
 
 /// One device's placement inputs, snapshotted at decision time.
 #[derive(Clone, Copy, Debug)]

@@ -1226,3 +1226,52 @@ impl Inner {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use unisvd_core::{svdvals_with, Stage3Solver::*};
+    use unisvd_gpu::{hw::h100, Device};
+
+    #[test]
+    fn non_finite_input_is_a_typed_error_on_every_entry_path() {
+        // NaN and ±Inf entries are the caller's data, not a device fault:
+        // every entry path and stage-3 solver rejects them with the typed
+        // error, nothing retries them (even with output verification on),
+        // and they never feed the fault streak.
+        let service = SvdService::builder(&h100())
+            .retry(3)
+            .verify_outputs(true)
+            .build();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = Matrix::<f64>::from_fn(16, 16, |i, j| (1 + i + 2 * j) as f64);
+            a[(3, 5)] = bad;
+            for solver in [Bdsqr, Dqds, Bisect] {
+                let cfg = SvdConfig {
+                    solver,
+                    ..SvdConfig::default()
+                };
+                let mut plan = service.inner.builder::<f64>(&cfg).plan(16, 16).unwrap();
+                let dev = Device::numeric(h100());
+                let batched = service.solve_batch(&[a.clone()], &cfg).remove(0);
+                let ticket = service.submit(a.clone(), &cfg).expect("admitted");
+                for (path, res) in [
+                    ("plan.execute", plan.execute(&a)),
+                    ("svdvals_with", svdvals_with(&a, &dev, &cfg)),
+                    ("solve", service.solve(&a, &cfg)),
+                    ("solve_batch", batched),
+                    ("submit", ticket.wait()),
+                ] {
+                    assert!(
+                        matches!(res, Err(SvdError::NonFiniteInput)),
+                        "{path}, {solver:?}, {bad}: {res:?}"
+                    );
+                }
+                assert_eq!(service.fault_streak(), 0, "{solver:?}, {bad}");
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(stats.cache.failures, 3 * 3 * 3, "no retry hid a failure");
+        assert_eq!(stats.queue.in_flight, 0);
+    }
+}

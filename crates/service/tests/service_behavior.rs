@@ -346,9 +346,9 @@ fn solve_into_reuses_output_and_matches_solve() {
     );
 }
 
-/// A matrix whose solve deterministically fails with `NoConvergence`
-/// (NaN data defeats the iterative stage-3 solvers) — the per-request
-/// runtime failure the error-isolation tests inject.
+/// A matrix whose solve deterministically fails: NaN data is rejected as
+/// `NonFiniteInput` after plan checkout — the per-request runtime
+/// failure the error-isolation tests inject.
 fn poison(n: usize) -> Matrix<f32> {
     Matrix::from_fn(n, n, |_, _| f32::NAN)
 }
@@ -489,7 +489,7 @@ fn shedding_refuses_non_resident_requests_when_headroom_is_low() {
 #[test]
 fn one_poisoned_request_fails_alone_in_a_coalesced_group() {
     // Error isolation (blocking batch): a same-shape group with one
-    // NoConvergence request in the middle — the others keep bit-exact
+    // NonFiniteInput request in the middle — the others keep bit-exact
     // results, and the failure is counted.
     let service = SvdService::new(&h100());
     let cfg = SvdConfig::default();
@@ -507,7 +507,7 @@ fn one_poisoned_request_fails_alone_in_a_coalesced_group() {
     ];
     let failures_before = service.stats().cache.failures;
     let results = service.solve_batch(&mats, &cfg);
-    assert!(matches!(results[2], Err(SvdError::NoConvergence(_))));
+    assert!(matches!(results[2], Err(SvdError::NonFiniteInput)));
     for (r, expect) in results
         .iter()
         .enumerate()
@@ -535,7 +535,7 @@ fn one_poisoned_request_fails_alone_in_a_coalesced_group() {
     for (i, ticket) in tickets.into_iter().enumerate() {
         let result = ticket.wait();
         if i == 2 {
-            assert!(matches!(result, Err(SvdError::NoConvergence(_))));
+            assert!(matches!(result, Err(SvdError::NonFiniteInput)));
         } else {
             let expect = &oracle[if i < 2 { i } else { i - 1 }];
             assert_eq!(&bits(&result.unwrap().values), expect);
@@ -561,10 +561,10 @@ fn failing_requests_never_leak_ledger_budget() {
     for _ in 0..5 {
         assert!(matches!(
             service.solve(&bad, &cfg),
-            Err(SvdError::NoConvergence(_))
+            Err(SvdError::NonFiniteInput)
         ));
         let ticket = service.submit(bad.clone(), &cfg).expect("admitted");
-        assert!(matches!(ticket.wait(), Err(SvdError::NoConvergence(_))));
+        assert!(matches!(ticket.wait(), Err(SvdError::NonFiniteInput)));
     }
     let stats = service.stats().cache;
     assert_eq!(
@@ -597,10 +597,10 @@ fn random_square_f64(n: usize, seed: u64) -> Matrix<f64> {
 
 #[test]
 fn infinite_entry_resolves_its_ticket_and_the_service_keeps_serving() {
-    // One `+Inf` entry under the default Bdsqr solver must not wedge the
-    // drainer: its own ticket resolves, the next request is served
+    // One `+Inf` entry must not wedge the drainer: its own ticket
+    // resolves with the typed input error, the next request is served
     // bit-identically to a direct plan, the in-flight gauge returns to
-    // zero, and the blocking batch path returns instead of panicking.
+    // zero, and the blocking batch path fails only the bad request.
     let service = SvdService::new(&h100());
     let cfg = SvdConfig::default();
     let good = random_square_f64(32, 41);
@@ -615,10 +615,10 @@ fn infinite_entry_resolves_its_ticket_and_the_service_keeps_serving() {
         .unwrap();
     let limit = Duration::from_secs(5);
     let bad_ticket = service.submit(bad.clone(), &cfg).expect("admitted");
-    let bad_out = bad_ticket
-        .wait_timeout(limit)
-        .expect("the bad ticket resolves");
-    assert!(bad_out.values.iter().any(|v| !v.is_finite()));
+    assert!(matches!(
+        bad_ticket.wait_timeout(limit),
+        Err(SvdError::NonFiniteInput)
+    ));
     let good_ticket = service.submit(good.clone(), &cfg).expect("admitted");
     let served = good_ticket
         .wait_timeout(limit)
@@ -626,6 +626,7 @@ fn infinite_entry_resolves_its_ticket_and_the_service_keeps_serving() {
     assert_eq!(bits(&served.values), bits(&direct.values));
     assert_eq!(service.stats().queue.in_flight, 0);
     let batch = service.solve_batch(&[bad, good], &cfg);
+    assert!(matches!(batch[0], Err(SvdError::NonFiniteInput)));
     assert_eq!(
         bits(&batch[1].as_ref().expect("batch survives").values),
         bits(&direct.values)

@@ -8,7 +8,7 @@
 //! ```
 
 use std::time::Instant;
-use unisvd::{hw, svdvals_batched, svdvals_with, Device, Matrix, Stage3Solver, SvdConfig};
+use unisvd::{hw, svdvals_with, Device, Matrix, Stage3Solver, Svd, SvdConfig};
 
 fn spectrum(name: &str, n: usize) -> Vec<f64> {
     match name {
@@ -95,12 +95,13 @@ fn main() {
     }
 
     // Batched API: a portfolio of 32 small "adapter" matrices solved in
-    // parallel on the host pool, one simulated device stream each.
+    // parallel on the host pool through one plan.
     let mats: Vec<Matrix<f32>> = (0..32)
         .map(|_| unisvd::testmat::random_general::<f32, _>(48, 48, &mut rng))
         .collect();
     let t0 = Instant::now();
-    let batched = svdvals_batched(&mats, &hw::h100(), &SvdConfig::default());
+    let f32_on_h100 = Svd::on(&hw::h100()).precision::<f32>();
+    let batched = f32_on_h100.plan(48, 48).unwrap().execute_batch(&mats);
     let wall = t0.elapsed();
     let ok = batched.iter().filter(|r| r.is_ok()).count();
     println!("\nbatched: {ok}/32 solves in {wall:.1?} (parallel over the host pool)");

@@ -60,9 +60,8 @@ pub use unisvd_baselines::{
 };
 pub use unisvd_core::{
     band_to_bidiagonal, band_to_bidiagonal_into, bdsqr, bdsqr_into, bisect, bisect_into, dqds,
-    dqds_into, svdvals, svdvals_batched, svdvals_batched_with, svdvals_cost, svdvals_with,
-    PlanError, PlanProbe, PlanSignature, Stage3Solver, Stage3Workspace, Svd, SvdConfig, SvdError,
-    SvdOutput, SvdPlan, Want,
+    dqds_into, svdvals, svdvals_with, PlanError, PlanProbe, PlanSignature, Stage3Solver,
+    Stage3Workspace, Svd, SvdConfig, SvdError, SvdOutput, SvdPlan, Want,
 };
 pub use unisvd_gpu::hw;
 pub use unisvd_gpu::{
@@ -85,7 +84,7 @@ pub use unisvd_service::{
 /// Host threading controls, re-exported from the vendored work-stealing
 /// pool (`shims/rayon`).
 ///
-/// Everything parallel in this workspace — [`svdvals_batched`], gpu-sim
+/// Everything parallel in this workspace — [`SvdPlan::execute_batch`], gpu-sim
 /// workgroup launches, buffer fills — runs on this pool. The global pool
 /// sizes itself from `RAYON_NUM_THREADS` (1 = guaranteed-sequential
 /// fallback, no worker threads at all); an explicitly sized pool can be
@@ -93,11 +92,12 @@ pub use unisvd_service::{
 ///
 /// ```
 /// use unisvd::threading::ThreadPoolBuilder;
-/// use unisvd::{hw, svdvals_batched, Matrix, SvdConfig};
+/// use unisvd::{hw, Matrix, Svd};
 ///
 /// let mats: Vec<Matrix<f32>> = (0..4).map(|_| Matrix::identity(16)).collect();
+/// let plan = Svd::on(&hw::h100()).precision::<f32>().plan(16, 16).unwrap();
 /// let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
-/// let sv = pool.install(|| svdvals_batched(&mats, &hw::h100(), &SvdConfig::default()));
+/// let sv = pool.install(|| plan.execute_batch(&mats));
 /// assert!(sv.iter().all(|r| r.is_ok()));
 /// ```
 ///

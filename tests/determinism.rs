@@ -7,8 +7,8 @@
 use rayon::prelude::*;
 use unisvd::threading::ThreadPoolBuilder;
 use unisvd::{
-    hw, svdvals_batched, svdvals_with, testmat, Device, HyperParams, LaunchRecord, Matrix,
-    SvDistribution, Svd, SvdConfig, SvdService,
+    hw, svdvals_with, testmat, Device, HyperParams, LaunchRecord, Matrix, SvDistribution, Svd,
+    SvdConfig, SvdService,
 };
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
@@ -47,19 +47,20 @@ fn values_to_bits(results: &[Result<Vec<f64>, unisvd::SvdError>]) -> Vec<Vec<u64
 #[test]
 fn batched_solves_bit_identical_across_thread_counts() {
     let mats = golden_batch();
-    let hw = hw::h100();
+    let service = SvdService::new(&hw::h100());
     let cfg = SvdConfig::default();
-    let run = |t: usize| pool(t).install(|| svdvals_batched(&mats, &hw, &cfg));
+    let solve_batch = || -> Vec<_> {
+        let outs = service.solve_batch(&mats, &cfg);
+        outs.into_iter().map(|r| r.map(|o| o.values)).collect()
+    };
+    let run = |t: usize| pool(t).install(solve_batch);
     let sequential = values_to_bits(&run(1));
     for t in THREAD_COUNTS {
         let par = values_to_bits(&run(t));
-        assert_eq!(
-            par, sequential,
-            "svdvals_batched changed bits at {t} threads"
-        );
+        assert_eq!(par, sequential, "solve_batch changed bits at {t} threads");
     }
     // The global (env-sized) pool must agree with the explicit pools too.
-    let global = values_to_bits(&svdvals_batched(&mats, &hw, &cfg));
+    let global = values_to_bits(&solve_batch());
     assert_eq!(global, sequential, "global pool disagrees");
 }
 

@@ -5,7 +5,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use unisvd::reference::sv_relative_error;
 use unisvd::{
     hw, jacobi_svdvals, onestage_svdvals, svdvals, svdvals_with, Device, HyperParams, Matrix,
-    SvDistribution, SvdConfig, F16,
+    SvDistribution, Svd, SvdConfig, F16,
 };
 
 fn cfg(ts: usize) -> SvdConfig {
@@ -173,12 +173,11 @@ fn pathological_inputs() {
 fn fp16_capacity_advantage_is_real_in_trace_mode() {
     // Fig. 5: the FP16 sweep reaches sizes FP32 cannot (memory capacity),
     // through the actual API (trace mode).
-    use unisvd::svdvals_cost;
-    let dev = Device::trace_only(hw::h100());
-    let cfg = SvdConfig::default();
+    let h100 = hw::h100();
     // 131072² in FP16 = 34 GB: fits; in FP32 = 69 GB + workspace: not.
-    assert!(dev.hw().fits((131072u64 * 131072) * 2));
-    assert!(!dev.hw().fits((131072u64 * 131072) * 4));
-    let s = svdvals_cost::<F16>(131072, &dev, &cfg).unwrap();
+    assert!(h100.fits((131072u64 * 131072) * 2));
+    assert!(!h100.fits((131072u64 * 131072) * 4));
+    let plan = Svd::on(&h100).precision::<F16>().trace_only();
+    let s = plan.plan(131072, 131072).unwrap().cost();
     assert!(s.total_seconds() > 0.0);
 }

@@ -1,12 +1,14 @@
 //! Plan/execute API integration tests: plan-reuse bit-identity against
 //! the one-shot path under several thread counts, plan-time enforcement
-//! of the full Table 2 support matrix, and the full-output batched API.
+//! of the full Table 2 support matrix, and the full-output batched paths
+//! (`SvdPlan::execute_batch`, and `SvdService::solve_batch` for mixed
+//! shapes).
 
 use rand::{rngs::StdRng, SeedableRng};
 use unisvd::threading::ThreadPoolBuilder;
 use unisvd::{
-    hw, svdvals_batched, svdvals_batched_with, svdvals_with, testmat, Device, Matrix, PlanError,
-    PrecisionKind, Scalar, SvDistribution, Svd, SvdConfig, SvdError, F16,
+    hw, svdvals_with, testmat, Device, Matrix, PlanError, PrecisionKind, Scalar, SvDistribution,
+    Svd, SvdConfig, SvdError, SvdService, F16,
 };
 
 const N: usize = 24;
@@ -94,28 +96,28 @@ fn plan_time_support_matrix_covers_table2() {
     assert!(hw::m1_pro().supports(PrecisionKind::Fp64).is_err());
 }
 
-/// `svdvals_batched_with` exposes everything the values-only batched API
-/// drops, and agrees with it on the values.
+/// `execute_batch` returns the full `SvdOutput` per matrix, with the
+/// same values as one-at-a-time executes.
 #[test]
 fn batched_with_returns_full_outputs() {
     let mats = batch(777);
-    let cfg = SvdConfig::default();
-    let full = svdvals_batched_with(&mats, &hw::h100(), &cfg);
-    let values_only = svdvals_batched(&mats, &hw::h100(), &cfg);
+    let mut plan = Svd::on(&hw::h100()).precision::<f32>().plan(N, N).unwrap();
+    let full = plan.execute_batch(&mats);
     assert_eq!(full.len(), mats.len());
-    for (f, v) in full.iter().zip(&values_only) {
+    for (f, a) in full.iter().zip(&mats) {
         let out = f.as_ref().unwrap();
-        assert_eq!(&out.values, v.as_ref().unwrap());
-        // The discarded-by-the-old-API fields are populated: n = 24 is
-        // below the tuned TILESIZE=64, so the tile shrinks to 16 and the
-        // problem pads to 32.
+        assert_eq!(out.values, plan.execute(a).unwrap().values);
+        // Every field is populated: n = 24 is below the tuned
+        // TILESIZE=64, so the tile shrinks to 16 and the problem pads
+        // to 32.
         assert_eq!(out.padded_n, 32);
         assert_eq!(out.params.tilesize, 16);
         assert!(out.summary.total_seconds() > 0.0);
     }
 }
 
-/// Mixed-shape batches still work (per-matrix fallback path).
+/// Mixed-shape batches go through the service, which groups them by
+/// shape; each result is bit-identical to a one-shot solve.
 #[test]
 fn batched_with_mixed_shapes_falls_back() {
     let mut rng = StdRng::seed_from_u64(31337);
@@ -123,7 +125,7 @@ fn batched_with_mixed_shapes_falls_back() {
         testmat::test_matrix::<f32, _>(16, SvDistribution::Arithmetic, false, &mut rng).0,
         testmat::test_matrix::<f32, _>(24, SvDistribution::Arithmetic, false, &mut rng).0,
     ];
-    let outs = svdvals_batched_with(&mats, &hw::h100(), &SvdConfig::default());
+    let outs = SvdService::new(&hw::h100()).solve_batch(&mats, &SvdConfig::default());
     assert_eq!(outs[0].as_ref().unwrap().values.len(), 16);
     assert_eq!(outs[1].as_ref().unwrap().values.len(), 24);
     for (a, out) in mats.iter().zip(&outs) {
@@ -135,12 +137,11 @@ fn batched_with_mixed_shapes_falls_back() {
     }
 }
 
-/// Unsupported batches report the error per matrix, exactly like the
-/// pre-plan API did.
+/// Unsupported batches report the error per matrix.
 #[test]
 fn batched_unsupported_reports_per_matrix() {
     let mats: Vec<Matrix<F16>> = (0..3).map(|_| Matrix::identity(8)).collect();
-    let outs = svdvals_batched_with(&mats, &hw::mi250(), &SvdConfig::default());
+    let outs = SvdService::new(&hw::mi250()).solve_batch(&mats, &SvdConfig::default());
     assert_eq!(outs.len(), 3);
     for out in outs {
         assert!(matches!(out, Err(SvdError::Unsupported(_))));
