@@ -239,11 +239,11 @@ pub struct PlanProbe {
 /// Host driver overhead model for one solve. The Julia original pays
 /// dispatch + allocation + JIT-cache checks on every call
 /// (`DRIVER_ONESHOT`); a reused plan has validated, resolved, and
-/// allocated once, so each execute pays the dispatch share only
-/// (`DRIVER_AMORTIZED`).
+/// allocated once, so each execute after its first pays the dispatch
+/// share only (`DRIVER_AMORTIZED`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum DriverCost {
-    /// Full per-call overhead (the free-function API).
+    /// Full per-call overhead (one-shot calls, a plan's first execute).
     OneShot,
     /// Dispatch-only overhead (plan reuse).
     Amortized,
@@ -382,7 +382,7 @@ impl PlanCore {
 /// band (with bulge headroom), the bidiagonal it reduces to, and the
 /// stage-3 solver workspace. Owned by a plan's [`Workspace`] so repeated
 /// executes refill instead of reallocate; the one-shot wrappers build a
-/// fresh one per call (exactly the old per-call behaviour).
+/// fresh one per call.
 pub(crate) struct PipelineScratch<A: Real> {
     band: BandMatrix<A>,
     bi: Bidiagonal<A>,
@@ -540,8 +540,7 @@ impl<T: Scalar> Svd<T> {
     /// Requests singular vectors: [`Want::Thin`] accumulates all
     /// `min(m, n)` columns of `U`/`Vᵀ`, [`Want::TopK`]`(k)` only the
     /// leading `k` (truncating the values list to match). The default
-    /// [`Want::None`] computes values only — the classic pipeline,
-    /// bit-identical to every release so far.
+    /// [`Want::None`] computes values only.
     pub fn vectors(mut self, want: Want) -> Self {
         self.cfg.vectors = want;
         self
@@ -605,7 +604,8 @@ impl<T: Scalar> Svd<T> {
 /// A planned singular value computation: owns the device handle and all
 /// workspaces, so repeated [`execute`](SvdPlan::execute) calls perform no
 /// per-solve staging or device allocation. Values are bit-identical to
-/// the one-shot [`svdvals_with`](crate::svdvals_with).
+/// the one-shot [`svdvals_with`](crate::svdvals_with), and so is the
+/// simulated cost of a plan's first execute.
 pub struct SvdPlan<T: Scalar> {
     dev: Device,
     core: PlanCore,
@@ -613,6 +613,10 @@ pub struct SvdPlan<T: Scalar> {
     tau: GlobalBuffer<T>,
     ws: Workspace<T>,
     batch: Mutex<BatchPool<T>>,
+    /// Whether the next [`execute_into`](SvdPlan::execute_into) is this
+    /// plan's first, which pays the one-shot driver share the planning
+    /// work cost. Batch workers start warm.
+    cold: bool,
 }
 
 /// The retained state of the batch path: per-chunk worker plans and the
@@ -654,6 +658,7 @@ impl<T: Scalar> SvdPlan<T> {
                 workers: Vec::new(),
                 bounds: Vec::new(),
             }),
+            cold: true,
         }
     }
 
@@ -730,7 +735,10 @@ impl<T: Scalar> SvdPlan<T> {
     }
 
     /// Runs one solve. The returned summary covers exactly this solve
-    /// (the plan's trace is reset on entry).
+    /// (the plan's trace is reset on entry). A plan's first execute
+    /// charges the one-shot host driver share, exactly as
+    /// [`svdvals_with`](crate::svdvals_with) does; every later one
+    /// charges the amortized dispatch share only.
     ///
     /// # Errors
     /// [`SvdError::ShapeMismatch`] if `a` is not the planned shape;
@@ -781,35 +789,13 @@ impl<T: Scalar> SvdPlan<T> {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn execute_into(&mut self, a: &Matrix<T>, out: &mut SvdOutput) -> Result<(), SvdError> {
-        self.run(a, DriverCost::Amortized, out)
-    }
-
-    /// [`execute_into`](SvdPlan::execute_into) accounting the **full
-    /// one-shot host driver overhead** instead of the amortized dispatch
-    /// share — the first-use path of a serving layer, where validation
-    /// and workspace allocation genuinely happened on this request (a
-    /// cache miss just paid for planning). The produced *values* are
-    /// bit-identical to [`execute_into`](SvdPlan::execute_into); only
-    /// the summary's host-overhead attribution differs.
-    ///
-    /// # Errors
-    /// Exactly as [`execute`](SvdPlan::execute).
-    pub fn execute_cold_into(
-        &mut self,
-        a: &Matrix<T>,
-        out: &mut SvdOutput,
-    ) -> Result<(), SvdError> {
-        self.run(a, DriverCost::OneShot, out)
-    }
-
-    /// One solve on the plan's own device and workspaces, charging
-    /// `driver` as the host driver overhead.
-    fn run(
-        &mut self,
-        a: &Matrix<T>,
-        driver: DriverCost,
-        out: &mut SvdOutput,
-    ) -> Result<(), SvdError> {
+        // Cleared whatever the outcome: a failed first execute still paid
+        // for planning, so a retry on this plan pays the dispatch share.
+        let driver = if std::mem::take(&mut self.cold) {
+            DriverCost::OneShot
+        } else {
+            DriverCost::Amortized
+        };
         self.dev.reset();
         execute_core(
             &self.core,
@@ -849,29 +835,26 @@ impl<T: Scalar> SvdPlan<T> {
     /// ```
     pub fn execute_batch(&self, mats: &[Matrix<T>]) -> Vec<Result<SvdOutput, SvdError>> {
         let refs: Vec<&Matrix<T>> = mats.iter().collect();
-        self.execute_batch_refs(&refs)
-    }
-
-    /// [`execute_batch`](SvdPlan::execute_batch) over borrowed matrices
-    /// that need not be contiguous in memory — the request-coalescing
-    /// path of serving layers, which gather same-signature requests
-    /// scattered through a queue without copying matrix data. Identical
-    /// chunking, ordering, and bit-for-bit determinism guarantees.
-    pub fn execute_batch_refs(&self, mats: &[&Matrix<T>]) -> Vec<Result<SvdOutput, SvdError>> {
         let mut outs: Vec<SvdOutput> = (0..mats.len()).map(|_| SvdOutput::empty()).collect();
         let mut statuses: Vec<Result<(), SvdError>> = vec![Ok(()); mats.len()];
-        self.execute_batch_refs_into(mats, &mut outs, &mut statuses);
+        self.execute_batch_refs_into(&refs, &mut outs, &mut statuses);
         outs.into_iter()
             .zip(statuses)
             .map(|(out, status)| status.map(|()| out))
             .collect()
     }
 
-    /// [`execute_batch_refs`](SvdPlan::execute_batch_refs) writing into
-    /// caller-owned output shells — the zero-allocation steady state of
-    /// the batch path. `outs[i]` / `statuses[i]` receive the result of
-    /// `mats[i]`; a failed solve leaves its `Err` in `statuses[i]`
-    /// without disturbing any other request (per-request isolation).
+    /// [`execute_batch`](SvdPlan::execute_batch) over borrowed matrices
+    /// that need not be contiguous in memory, writing into caller-owned
+    /// output shells — the request-coalescing path of serving layers and
+    /// the zero-allocation steady state of the batch path. Identical
+    /// chunking, ordering, and bit-for-bit determinism guarantees.
+    /// `outs[i]` / `statuses[i]` receive the result of `mats[i]`; a
+    /// failed solve leaves its `Err` in `statuses[i]` without disturbing
+    /// any other request (per-request isolation). Every solve charges
+    /// the dispatch share: workers start warm, and the parent's
+    /// first-execute charge stays with its own
+    /// [`execute_into`](SvdPlan::execute_into).
     /// Worker plans are leased from a pool retained on `self`, so once
     /// the pool and the output shells have warmed up (one batch of equal
     /// or larger size), repeated calls perform no heap allocation
@@ -945,7 +928,8 @@ impl<T: Scalar> SvdPlan<T> {
     }
 
     /// A private clone with its own device stream and workspaces — the
-    /// per-chunk worker the batch pool retains and leases out.
+    /// per-chunk worker the batch pool retains and leases out. Starts
+    /// warm: the parent already paid for planning.
     fn worker(&self) -> SvdPlan<T> {
         // Workers run fault-free: which batch lands on which pooled
         // worker depends on arrival timing in a serving layer, so
@@ -954,13 +938,18 @@ impl<T: Scalar> SvdPlan<T> {
         // stream (and each retry attempt advances its counters).
         let mut hw = self.dev.hw().clone();
         hw.fault = None;
-        SvdPlan::from_parts(Device::new(hw, self.dev.mode()), self.core.clone())
+        SvdPlan {
+            cold: false,
+            ..SvdPlan::from_parts(Device::new(hw, self.dev.mode()), self.core.clone())
+        }
     }
 
-    /// Simulated per-execute cost of this plan: replays the identical
-    /// launch stream on a fresh trace-only device and returns the
-    /// per-stage summary. Works from numeric plans too; a `trace_only()`
-    /// plan is the cheap way to cost paper-scale sizes.
+    /// Simulated steady per-execute cost of this plan: what every execute
+    /// after the first costs (the first also pays the one-shot driver
+    /// share). Replays the identical launch stream on a fresh trace-only
+    /// device and returns the per-stage summary. Works from numeric
+    /// plans too; a `trace_only()` plan is the cheap way to cost
+    /// paper-scale sizes.
     pub fn cost(&self) -> TraceSummary {
         let dev = Device::trace_only(self.dev.hw().clone());
         if self.core.kind != PlanKind::Empty {
@@ -1016,8 +1005,7 @@ impl<T: Scalar> std::fmt::Debug for SvdPlan<T> {
 /// and write every output — values, parameters, summary — into `out`
 /// in place (zero allocation once `out` and the workspace are warm).
 /// Shared by [`SvdPlan::execute_into`] and the one-shot compatibility
-/// wrappers (which build a fresh core + workspace per call, exactly the
-/// old per-call work).
+/// wrappers (which build a fresh core + workspace per call).
 #[allow(clippy::too_many_arguments)] // internal seam shared by plan + one-shot paths
 pub(crate) fn execute_core<T: Scalar>(
     core: &PlanCore,
@@ -1538,8 +1526,20 @@ mod tests {
         let mut plan = Svd::on(&h100()).precision::<f32>().plan(16, 16).unwrap();
         let s1 = plan.execute(&a).unwrap().summary;
         let s2 = plan.execute(&a).unwrap().summary;
+        let s3 = plan.execute(&a).unwrap().summary;
+        assert_eq!(s2.total_launches(), s3.total_launches());
+        assert!((s2.total_seconds() - s3.total_seconds()).abs() < 1e-15);
+        // The first execute differs only by the one-shot driver share.
         assert_eq!(s1.total_launches(), s2.total_launches());
-        assert!((s1.total_seconds() - s2.total_seconds()).abs() < 1e-15);
+        for class in KernelClass::ALL {
+            let extra = s1.seconds_of(class) - s2.seconds_of(class);
+            let want = if class == KernelClass::Other {
+                DRIVER_ONESHOT - DRIVER_AMORTIZED
+            } else {
+                0.0
+            };
+            assert!((extra - want).abs() < 1e-15, "{class:?}: {extra} vs {want}");
+        }
     }
 
     #[test]
@@ -1550,24 +1550,20 @@ mod tests {
         let dev = Device::numeric(h100());
         let one_shot = svdvals_with(&a, &dev, &SvdConfig::default()).unwrap();
         let mut plan = Svd::on(&h100()).precision::<f32>().plan(32, 32).unwrap();
-        let planned = plan.execute(&a).unwrap();
-        // Identical device work...
-        use unisvd_gpu::KernelClass::*;
-        for class in [
-            PanelFactorization,
-            TrailingUpdate,
-            BandToBidiagonal,
-            BidiagonalSvd,
-        ] {
+        // A fresh plan's first execute costs exactly the one-shot call...
+        let first = plan.execute(&a).unwrap();
+        for class in KernelClass::ALL {
             assert_eq!(
-                planned.summary.seconds_of(class),
-                one_shot.summary.seconds_of(class),
-                "{class:?} must cost the same planned or not"
+                first.summary.seconds_of(class).to_bits(),
+                one_shot.summary.seconds_of(class).to_bits(),
+                "{class:?} must cost the same on a first execute as one-shot"
             );
         }
-        // ...but the per-call host driver share is amortized away.
+        // ...and reuse amortizes the per-call host driver share away.
+        let reused = plan.execute(&a).unwrap();
         assert!(
-            planned.summary.seconds_of(Other) < one_shot.summary.seconds_of(Other),
+            reused.summary.seconds_of(KernelClass::Other)
+                < one_shot.summary.seconds_of(KernelClass::Other),
             "plan reuse must shed driver overhead"
         );
     }
@@ -1641,7 +1637,7 @@ mod tests {
             bits(&plan.execute(&good).unwrap().values),
             bits(&plan.execute(&good2).unwrap().values),
         ];
-        let batch = plan.execute_batch_refs(&[&good, &wrong, &good2]);
+        let batch = plan.execute_batch(&[good, wrong, good2]);
         assert_eq!(bits(&batch[0].as_ref().unwrap().values), expected[0]);
         assert!(matches!(
             batch[1],
@@ -1687,14 +1683,15 @@ mod tests {
         assert!(s.seconds_of(PanelFactorization) > 0.0);
         assert!(s.seconds_of(BandToBidiagonal) > 0.0);
         assert!(s.seconds_of(BidiagonalSvd) > 0.0);
-        // The replay must agree with a trace-only plan's execute on every
-        // stage, host driver share included (both charge the amortized
-        // dispatch share).
+        // The replay must agree with a trace-only plan's steady (second)
+        // execute on every stage, host driver share included (both
+        // charge the amortized dispatch share).
         let mut traced = Svd::on(&h100())
             .precision::<f32>()
             .trace_only()
             .plan(64, 64)
             .unwrap();
+        traced.execute(&Matrix::zeros(64, 64)).unwrap();
         let run = traced.execute(&Matrix::zeros(64, 64)).unwrap().summary;
         for class in [
             PanelFactorization,

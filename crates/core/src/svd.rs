@@ -400,10 +400,11 @@ pub fn svdvals<T: Scalar>(a: &Matrix<T>, dev: &Device) -> Result<Vec<f64>, SvdEr
 /// [`svdvals`] with explicit configuration and full output.
 ///
 /// One-shot compatibility wrapper over the plan path: builds a fresh
-/// plan core + workspaces per call (exactly the old per-call work —
-/// amortize it with [`Svd`](crate::Svd) when solving the same shape
-/// repeatedly) and executes once on the caller's device, accumulating
-/// into the caller's trace as before.
+/// plan core + workspaces per call (amortize them with
+/// [`Svd`](crate::Svd) when solving the same shape repeatedly) and
+/// executes once on the caller's device, accumulating into the caller's
+/// trace. On a fresh device its summary equals a fresh plan's first
+/// execute.
 pub fn svdvals_with<T: Scalar>(
     a: &Matrix<T>,
     dev: &Device,

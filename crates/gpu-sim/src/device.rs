@@ -349,12 +349,6 @@ impl Device {
             .unwrap_or_default()
     }
 
-    /// Whether the injected [`FaultKind::Death`] has fired (and the
-    /// device has not been [`revived`](Self::revive_faults)).
-    pub fn is_fault_dead(&self) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.is_dead())
-    }
-
     /// Clears an injected device death and cancels further scheduled
     /// death — the simulated power-cycle behind
     /// `SvdFleet::revive_device`. Transient fault rates stay active.

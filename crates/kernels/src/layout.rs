@@ -91,18 +91,6 @@ impl<'a, T: Scalar> DMat<'a, T> {
         self.buf.write(self.idx(r, c), T::from_accum(v));
     }
 
-    /// Loads element `(i, j)` of tile `(ti, tj)` on a `ts`-tile grid.
-    #[inline(always)]
-    pub fn read_tile(&self, ts: usize, ti: usize, tj: usize, i: usize, j: usize) -> T::Accum {
-        self.read(ti * ts + i, tj * ts + j)
-    }
-
-    /// Stores element `(i, j)` of tile `(ti, tj)`.
-    #[inline(always)]
-    pub fn write_tile(&self, ts: usize, ti: usize, tj: usize, i: usize, j: usize, v: T::Accum) {
-        self.write(ti * ts + i, tj * ts + j, v)
-    }
-
     /// Bulk load of the column segment `(r0 .. r0 + out.len(), c)` into
     /// `out`, upcast to the compute type. On an untransposed view the
     /// segment is contiguous in column-major storage and copies as one
@@ -206,17 +194,6 @@ mod tests {
         a.t().write(0, 2, 99.0);
         // (0,2) of Aᵀ is (2,0) of A.
         assert_eq!(a.read(2, 0), 99.0);
-    }
-
-    #[test]
-    fn tile_addressing() {
-        let data: Vec<f64> = (0..16).map(|i| i as f64).collect();
-        let b = GlobalBuffer::from_vec(data);
-        let a = DMat::new(&b, 4);
-        // Tile (1,1) element (0,1) is global (2,3) = col-major idx 3*4+2=14.
-        assert_eq!(a.read_tile(2, 1, 1, 0, 1), 14.0);
-        a.write_tile(2, 0, 1, 1, 0, -5.0); // global (1,2) idx 2*4+1=9
-        assert_eq!(b.read(9), -5.0);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl HyperParams {
         );
         n / self.tilesize
     }
-
-    /// Panel workgroup thread count (`SPLITK × TILESIZE`, §3.2).
-    pub fn panel_threads(&self) -> usize {
-        self.splitk * self.tilesize
-    }
 }
 
 impl Default for HyperParams {
@@ -157,7 +152,6 @@ mod tests {
     fn nbtiles_and_threads() {
         let p = HyperParams::new(32, 16, 4);
         assert_eq!(p.nbtiles(128), 4);
-        assert_eq!(p.panel_threads(), 128);
     }
 
     #[test]

@@ -380,19 +380,6 @@ impl<R: Real> Bidiagonal<R> {
             self.d.iter().map(|&x| x * x).sum::<R>() + self.e.iter().map(|&x| x * x).sum::<R>();
         s.sqrt()
     }
-
-    /// Densifies for testing.
-    pub fn to_dense_get(&self) -> impl Fn(usize, usize) -> R + '_ {
-        move |i, j| {
-            if i == j {
-                self.d[i]
-            } else if j == i + 1 {
-                self.e[i]
-            } else {
-                R::ZERO
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -459,10 +446,6 @@ mod tests {
     fn bidiagonal_dense_and_norm() {
         let bi = Bidiagonal::new(vec![3.0f64, 0.0], vec![4.0]);
         assert_eq!(bi.fro_norm(), 5.0);
-        let get = bi.to_dense_get();
-        assert_eq!(get(0, 0), 3.0);
-        assert_eq!(get(0, 1), 4.0);
-        assert_eq!(get(1, 0), 0.0);
     }
 
     #[test]

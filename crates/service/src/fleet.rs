@@ -684,21 +684,13 @@ impl SvdFleet {
         // Placements are keyed by the signature retargeted to backend 0,
         // so one routing decision covers the request on every device.
         let key = sig.for_device(self.backends[0].hw());
-        // Dead, already-tried, and breaker-refused backends are equally
-        // unusable; the breaker's `admit` doubles as the state pump
-        // (trips on a fault streak, goes half-open after enough skips).
-        let usable = |i: usize| {
-            !self.dead[i].load(Ordering::SeqCst)
-                && exclude & (1 << i) == 0
-                && self.breakers[i].admit(self.backends[i].fault_streak())
-        };
         let mut warm_replica: Option<usize> = None;
         let decision = {
             let mut map = self.router.lock();
             let routed = match map.get_mut(&key) {
                 Some(pl) => {
-                    let primary_ok = usable(pl.primary);
-                    let replica_ok = pl.replica.is_some_and(&usable);
+                    let primary_ok = self.usable(pl.primary, exclude);
+                    let replica_ok = pl.replica.is_some_and(|r| self.usable(r, exclude));
                     if primary_ok || replica_ok {
                         if !primary_ok {
                             pl.primary = pl.replica.take().expect("replica_ok implies a replica");
@@ -708,10 +700,7 @@ impl SvdFleet {
                         pl.served += 1;
                         // Hot: replicate to a second home so the load
                         // (and the fault exposure) splits.
-                        if pl.replica.is_none()
-                            && self.replicate_after > 0
-                            && pl.served >= self.replicate_after
-                        {
+                        if pl.replica.is_none() && pl.served >= self.replicate_after {
                             if let Some(r) = self.pick(&key, exclude | 1 << pl.primary) {
                                 pl.replica = Some(r);
                                 warm_replica = Some(r);
@@ -758,16 +747,23 @@ impl SvdFleet {
         decision
     }
 
+    /// Whether backend `i` may take a request: dead, already-tried (in
+    /// `exclude`), and breaker-refused backends are equally unusable.
+    /// The breaker's `admit` doubles as the state pump (trips on a fault
+    /// streak, goes half-open after enough skips).
+    fn usable(&self, i: usize, exclude: u64) -> bool {
+        !self.dead[i].load(Ordering::SeqCst)
+            && exclude & (1 << i) == 0
+            && self.breakers[i].admit(self.backends[i].fault_streak())
+    }
+
     /// Scores every usable backend for a fresh placement (see the
     /// [router](crate::router) policy) and returns the best, or `None`
     /// when no backend passes the support/capacity probe.
     fn pick(&self, sig: &PlanSignature, exclude: u64) -> Option<usize> {
         let mut candidates = Vec::with_capacity(self.backends.len());
         for (i, svc) in self.backends.iter().enumerate() {
-            if self.dead[i].load(Ordering::SeqCst)
-                || exclude & (1 << i) != 0
-                || !self.breakers[i].admit(svc.fault_streak())
-            {
+            if !self.usable(i, exclude) {
                 continue;
             }
             // Table 2 support and device capacity, without building a

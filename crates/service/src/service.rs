@@ -36,8 +36,6 @@ pub(crate) struct Knobs {
     pub oocore_fallback: bool,
     /// Bounded retries for transient device faults (`0` disables).
     pub retries: usize,
-    /// Base sleep before retry attempt k (doubled each attempt).
-    pub retry_backoff: Duration,
     /// Run `SvdOutput::verify` on every solve; a failing check is
     /// treated as transient corruption (retried, then surfaced).
     pub verify_outputs: bool,
@@ -55,7 +53,6 @@ impl Default for Knobs {
             shed_headroom_bytes: 0,
             oocore_fallback: false,
             retries: 0,
-            retry_backoff: Duration::ZERO,
             verify_outputs: false,
         }
     }
@@ -170,21 +167,11 @@ impl ServiceBuilder {
     /// recoverable device fault is re-attempted up to `retries` more
     /// times, each attempt checking its plan out of the cache afresh.
     /// Terminal faults (device death) and non-fault errors are never
-    /// retried. `0` (the default) disables retry — and keeps the warm
-    /// fault-free path allocation-free and byte-identical to previous
-    /// releases.
+    /// retried. Retries run immediately: faults in the simulated runtime
+    /// are schedule-driven, not congestion-driven. `0` (the default)
+    /// disables retry.
     pub fn retry(mut self, retries: usize) -> Self {
         self.knobs.retries = retries;
-        self
-    }
-
-    /// Base backoff slept before retry attempt `k` (doubled each
-    /// attempt: `backoff`, `2*backoff`, `4*backoff`, ...).
-    /// `Duration::ZERO` (the default) retries immediately, which is the
-    /// right choice for the simulated runtime where faults are
-    /// schedule-driven, not congestion-driven.
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.knobs.retry_backoff = backoff;
         self
     }
 
@@ -556,12 +543,13 @@ impl SvdService {
     /// `cfg`, reusing a cached plan when one is resident.
     ///
     /// Protocol: the plan is checked **out** of its cache shard (no lock
-    /// is held while solving), executed, and returned. A cache hit runs
-    /// [`SvdPlan::execute_into`] (amortized host driver overhead); a
-    /// miss plans first and runs [`SvdPlan::execute_cold_into`], whose
-    /// summary carries the full one-shot driver overhead the planning
-    /// work actually cost — so the trace honestly separates warm from
-    /// cold serving cost. The *values* are bit-identical either way.
+    /// is held while solving), executed with [`SvdPlan::execute_into`],
+    /// and returned. A plan's first execute charges the full one-shot
+    /// host driver overhead its planning cost — a miss, the first live
+    /// solve of a [`warm`](Self::warm)ed signature, and every
+    /// out-of-core fallback solve — and every later one the amortized
+    /// dispatch share, so the trace separates warm from cold serving
+    /// cost. The *values* are bit-identical either way.
     /// [`solve_batch`](Self::solve_batch) and the
     /// [`submit`](Self::submit) drainer run the same group execution, so
     /// retries, output verification and failure counting apply
@@ -796,10 +784,11 @@ impl SvdService {
 
     /// Prewarms the plan cache from a recorded signature trace: builds
     /// and publishes a resident plan for every signature that belongs to
-    /// this service's device and is not already resident, eliminating
-    /// the cold-start miss the first live request per signature would
-    /// otherwise pay (planning + one-shot driver overhead) after a
-    /// deploy or restart. Signatures for other devices, already-resident
+    /// this service's device and is not already resident, taking the
+    /// planning wall time off the first live request per signature after
+    /// a deploy or restart. That request still pays the simulated
+    /// one-shot driver share (its plan's first execute) and counts as a
+    /// hit. Signatures for other devices, already-resident
     /// signatures, and shapes the device rejects (unsupported precision,
     /// over-capacity) are skipped. Returns how many plans were built
     /// **and are resident** afterwards — a publish the cache declined
@@ -831,9 +820,10 @@ impl SvdService {
     /// distinct shape instead of per request.
     ///
     /// Each group's first request runs on the checked-out plan itself
-    /// (reusing its workspaces; on a miss it accounts the one-shot
-    /// driver cost exactly like [`solve`](Self::solve)); the rest of the
-    /// group fans out over pooled per-chunk workers. Results are
+    /// (reusing its workspaces; on the plan's first execute it accounts
+    /// the one-shot driver cost exactly like [`solve`](Self::solve));
+    /// the rest of the group fans out over pooled per-chunk workers,
+    /// which charge the dispatch share. Results are
     /// returned in request order and are bit-identical to calling
     /// [`solve`](Self::solve) per request, for any thread count: groups
     /// are formed in first-seen order by shape, and the batched
@@ -962,19 +952,15 @@ impl Inner {
     fn checkout_or_plan<T: Scalar>(
         &self,
         sig: &PlanSignature,
-    ) -> Result<(Box<SvdPlan<T>>, bool), SvdError> {
+    ) -> Result<Box<SvdPlan<T>>, SvdError> {
         match self.cache.checkout(sig) {
-            Some(cached) => {
-                let plan = cached
-                    .plan
-                    .downcast::<SvdPlan<T>>()
-                    .expect("a signature hit implies the cached plan's precision");
-                Ok((plan, true))
-            }
-            None => {
-                let plan = self.builder::<T>(&sig.config).plan(sig.rows, sig.cols)?;
-                Ok((Box::new(plan), false))
-            }
+            Some(cached) => Ok(cached
+                .plan
+                .downcast::<SvdPlan<T>>()
+                .expect("a signature hit implies the cached plan's precision")),
+            None => Ok(Box::new(
+                self.builder::<T>(&sig.config).plan(sig.rows, sig.cols)?,
+            )),
         }
     }
 
@@ -1023,15 +1009,6 @@ impl Inner {
         plan.execute_into(a, out)
     }
 
-    /// Sleeps the configured backoff before retry attempt `attempt`
-    /// (1-based), doubling per attempt. Zero backoff sleeps nothing.
-    fn backoff(&self, attempt: usize) {
-        let base = self.knobs.retry_backoff;
-        if !base.is_zero() {
-            std::thread::sleep(base * (1u32 << (attempt - 1).min(16)));
-        }
-    }
-
     /// Feeds one final solve outcome into the fault streak (the fleet
     /// circuit breaker's trip signal): device faults raise it, fault-free
     /// solves clear it, other errors are neutral.
@@ -1067,7 +1044,6 @@ impl Inner {
             while matches!(&statuses[i], Err(e) if e.is_transient()) && attempt < self.knobs.retries
             {
                 attempt += 1;
-                self.backoff(attempt);
                 self.attempt_group(
                     sig,
                     std::slice::from_ref(&mats[i]),
@@ -1084,9 +1060,9 @@ impl Inner {
 
     /// One attempt at a group — no retry, no failure counting. Checks
     /// the plan out (or builds it) once for the whole group; the first
-    /// request runs on the plan itself (cold driver cost on a miss, so
-    /// cold serving cost is attributed identically on every path) and
-    /// the rest fan out through the plan's pooled batch workers. A
+    /// request runs on the plan itself (which charges the one-shot
+    /// driver share if this is the plan's first execute) and the rest
+    /// fan out through the plan's pooled batch workers. A
     /// plan-time rejection fails the whole group; one the out-of-core
     /// path absorbs streams each request instead. With
     /// `verify_outputs`, an output failing [`SvdOutput::verify`] becomes
@@ -1100,12 +1076,8 @@ impl Inner {
         statuses: &mut [Result<(), SvdError>],
     ) {
         match self.checkout_or_plan::<T>(sig) {
-            Ok((mut plan, warm)) => {
-                statuses[0] = if warm {
-                    plan.execute_into(mats[0], &mut outs[0])
-                } else {
-                    plan.execute_cold_into(mats[0], &mut outs[0])
-                };
+            Ok(mut plan) => {
+                statuses[0] = plan.execute_into(mats[0], &mut outs[0]);
                 if mats.len() > 1 {
                     plan.execute_batch_refs_into(&mats[1..], &mut outs[1..], &mut statuses[1..]);
                 }

@@ -57,19 +57,8 @@ impl Ticket {
     /// If the service's drainer thread died before resolving this ticket
     /// (the only way a result can never arrive).
     pub fn wait(self) -> Result<SvdOutput, SvdError> {
-        let mut st = self.slot.lock();
-        loop {
-            match std::mem::replace(&mut *st, SlotState::Abandoned) {
-                SlotState::Done(r) => return r,
-                SlotState::Abandoned => {
-                    panic!("ticket abandoned: the service drainer died before resolving it")
-                }
-                SlotState::Pending => {
-                    *st = SlotState::Pending;
-                    st = self.slot.done.wait(st).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-        }
+        self.wait_until(None)
+            .expect("a wait without a deadline cannot time out")
     }
 
     /// [`wait`](Ticket::wait) with a deadline: blocks at most `timeout`
@@ -86,29 +75,37 @@ impl Ticket {
     /// # Panics
     /// As [`wait`](Ticket::wait): if the drainer died before resolving.
     pub fn wait_timeout(self, timeout: Duration) -> Result<SvdOutput, SvdError> {
-        let deadline = Instant::now() + timeout;
+        self.wait_until(Some(Instant::now() + timeout))
+            .unwrap_or(Err(SvdError::Timeout { waited: timeout }))
+    }
+
+    /// The wait loop behind [`wait`](Ticket::wait) and
+    /// [`wait_timeout`](Ticket::wait_timeout): blocks until the result
+    /// arrives (`Some`) or `deadline` passes first (`None`).
+    fn wait_until(self, deadline: Option<Instant>) -> Option<Result<SvdOutput, SvdError>> {
         let mut st = self.slot.lock();
         loop {
             match std::mem::replace(&mut *st, SlotState::Abandoned) {
-                SlotState::Done(r) => return r,
+                SlotState::Done(r) => return Some(r),
                 SlotState::Abandoned => {
                     panic!("ticket abandoned: the service drainer died before resolving it")
                 }
                 SlotState::Pending => {
                     *st = SlotState::Pending;
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return Err(SvdError::Timeout { waited: timeout });
-                    }
-                    let (guard, result) = self
-                        .slot
-                        .done
-                        .wait_timeout(st, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    st = guard;
-                    if result.timed_out() && matches!(*st, SlotState::Pending) {
-                        return Err(SvdError::Timeout { waited: timeout });
-                    }
+                    st = match deadline {
+                        None => self.slot.done.wait(st).unwrap_or_else(|e| e.into_inner()),
+                        Some(deadline) => {
+                            let now = Instant::now();
+                            if now >= deadline {
+                                return None;
+                            }
+                            self.slot
+                                .done
+                                .wait_timeout(st, deadline - now)
+                                .unwrap_or_else(|e| e.into_inner())
+                                .0
+                        }
+                    };
                 }
             }
         }

@@ -43,21 +43,65 @@ fn cached_and_uncached_solves_match_direct_plan_bits() {
 
 #[test]
 fn cold_solve_costs_more_host_overhead_than_warm() {
-    // The miss pays the one-shot driver share (planning happened on this
-    // request); the hit pays dispatch only. Device-stage work is equal.
-    let service = SvdService::new(&h100());
+    // A plan's first execute pays the one-shot driver share (planning
+    // happened for it); every later execute, and every batch worker,
+    // pays dispatch only. Every path charges the host driver share
+    // (`Other`) that way; device-stage work is equal.
+    use unisvd_gpu::hw::rtx4060;
+    use unisvd_gpu::KernelClass::*;
     let cfg = SvdConfig::default();
     let a = random_square(32, 2);
+    let service = SvdService::new(&h100());
     let cold = service.solve(&a, &cfg).unwrap();
-    let warm = service.solve(&a, &cfg).unwrap();
-    use unisvd_gpu::KernelClass::*;
+    let hit = service.solve(&a, &cfg).unwrap();
     for class in [PanelFactorization, TrailingUpdate, BandToBidiagonal] {
         assert_eq!(
             cold.summary.seconds_of(class),
-            warm.summary.seconds_of(class)
+            hit.summary.seconds_of(class)
         );
     }
-    assert!(cold.summary.seconds_of(Other) > warm.summary.seconds_of(Other));
+    let one_shot = cold.summary.seconds_of(Other);
+    let dispatch = hit.summary.seconds_of(Other);
+    assert!(one_shot > dispatch);
+
+    // Out-of-core fallback: a fresh streaming plan per request.
+    let mut tiny = rtx4060();
+    tiny.memory_bytes = 32 * 1024;
+    let oocore = SvdService::builder(&tiny)
+        .oocore_fallback(true)
+        .build()
+        .solve(&random_square(96, 9), &cfg)
+        .unwrap();
+
+    // A warmed signature: planned ahead, first executed live.
+    let warmed = SvdService::new(&h100());
+    assert_eq!(warmed.warm(&[warmed.signature::<f32>(32, 32, &cfg)]), 1);
+    let warmed_first = warmed.solve(&a, &cfg).unwrap();
+    let warmed_second = warmed.solve(&a, &cfg).unwrap();
+
+    let plan = Svd::on(&h100())
+        .precision::<f32>()
+        .config(cfg)
+        .plan(32, 32)
+        .unwrap();
+    let batch = plan.execute_batch(&[a.clone(), a.clone(), a.clone()]);
+
+    let mut table = vec![
+        ("hit", &hit, dispatch),
+        ("oocore fallback", &oocore, one_shot),
+        ("warmed first solve", &warmed_first, one_shot),
+        ("warmed second solve", &warmed_second, dispatch),
+    ];
+    for out in &batch {
+        table.push(("batch member", out.as_ref().unwrap(), dispatch));
+    }
+    for (path, out, want) in table {
+        let got = out.summary.seconds_of(Other);
+        assert!(
+            (got - want).abs() < 1e-15,
+            "{path}: driver share {got:e}, want {want:e}"
+        );
+    }
 }
 
 #[test]
