@@ -2,8 +2,6 @@
 //!
 //! * [`jacobi`] — one-sided Jacobi SVD, the independent numeric accuracy
 //!   oracle used throughout the test suite.
-//! * [`jacobi_full`] — full SVD with singular vectors (the paper's §5
-//!   future-work item), including Eckart–Young truncation.
 //! * [`onestage`] — one-stage Householder bidiagonalisation (`GEBRD`), the
 //!   algorithm behind the vendor `gesvd` routines, implemented numerically
 //!   for Table 1's bracketed reference column.
@@ -12,11 +10,9 @@
 //!   replayed through the simulated devices.
 
 pub mod jacobi;
-pub mod jacobi_full;
 pub mod library;
 pub mod onestage;
 
 pub use jacobi::jacobi_svdvals;
-pub use jacobi_full::{jacobi_svd, SvdFactors};
 pub use library::Library;
 pub use onestage::{gebrd, onestage_svdvals};

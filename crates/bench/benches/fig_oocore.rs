@@ -1,7 +1,7 @@
 //! `fig_oocore` — out-of-core execution beyond device memory.
 //!
 //! A device shrunk to 16 KiB faces a square f32 trace ~10x its memory
-//! and a tall-skinny f64 trace that streams through panel QR. Three
+//! and a tall-skinny f64 trace that streams through panel QR. Four
 //! gates before any timing datapoint:
 //!
 //! * **feasibility** — every oversized request must solve through
@@ -9,20 +9,23 @@
 //! * **bit-identity** — streaming values must equal a single-upload
 //!   solve on an artificially enlarged clone of the same device, bit
 //!   for bit, for every request in the trace;
+//! * **transfer schedule** — every streamed request charges exactly
+//!   one `Transfer` launch per tile on top of the oracle's, carrying
+//!   exactly the operand's bytes;
 //! * **cost** — the simulated per-solve cost of streaming at the fit
 //!   boundary must stay within a fixed factor (2x) of the in-core
 //!   cost of the same shape on the big device: out-of-core adds
 //!   transfer events, not a different kernel schedule.
 //!
 //! The recorded metrics (oversize ratio, per-solve seconds, transfer
-//! share, staging-arena recycling, TSQR panel count) land in
-//! `BENCH_oocore.json` for CI trend tracking.
+//! share, TSQR panel count) land in `BENCH_oocore.json` for CI trend
+//! tracking.
 
 use criterion::{criterion_group, criterion_main, record_metric, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use unisvd_core::Svd;
 use unisvd_gpu::hw::rtx4060;
-use unisvd_gpu::KernelClass;
+use unisvd_gpu::{KernelClass, TraceSummary};
 use unisvd_matrix::{testmat, Matrix, SvDistribution};
 use unisvd_oocore::{OocMode, OutOfCore};
 
@@ -32,6 +35,14 @@ fn requests() -> usize {
     } else {
         8
     }
+}
+
+/// `(launches, bytes)` of the summary's `Transfer` class.
+fn transfers(s: &TraceSummary) -> (usize, f64) {
+    s.by_class
+        .iter()
+        .find(|(c, _)| *c == KernelClass::Transfer)
+        .map_or((0, 0.0), |(_, t)| (t.launches, t.bytes))
 }
 
 fn fig_oocore(c: &mut Criterion) {
@@ -76,6 +87,13 @@ fn fig_oocore(c: &mut Criterion) {
             bit_equal,
             "streaming values must be bit-identical to the big-device oracle"
         );
+        let ((got_launches, got_bytes), (want_launches, want_bytes)) =
+            (transfers(&got.summary), transfers(&want.summary));
+        assert_eq!(
+            (got_launches - want_launches, got_bytes - want_bytes),
+            (plan.panels(), operand_bytes as f64),
+            "streaming must charge one transfer per tile carrying the operand's bytes"
+        );
         stream_seconds += got.summary.total_seconds();
         transfer_seconds += got.summary.seconds_of(KernelClass::Transfer);
         incore_seconds += want.summary.total_seconds();
@@ -83,11 +101,6 @@ fn fig_oocore(c: &mut Criterion) {
     let per_solve_stream = stream_seconds / trace.len() as f64;
     let per_solve_incore = incore_seconds / trace.len() as f64;
     let cost_ratio = per_solve_stream / per_solve_incore;
-    let (leases, reuses) = plan.staging().stats();
-    assert!(
-        reuses > 0,
-        "the trace must recycle staged tiles ({leases} leases, {reuses} reuses)"
-    );
     // The cost gate: streaming = the in-core schedule + transfer events,
     // so the fit-boundary overhead is bounded and must stay that way.
     assert!(
@@ -109,7 +122,7 @@ fn fig_oocore(c: &mut Criterion) {
         100.0 * transfer_seconds / stream_seconds,
         per_solve_incore * 1e3
     );
-    println!("  staging arena: {leases} tile leases, {reuses} recycled");
+    println!("  {} tiles per streamed solve", plan.panels());
 
     record_metric("fig_oocore/oversize_ratio_x", oversize);
     record_metric("fig_oocore/stream_per_solve_s", per_solve_stream);
@@ -119,8 +132,6 @@ fn fig_oocore(c: &mut Criterion) {
         "fig_oocore/transfer_share",
         transfer_seconds / stream_seconds,
     );
-    record_metric("fig_oocore/tile_leases", leases as f64);
-    record_metric("fig_oocore/tile_reuses", reuses as f64);
 
     // --- tall-skinny TSQR trace ------------------------------------------
     // 4096x16 f64 = 512 KiB of operand, 32x the device: the TSQR

@@ -111,26 +111,11 @@ pub(crate) fn band_diag_ext<T: Scalar>(
 /// diagonal tiles contribute their upper triangle, first-superdiagonal
 /// tiles their lower triangle (everything else holds parked Householder
 /// vectors or implied zeros). The band is returned in the compute type
-/// with bulge headroom for stage 2.
-///
-/// # Panics
-/// In trace-only mode (there is no data to extract).
-pub fn extract_band<T: Scalar>(
-    dev: &Device,
-    a_buf: &GlobalBuffer<T>,
-    n: usize,
-    ts: usize,
-) -> BandMatrix<T::Accum> {
-    let mut band = BandMatrix::zeros(n, 1, ts + 1);
-    extract_band_into::<T>(dev, a_buf, n, ts, &mut band);
-    band
-}
-
-/// [`extract_band`] into an existing band matrix of the same geometry,
-/// refilled in place — the steady-state path of a reused plan, which
-/// extracts stage 1's result without allocating. Every stored cell is
-/// overwritten, so state left by a previous solve's chase is fully
-/// replaced.
+/// with bulge headroom for stage 2, into an existing band matrix of the
+/// same geometry, refilled in place — the steady-state path of a reused
+/// plan, which extracts stage 1's result without allocating. Every
+/// stored cell is overwritten, so state left by a previous solve's chase
+/// is fully replaced.
 ///
 /// # Panics
 /// In trace-only mode, or if `band` was not allocated as
@@ -190,7 +175,8 @@ mod tests {
         let buf = dev.upload(a0.as_slice());
         let tau = dev.alloc::<f64>(n);
         band_diag(&dev, &buf, &tau, n, &params(), fused);
-        let band = extract_band(&dev, &buf, n, TS);
+        let mut band = BandMatrix::zeros(n, 1, TS + 1);
+        extract_band_into::<f64>(&dev, &buf, n, TS, &mut band);
         (a0, band)
     }
 

@@ -152,7 +152,7 @@ fn trailing_shift<R: Real>(d: &[R], e: &[R], lo: usize, hi: usize) -> R {
 }
 
 /// Reusable scratch for the stage-3 solvers ([`bdsqr_into`],
-/// [`dqds_into`](crate::dqds::dqds_into), [`bisect_into`]): the working
+/// [`dqds_into`](crate::dqds::dqds_into), `bisect_topk_into`): the working
 /// copies every solve used to clone fresh (`d`/`e`, the dqds hat arrays,
 /// the Golub–Kahan `z` array) plus the output collector. Threaded through
 /// a reused [`SvdPlan`](crate::SvdPlan)'s workspace block so steady-state
@@ -322,23 +322,19 @@ fn tgk_count_below<R: Real>(z: &[R], x: R) -> usize {
 /// failure-proof oracle, descending order.
 pub fn bisect<R: Real>(bi: &Bidiagonal<R>) -> Vec<R> {
     let mut ws = Stage3Workspace::default();
-    bisect_into(bi, &mut ws);
+    bisect_topk_into(bi, &mut ws, None);
     ws.out
 }
 
-/// [`bisect`] against a reusable [`Stage3Workspace`]: the interleaved
-/// Golub–Kahan `z` array and the value collector reuse the workspace
-/// vectors. Values land in [`Stage3Workspace::values`], descending.
-pub fn bisect_into<R: Real>(bi: &Bidiagonal<R>, ws: &mut Stage3Workspace<R>) {
-    bisect_topk_into(bi, ws, None)
-}
-
-/// [`bisect_into`] computing only the largest `topk` singular values when
-/// requested — the one stage-3 solver whose per-value searches are fully
-/// independent, so a truncated solve skips the bottom of the spectrum
-/// natively and each computed value is **bitwise identical** to the same
-/// value from a full run. `topk = None` (or `topk ≥ n`) computes all
-/// values, identically to [`bisect_into`].
+/// [`bisect`] against a reusable [`Stage3Workspace`] (the interleaved
+/// Golub–Kahan `z` array and the value collector reuse its vectors;
+/// values land in [`Stage3Workspace::values`], descending), computing
+/// only the largest `topk` singular values when requested — the one
+/// stage-3 solver whose per-value searches are fully independent, so a
+/// truncated solve skips the bottom of the spectrum natively and each
+/// computed value is **bitwise identical** to the same value from a full
+/// run. `topk = None` (or `topk ≥ n`) computes all values, identically
+/// to [`bisect`].
 pub(crate) fn bisect_topk_into<R: Real>(
     bi: &Bidiagonal<R>,
     ws: &mut Stage3Workspace<R>,

@@ -30,8 +30,8 @@ pub mod svd;
 mod vectors;
 
 pub use band2bi::{band_to_bidiagonal, band_to_bidiagonal_into};
-pub use band_diag::{band_diag, extract_band, extract_band_into, getsmqrt};
-pub use bidiag_svd::{bdsqr, bdsqr_into, bisect, bisect_into, NoConvergence, Stage3Workspace};
+pub use band_diag::{band_diag, extract_band_into, getsmqrt};
+pub use bidiag_svd::{bdsqr, bdsqr_into, bisect, NoConvergence, Stage3Workspace};
 pub use dqds::{dqds, dqds_into};
 pub use plan::{PlanError, PlanProbe, PlanSignature, Svd, SvdPlan};
 pub use svd::{

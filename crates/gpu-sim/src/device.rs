@@ -320,11 +320,6 @@ impl Device {
         self.trace.lock().records().to_vec()
     }
 
-    /// Total simulated seconds on this device's stream.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.summary().total_seconds()
-    }
-
     /// Clears the trace.
     pub fn reset(&self) {
         self.trace.lock().reset();
@@ -388,7 +383,7 @@ mod tests {
         let v = buf.to_vec();
         assert!(v.iter().enumerate().all(|(i, &x)| x == i as f64));
         assert_eq!(dev.summary().total_launches(), 1);
-        assert!(dev.elapsed_seconds() > 0.0);
+        assert!(dev.summary().total_seconds() > 0.0);
     }
 
     #[test]
@@ -400,7 +395,7 @@ mod tests {
         });
         assert!(!executed.load(std::sync::atomic::Ordering::SeqCst));
         assert_eq!(dev.summary().total_launches(), 1);
-        assert!(dev.elapsed_seconds() >= h100().launch_overhead_s);
+        assert!(dev.summary().total_seconds() >= h100().launch_overhead_s);
         // Upload in trace mode allocates nothing.
         let b = dev.upload(&[1.0f64, 2.0]);
         assert_eq!(b.len(), 0);

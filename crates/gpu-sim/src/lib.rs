@@ -26,7 +26,6 @@ pub mod device;
 pub mod fault;
 pub mod hw;
 pub mod mem;
-pub mod staging;
 pub mod trace;
 pub mod workgroup;
 
@@ -37,6 +36,5 @@ pub use device::{Device, ExecMode};
 pub use fault::{DeviceFault, FaultChannel, FaultInjector, FaultKind, FaultPlan, FaultRecord};
 pub use hw::{BackendKind, Fp16Mode, HardwareDescriptor, UnsupportedPrecision};
 pub use mem::{MemoryLedger, Reservation};
-pub use staging::{StagingArena, StagingTile};
 pub use trace::{ClassTotals, LaunchRecord, Trace, TraceSummary};
 pub use workgroup::{ThreadCtx, Workgroup};

@@ -92,17 +92,6 @@ impl MemoryLedger {
         self.budget.saturating_sub(self.used())
     }
 
-    /// Available bytes as a fraction of the budget, in `[0, 1]` — the
-    /// headroom signal fleet placement compares across devices of very
-    /// different sizes (a 0-budget ledger reports 0 headroom).
-    pub fn headroom_fraction(&self) -> f64 {
-        if self.budget == 0 {
-            0.0
-        } else {
-            self.available() as f64 / self.budget as f64
-        }
-    }
-
     /// Attempts to reserve `bytes`; on `false` nothing was charged.
     /// With a fault injector attached, a reservation can also fail
     /// transiently while well within budget (still charging nothing).
@@ -251,17 +240,6 @@ mod tests {
         }));
         assert!(r.is_err());
         assert_eq!(ledger.used(), 0, "panic path must return the bytes");
-    }
-
-    #[test]
-    fn headroom_fraction_tracks_reservations() {
-        let ledger = MemoryLedger::new(200);
-        assert_eq!(ledger.headroom_fraction(), 1.0);
-        assert!(ledger.try_reserve(50));
-        assert_eq!(ledger.headroom_fraction(), 0.75);
-        assert!(ledger.try_reserve(150));
-        assert_eq!(ledger.headroom_fraction(), 0.0);
-        assert_eq!(MemoryLedger::new(0).headroom_fraction(), 0.0);
     }
 
     #[test]

@@ -18,15 +18,13 @@
 //!   like `execute_batch`. The final `n × n` `R` (σ(A) = σ(R)) runs
 //!   through the ordinary in-core plan. The front-end working set drops
 //!   from the in-core tall-QR's full `m × n` staging copy to one panel.
-//! * **Streaming** (any shape) — the operand is staged host↔device in
-//!   tiles through a bounded, reusable
-//!   [`StagingArena`] (drop-guarded ledger
-//!   reservations; at most one tile resident), with the cost model
-//!   charging one `Transfer` event per tile — the out-of-core regime of
-//!   the simulated trace. The numeric pipeline is the unmodified
-//!   in-core plan against a virtually enlarged device, so streamed
-//!   values are **bit-identical** to a single-upload oracle on a device
-//!   big enough to hold the operand, at any thread count.
+//! * **Streaming** (any shape) — the operand moves host→device in tiles
+//!   of a quarter of the device budget, the cost model charging one
+//!   `Transfer` event per tile straight from the operand's slice — the
+//!   out-of-core regime of the simulated trace. The numeric pipeline is
+//!   the unmodified in-core plan against a virtually enlarged device, so
+//!   streamed values are **bit-identical** to a single-upload oracle on
+//!   a device big enough to hold the operand, at any thread count.
 //!
 //! ```
 //! use unisvd_core::SvdConfig;
@@ -52,7 +50,7 @@
 use std::marker::PhantomData;
 
 use unisvd_core::{PlanError, Svd, SvdConfig, SvdError, SvdOutput, SvdPlan};
-use unisvd_gpu::{HardwareDescriptor, KernelClass, StagingArena};
+use unisvd_gpu::{HardwareDescriptor, KernelClass};
 use unisvd_kernels::pack_row_panel;
 use unisvd_matrix::{reference, Matrix};
 use unisvd_scalar::Scalar;
@@ -68,9 +66,9 @@ pub enum OocMode {
     /// thread counts but differ in rounding from the in-core oracle
     /// (a different, communication-avoiding reduction order).
     Tsqr,
-    /// Tile streaming through the bounded staging arena. Accepts any
-    /// shape; values are bit-identical to a single-upload in-core solve
-    /// on an enlarged device.
+    /// Tile streaming: one `Transfer` per `budget/4`-byte tile. Accepts
+    /// any shape; values are bit-identical to a single-upload in-core
+    /// solve on an enlarged device.
     Streaming,
 }
 
@@ -123,12 +121,36 @@ impl<T: Scalar> OutOfCore<T> {
     /// reusable out-of-core plan for `rows × cols` inputs.
     ///
     /// Unlike [`Svd::plan`], an oversized operand is *not* an error
-    /// here; only support-matrix rejections (and, for explicit
-    /// [`OocMode::Tsqr`], a device too small for even the reduced
-    /// `n × n` problem) surface as [`PlanError`]s.
+    /// here; only support-matrix rejections, a device whose budget
+    /// cannot hold a single element (`ExceedsDeviceMemory` with
+    /// `oocore_eligible: false`), and, for explicit [`OocMode::Tsqr`], a
+    /// device too small for even the reduced `n × n` problem surface as
+    /// [`PlanError`]s.
     pub fn plan(self, rows: usize, cols: usize) -> Result<OutOfCorePlan<T>, PlanError> {
         let elem = T::KIND.bytes() as u64;
         let budget = self.hw.budget_bytes();
+        if budget < elem {
+            // No tile can hold one element: refuse before any solve runs.
+            // The in-core probe supplies the working-set geometry (an
+            // empty shape fits and has nothing to stream).
+            if let Err(PlanError::ExceedsDeviceMemory {
+                device,
+                padded,
+                bytes,
+                ..
+            }) = Svd::on(&self.hw)
+                .precision::<T>()
+                .config(self.cfg)
+                .probe(rows, cols)
+            {
+                return Err(PlanError::ExceedsDeviceMemory {
+                    device,
+                    padded,
+                    bytes,
+                    oocore_eligible: false,
+                });
+            }
+        }
         // TSQR hands the device only the reduced n × n R, whose singular
         // *vectors* are not A's left vectors (the panel Q factors are
         // discarded) — vector requests therefore always resolve to
@@ -159,9 +181,7 @@ impl<T: Scalar> OutOfCore<T> {
             return Ok(OutOfCorePlan {
                 rows,
                 cols,
-                hw: self.hw,
                 resolved: Resolved::Tsqr { panel_rows },
-                staging: StagingArena::new(budget),
                 inner,
             });
         }
@@ -169,7 +189,7 @@ impl<T: Scalar> OutOfCore<T> {
         // enlarged clone of the device (identity is the name, and the
         // cost model never reads `memory_bytes`), so values match a
         // single-upload oracle bit for bit; the *real* device budget
-        // sizes the staged tiles and bounds the arena.
+        // sizes the streamed tiles.
         let dim = rows.max(cols) as u64 + 64; // ≥ any tile padding
         let need = (dim * dim + dim) * elem;
         let mut big = self.hw.clone();
@@ -178,15 +198,12 @@ impl<T: Scalar> OutOfCore<T> {
             .precision::<T>()
             .config(self.cfg)
             .plan(rows, cols)?;
-        // One tile is at most a quarter of the budget (leaving headroom
-        // for the ledger to also admit other arena users), never empty.
+        // One tile is at most a quarter of the budget, never empty.
         let tile_elems = (budget / 4 / elem).max(1) as usize;
         Ok(OutOfCorePlan {
             rows,
             cols,
-            hw: self.hw,
             resolved: Resolved::Streaming { tile_elems },
-            staging: StagingArena::new(budget),
             inner,
         })
     }
@@ -199,16 +216,14 @@ enum Resolved {
 }
 
 /// A planned out-of-core singular value computation: owns the inner
-/// in-core plan, the bounded staging arena, and the panel/tile geometry
-/// resolved from the device budget. Built by [`OutOfCore::plan`];
-/// repeated [`execute_into`](OutOfCorePlan::execute_into) calls reuse
-/// everything (the streaming path is allocation-free once warm).
+/// in-core plan and the panel/tile geometry resolved from the device
+/// budget. Built by [`OutOfCore::plan`]; repeated
+/// [`execute_into`](OutOfCorePlan::execute_into) calls reuse everything
+/// (the streaming path is allocation-free once warm).
 pub struct OutOfCorePlan<T: Scalar> {
     rows: usize,
     cols: usize,
-    hw: HardwareDescriptor,
     resolved: Resolved,
-    staging: StagingArena,
     inner: SvdPlan<T>,
 }
 
@@ -231,19 +246,6 @@ impl<T: Scalar> OutOfCorePlan<T> {
                 (self.rows * self.cols).div_ceil(tile_elems.max(1))
             }
         }
-    }
-
-    /// The bounded staging arena tiles are leased from (streaming mode;
-    /// its ledger gauge is the resident staging footprint).
-    pub fn staging(&self) -> &StagingArena {
-        &self.staging
-    }
-
-    /// The descriptor of the *physical* device this plan streams
-    /// through (the inner plan may run against a virtually enlarged
-    /// clone; this is the real one whose budget sized the panels).
-    pub fn hw(&self) -> &HardwareDescriptor {
-        &self.hw
     }
 
     /// Planned input shape.
@@ -276,9 +278,9 @@ impl<T: Scalar> OutOfCorePlan<T> {
     }
 
     /// Streaming: the inner (enlarged-device) plan computes the values;
-    /// the operand is then staged tile by tile through the bounded
-    /// arena, charging one transfer per tile, and the summary refreshed
-    /// to include the out-of-core regime.
+    /// then one transfer is charged per tile of the operand, in slice
+    /// order, and the summary refreshed to include the out-of-core
+    /// regime.
     fn execute_streaming(
         &mut self,
         a: &Matrix<T>,
@@ -288,20 +290,9 @@ impl<T: Scalar> OutOfCorePlan<T> {
         self.inner.execute_into(a, out)?;
         let elem = T::KIND.bytes();
         let dev = self.inner.device();
-        for chunk in a.as_slice().chunks(tile_elems.max(1)) {
-            let Some(mut tile) = self.staging.lease::<T>(chunk.len()) else {
-                return Err(SvdError::Rejected {
-                    reason: format!(
-                        "staging arena cannot hold a {}-byte tile within its \
-                         {}-byte budget",
-                        chunk.len() * elem,
-                        self.staging.ledger().budget()
-                    ),
-                });
-            };
-            tile.copy_from_slice(chunk);
+        for chunk in a.as_slice().chunks(tile_elems) {
             dev.transfer("oocore_stream_tile", (chunk.len() * elem) as f64);
-        } // each tile drops back into the arena before the next lease
+        }
         dev.summary_into(&mut out.summary);
         Ok(())
     }
@@ -481,29 +472,79 @@ mod tests {
         );
     }
 
+    /// Streams `a` on `hw` and solves it on a device big enough for one
+    /// upload; asserts the streamed summary is the oracle's plus exactly
+    /// one `Transfer` launch per tile carrying the operand's bytes, with
+    /// bit-equal values.
+    fn assert_streamed_schedule<T: Scalar>(hw: &HardwareDescriptor, a: &Matrix<T>, cfg: SvdConfig) {
+        let (m, n) = (a.rows(), a.cols());
+        let mut plan = OutOfCore::on(hw)
+            .precision::<T>()
+            .config(cfg)
+            .mode(OocMode::Streaming)
+            .plan(m, n)
+            .unwrap();
+        assert!(plan.panels() > 1, "{m}x{n}: operand must actually be tiled");
+        let got = plan.execute(a).unwrap();
+        let mut big = hw.clone();
+        big.memory_bytes = 8 * 1024 * 1024 * 1024;
+        let want = Svd::on(&big)
+            .precision::<T>()
+            .config(cfg)
+            .plan(m, n)
+            .unwrap()
+            .execute(a)
+            .unwrap();
+        let transfer = |s: &unisvd_gpu::TraceSummary| {
+            s.by_class
+                .iter()
+                .find(|(c, _)| *c == KernelClass::Transfer)
+                .map_or((0, 0.0), |(_, t)| (t.launches, t.bytes))
+        };
+        let ((got_launches, got_bytes), (want_launches, want_bytes)) =
+            (transfer(&got.summary), transfer(&want.summary));
+        assert_eq!(
+            got_launches - want_launches,
+            plan.panels(),
+            "{m}x{n}: one transfer launch per tile"
+        );
+        assert_eq!(
+            got_bytes - want_bytes,
+            (m * n * std::mem::size_of::<T>()) as f64,
+            "{m}x{n}: the tiles carry exactly the operand's bytes"
+        );
+        assert_eq!(got.values, want.values, "{m}x{n}: values must be bit-equal");
+    }
+
     #[test]
-    fn streaming_steady_state_recycles_tiles() {
+    fn streaming_charges_one_transfer_per_tile_on_top_of_the_oracle() {
         let hw = tiny(32 * 1024);
-        let a: Matrix<f32> = random(96, 96, 9).cast();
-        let mut plan = OutOfCore::on(&hw)
+        let square: Matrix<f32> = random(96, 96, 9).cast();
+        assert_streamed_schedule(&hw, &square, SvdConfig::default());
+        let thin = SvdConfig {
+            vectors: unisvd_core::Want::Thin,
+            ..SvdConfig::default()
+        };
+        assert_streamed_schedule(&hw, &random(600, 24, 4), thin);
+    }
+
+    #[test]
+    fn device_below_one_element_is_refused_at_plan_time() {
+        let hw = tiny(4); // budget 3 B < one f32
+        let err = OutOfCore::on(&hw)
             .precision::<f32>()
             .mode(OocMode::Streaming)
-            .plan(96, 96)
-            .unwrap();
-        let mut out = SvdOutput::empty();
-        plan.execute_into(&a, &mut out).unwrap();
-        let (leases0, _) = plan.staging().stats();
-        plan.execute_into(&a, &mut out).unwrap();
-        let (leases1, reuses1) = plan.staging().stats();
-        assert!(leases0 > 0);
-        assert_eq!(
-            reuses1,
-            leases1 - u64::from(plan.panels() > 0),
-            "after warmup every lease but the very first is a reuse"
-        );
+            .plan(8, 8)
+            .err();
         assert!(
-            plan.staging().ledger().used() <= plan.staging().ledger().budget(),
-            "resident staging stays within the device budget"
+            matches!(
+                err,
+                Some(PlanError::ExceedsDeviceMemory {
+                    oocore_eligible: false,
+                    ..
+                })
+            ),
+            "got {err:?}"
         );
     }
 

@@ -151,10 +151,13 @@ impl ServiceBuilder {
     /// Out-of-core fallback: when enabled, a request the planner rejects
     /// as over-capacity — but which [`unisvd_core::PlanProbe`] marks
     /// `oocore_eligible` — is solved through the out-of-core streaming
-    /// path ([`unisvd_oocore::OutOfCore`], panel staging bounded by the
-    /// device budget) instead of returning
+    /// path ([`unisvd_oocore::OutOfCore`], one transfer per tile sized
+    /// from the device budget) instead of returning
     /// `PlanError::ExceedsDeviceMemory`. Values are bit-identical to a
-    /// device large enough to hold the operand. Off by default: the
+    /// device large enough to hold the operand; a device too small to
+    /// stream even one element still fails, with the out-of-core
+    /// planner's `ExceedsDeviceMemory { oocore_eligible: false, .. }`.
+    /// Off by default: the
     /// streaming path trades extra transfer cost for feasibility, which
     /// a latency-sensitive deployment may prefer to refuse outright.
     pub fn oocore_fallback(mut self, enabled: bool) -> Self {

@@ -771,6 +771,41 @@ fn oocore_fallback_streams_oversized_requests_bit_identically() {
 }
 
 #[test]
+fn device_below_one_element_refuses_oocore_at_plan_time() {
+    // A 4-byte device (3-byte budget) cannot stream even one f32: both
+    // the direct out-of-core planner and the service fallback refuse it
+    // with a typed, non-transient plan error before any solve runs.
+    use unisvd_core::PlanError;
+    use unisvd_oocore::{OocMode, OutOfCore};
+    let mut hw = h100();
+    hw.memory_bytes = 4;
+    let refused = |e: &PlanError| {
+        matches!(
+            e,
+            PlanError::ExceedsDeviceMemory {
+                oocore_eligible: false,
+                ..
+            }
+        )
+    };
+    let direct = OutOfCore::on(&hw)
+        .precision::<f32>()
+        .mode(OocMode::Streaming)
+        .plan(8, 8);
+    assert!(matches!(&direct, Err(e) if refused(e)), "direct plan");
+
+    let service = SvdService::builder(&hw).oocore_fallback(true).build();
+    let err = service
+        .solve(&random_square(8, 11), &SvdConfig::default())
+        .unwrap_err();
+    assert!(
+        matches!(&err, SvdError::Plan(e) if refused(e)),
+        "got {err:?}"
+    );
+    assert!(!err.is_transient());
+}
+
+#[test]
 fn oocore_fallback_leaves_fitting_requests_on_the_cached_path() {
     // The knob must not perturb in-core serving: a fitting request still
     // plans, caches, and hits exactly as before.

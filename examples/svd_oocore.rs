@@ -7,9 +7,9 @@
 //! Three escalating views of the same subsystem:
 //!
 //! * **direct streaming** — a square operand ~10x the device's memory
-//!   solves through [`OutOfCorePlan`] by staging tiles through a
-//!   bounded reusable arena, with values bit-identical to a device
-//!   large enough to hold it in one upload;
+//!   solves through [`OutOfCorePlan`], charging one transfer per
+//!   `budget/4`-byte tile, with values bit-identical to a device large
+//!   enough to hold it in one upload;
 //! * **TSQR** — a tall-skinny operand reduces through panel QR plus a
 //!   fixed-shape R-combine tree whose layout depends only on the panel
 //!   count (never the thread count), then solves the small R in core;
@@ -49,14 +49,12 @@ fn main() {
         .precision::<f32>()
         .plan(n, n)
         .expect("the out-of-core planner accepts it");
-    let out = plan.execute(&a).expect("streams through the staging arena");
-    let (leases, reuses) = plan.staging().stats();
+    let out = plan.execute(&a).expect("streams tile by tile");
     println!(
-        "streaming ({:?}): σ₁ = {:.4}, {} tile leases ({} recycled), {:.3} ms of transfer",
+        "streaming ({:?}): σ₁ = {:.4}, {} tiles, {:.3} ms of transfer",
         plan.mode(),
         out.values[0],
-        leases,
-        reuses,
+        plan.panels(),
         out.summary.seconds_of(KernelClass::Transfer) * 1e3
     );
 

@@ -55,19 +55,17 @@
 //! assert!((sv[0] - 1.0).abs() < 1e-5);
 //! ```
 
-pub use unisvd_baselines::{
-    gebrd, jacobi_svd, jacobi_svdvals, onestage_svdvals, Library, SvdFactors,
-};
+pub use unisvd_baselines::{gebrd, jacobi_svdvals, onestage_svdvals, Library};
 pub use unisvd_core::{
-    band_to_bidiagonal, band_to_bidiagonal_into, bdsqr, bdsqr_into, bisect, bisect_into, dqds,
-    dqds_into, svdvals, svdvals_with, PlanError, PlanProbe, PlanSignature, Stage3Solver,
-    Stage3Workspace, Svd, SvdConfig, SvdError, SvdOutput, SvdPlan, Want,
+    band_to_bidiagonal, band_to_bidiagonal_into, bdsqr, bdsqr_into, bisect, dqds, dqds_into,
+    svdvals, svdvals_with, PlanError, PlanProbe, PlanSignature, Stage3Solver, Stage3Workspace, Svd,
+    SvdConfig, SvdError, SvdOutput, SvdPlan, Want,
 };
 pub use unisvd_gpu::hw;
 pub use unisvd_gpu::{
     BackendKind, Device, DeviceFault, ExecMode, FaultChannel, FaultInjector, FaultKind, FaultPlan,
     FaultRecord, GlobalBuffer, HardwareDescriptor, KernelClass, LaunchRecord, LaunchSpec,
-    MemoryLedger, StagingArena, StagingTile, TraceSummary, UnsupportedPrecision, WorkgroupArena,
+    MemoryLedger, TraceSummary, UnsupportedPrecision, WorkgroupArena,
 };
 pub use unisvd_kernels::HyperParams;
 pub use unisvd_matrix::{

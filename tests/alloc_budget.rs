@@ -293,9 +293,9 @@ fn steady_state_allocates_zero_bytes() {
     }
 
     // ---- warm out-of-core streaming execute_into ---------------------
-    // The streaming phase stages tiles through the plan's bounded
-    // arena: after one warmup solve the pooled tile, the inner plan's
-    // workspaces, and the output shell are all at steady state — every
+    // The streaming phase charges one transfer per tile straight from
+    // the operand's slice: after one warmup solve the inner plan's
+    // workspaces and the output shell are at steady state — every
     // further oversized solve is allocation-free end to end.
     {
         use unisvd::{OocMode, OutOfCore};
@@ -310,7 +310,6 @@ fn steady_state_allocates_zero_bytes() {
         for a in inputs.iter().take(2) {
             plan.execute_into(a, &mut out).unwrap();
         }
-        let (leases_before, _) = plan.staging().stats();
         let (allocs, bytes) = measure(|| {
             for a in &inputs {
                 plan.execute_into(a, &mut out).unwrap();
@@ -322,12 +321,6 @@ fn steady_state_allocates_zero_bytes() {
             "warm out-of-core streaming execute_into must not allocate: \
              {allocs} allocations / {bytes} bytes over {} solves",
             inputs.len()
-        );
-        let (leases, reuses) = plan.staging().stats();
-        assert!(
-            leases > leases_before && reuses > 0,
-            "the measured solves must recycle staged tiles \
-             ({leases} leases, {reuses} reuses)"
         );
         assert!(!out.values.is_empty(), "the measured solves ran for real");
     }
