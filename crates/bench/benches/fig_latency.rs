@@ -9,7 +9,7 @@
 //!   in-flight solve.
 //! * **async** — the same trace through [`SvdService::submit`]: a
 //!   bounded queue, a coalescing drainer that groups each burst into one
-//!   batched execute on pooled plan workers, and per-request tickets.
+//!   batched execute over the plan's lanes, and per-request tickets.
 //!
 //! Per-request latency is completion minus *scheduled* arrival (the
 //! open-loop definition — no coordinated omission), reported as p50/p99

@@ -42,7 +42,7 @@ fn to_bits(results: &[Result<SvdOutput, SvdError>]) -> Vec<Vec<u64>> {
 
 fn fig_scaling(c: &mut Criterion) {
     let mats = batch();
-    let plan = Svd::on(&h100()).precision::<f32>().plan(N, N).unwrap();
+    let mut plan = Svd::on(&h100()).precision::<f32>().plan(N, N).unwrap();
     let reference = to_bits(&pool(1).install(|| plan.execute_batch(&mats)));
 
     let mut g = c.benchmark_group("fig_scaling");

@@ -38,7 +38,6 @@ use crate::dqds::dqds_into;
 use crate::svd::{resolve_params, Stage3Solver, SvdConfig, SvdError, SvdOutput, Want};
 use crate::vectors::VectorScratch;
 use std::marker::PhantomData;
-use std::sync::Mutex;
 use unisvd_gpu::{
     BackendKind, Device, ExecMode, GlobalBuffer, HardwareDescriptor, KernelClass, TraceSummary,
     UnsupportedPrecision,
@@ -173,8 +172,8 @@ impl PlanSignature {
     /// The one admission implementation behind [`probe`](Self::probe)
     /// and [`Svd::plan`]: the device handle, the resolved plan core, and
     /// the device bytes a built plan would pin (its `device_bytes()`
-    /// before any batch workers; 0 for trace-only plans, which allocate
-    /// no data).
+    /// with lane 0 alone; 0 for trace-only plans, which allocate no
+    /// data).
     fn admit(&self, hw: &HardwareDescriptor) -> Result<(Device, PlanCore, u64), PlanError> {
         let mode = if self.trace_only {
             ExecMode::TraceOnly
@@ -226,8 +225,8 @@ pub struct PlanProbe {
     /// Padded device problem edge the plan would use (0 for empty
     /// shapes).
     pub padded: usize,
-    /// Device bytes a built plan would pin (its `device_bytes()` before
-    /// any batch workers; 0 for trace-only or empty plans).
+    /// Device bytes a built plan would pin (its `device_bytes()` with
+    /// lane 0 alone; 0 for trace-only or empty plans).
     pub device_bytes: u64,
     /// Whether the out-of-core subsystem (`unisvd_oocore`) accepts this
     /// request: true for every nonempty numeric shape, whether or not it
@@ -270,10 +269,9 @@ enum PlanKind {
 }
 
 /// The device-independent result of planning: resolved configuration,
-/// shape strategy, and padded problem geometry. Cheap to clone (plain
-/// data); device buffers and host staging hang off [`SvdPlan`] /
-/// [`Workspace`] instead.
-#[derive(Clone, Debug)]
+/// shape strategy, and padded problem geometry (plain data); device
+/// buffers and host staging hang off a plan's lanes instead.
+#[derive(Debug)]
 pub(crate) struct PlanCore {
     cfg: SvdConfig,
     params: HyperParams,
@@ -597,35 +595,87 @@ impl<T: Scalar> Svd<T> {
     /// and returns the reusable plan for `rows × cols` inputs.
     pub fn plan(self, rows: usize, cols: usize) -> Result<SvdPlan<T>, PlanError> {
         let (dev, core, _) = self.signature(rows, cols).admit(&self.hw)?;
-        Ok(SvdPlan::from_parts(dev, core))
+        Ok(SvdPlan {
+            lanes: vec![Lane::new(dev, &core, true)],
+            core,
+        })
     }
 }
 
-/// A planned singular value computation: owns the device handle and all
-/// workspaces, so repeated [`execute`](SvdPlan::execute) calls perform no
-/// per-solve staging or device allocation. Values are bit-identical to
-/// the one-shot [`svdvals_with`](crate::svdvals_with), and so is the
-/// simulated cost of a plan's first execute.
+/// A planned singular value computation: the resolved plan core plus its
+/// lanes — device streams that each own their buffers and workspaces —
+/// so repeated [`execute`](SvdPlan::execute) calls perform no per-solve
+/// staging or device allocation. Lane 0 is the plan's own stream, built
+/// at plan time; [`execute_batch_refs_into`](SvdPlan::execute_batch_refs_into)
+/// grows further lanes on first use and keeps them. Values are
+/// bit-identical to the one-shot [`svdvals_with`](crate::svdvals_with),
+/// and so is the simulated cost of a plan's first solve.
 pub struct SvdPlan<T: Scalar> {
-    dev: Device,
     core: PlanCore,
+    lanes: Vec<Lane<T>>,
+}
+
+/// One device stream of a plan and everything a solve on it touches:
+/// the padded matrix and τ buffers and the host workspace.
+struct Lane<T: Scalar> {
+    dev: Device,
     buf: GlobalBuffer<T>,
     tau: GlobalBuffer<T>,
     ws: Workspace<T>,
-    batch: Mutex<BatchPool<T>>,
-    /// Whether the next [`execute_into`](SvdPlan::execute_into) is this
-    /// plan's first, which pays the one-shot driver share the planning
-    /// work cost. Batch workers start warm.
+    /// Whether the next solve on this lane pays the one-shot driver share
+    /// the planning work cost: lane 0 starts cold, extra lanes warm.
     cold: bool,
 }
 
-/// The retained state of the batch path: per-chunk worker plans and the
-/// chunk-bounds scratch, leased under the parent plan's mutex so warm
-/// batch executes reuse them instead of rebuilding a worker (device
-/// buffers + workspaces) per chunk per call.
-struct BatchPool<T: Scalar> {
-    workers: Vec<SvdPlan<T>>,
-    bounds: Vec<(usize, usize)>,
+impl<T: Scalar> Lane<T> {
+    fn new(dev: Device, core: &PlanCore, cold: bool) -> Self {
+        Lane {
+            buf: dev.alloc::<T>(core.padded * core.padded),
+            tau: dev.alloc::<T>(core.padded),
+            ws: core.host_workspace::<T>(dev.mode()),
+            dev,
+            cold,
+        }
+    }
+
+    /// An extra lane beside this one: its own stream on the same
+    /// hardware, starting warm because the plan already paid for
+    /// planning. Extra lanes run fault-free: which request lands on which
+    /// extra lane depends on coalescing in a serving layer, so injecting
+    /// there would make fault schedules irreproducible. Injection rides
+    /// lane 0 (and each retry attempt advances its counters).
+    fn sibling(&self, core: &PlanCore) -> Self {
+        let mut hw = self.dev.hw().clone();
+        hw.fault = None;
+        Lane::new(Device::new(hw, self.dev.mode()), core, false)
+    }
+
+    /// Runs one solve on this lane; the stream's trace is reset on entry.
+    fn execute_into(
+        &mut self,
+        core: &PlanCore,
+        a: &Matrix<T>,
+        out: &mut SvdOutput,
+    ) -> Result<(), SvdError> {
+        // Cleared whatever the outcome: a failed first solve still paid
+        // for planning, so a retry on this lane pays the dispatch share.
+        let driver = if std::mem::take(&mut self.cold) {
+            DriverCost::OneShot
+        } else {
+            DriverCost::Amortized
+        };
+        self.dev.reset();
+        execute_core(
+            core,
+            &mut self.ws,
+            &self.dev,
+            &self.buf,
+            &self.tau,
+            a,
+            driver,
+            out,
+        )
+    }
 }
 
 /// A raw pointer sendable across the pool's chunk tasks. Sound only
@@ -644,24 +694,6 @@ impl<P> SendPtr<P> {
 }
 
 impl<T: Scalar> SvdPlan<T> {
-    fn from_parts(dev: Device, core: PlanCore) -> Self {
-        let buf = dev.alloc::<T>(core.padded * core.padded);
-        let tau = dev.alloc::<T>(core.padded);
-        let ws = core.host_workspace::<T>(dev.mode());
-        SvdPlan {
-            dev,
-            core,
-            buf,
-            tau,
-            ws,
-            batch: Mutex::new(BatchPool {
-                workers: Vec::new(),
-                bounds: Vec::new(),
-            }),
-            cold: true,
-        }
-    }
-
     /// The input shape this plan accepts.
     pub fn shape(&self) -> (usize, usize) {
         (self.core.rows, self.core.cols)
@@ -683,60 +715,54 @@ impl<T: Scalar> SvdPlan<T> {
         self.core.padded
     }
 
-    /// The plan's owned device (hardware description, execution mode, and
-    /// the trace of the most recent execute).
+    /// The plan's own device stream, lane 0 (hardware description,
+    /// execution mode, and the trace of the most recent solve on it).
     pub fn device(&self) -> &Device {
-        &self.dev
+        &self.lanes[0].dev
     }
 
     /// The cache key this plan is correctly shared under (see
     /// [`PlanSignature`]).
     pub fn signature(&self) -> PlanSignature {
+        let dev = self.device();
         PlanSignature {
-            device: self.dev.hw().name,
-            backend: self.dev.hw().backend,
+            device: dev.hw().name,
+            backend: dev.hw().backend,
             precision: T::KIND,
             rows: self.core.rows,
             cols: self.core.cols,
             config: self.core.cfg,
-            trace_only: self.dev.mode() == ExecMode::TraceOnly,
+            trace_only: dev.mode() == ExecMode::TraceOnly,
         }
     }
 
     /// Device memory this plan's buffers pin while it is alive, in bytes
-    /// (0 for trace-only plans, which allocate no data), including any
-    /// batch workers retained by
-    /// [`execute_batch_refs_into`](SvdPlan::execute_batch_refs_into).
-    /// Serving layers charge this against a
+    /// (0 for trace-only plans, which allocate no data): one lane's
+    /// buffers times the lane count, so extra lanes grown by
+    /// [`execute_batch_refs_into`](SvdPlan::execute_batch_refs_into)
+    /// count too. Serving layers charge this against a
     /// [`MemoryLedger`](unisvd_gpu::MemoryLedger) so a cache full of
     /// plans respects the same device-capacity rule that
     /// [`PlanError::ExceedsDeviceMemory`] enforces per plan.
     pub fn device_bytes(&self) -> u64 {
-        let pooled = self.lock_batch().workers.len() as u64;
-        self.own_device_bytes() * (1 + pooled)
+        self.lane_device_bytes() * self.lanes.len() as u64
     }
 
-    /// Bytes of this plan's own device buffers, excluding pooled batch
-    /// workers (each worker pins exactly this much again).
-    fn own_device_bytes(&self) -> u64 {
-        ((self.buf.len() + self.tau.len()) as u64) * T::KIND.bytes() as u64
+    /// Bytes of one lane's device buffers (every lane pins the same).
+    fn lane_device_bytes(&self) -> u64 {
+        let lane = &self.lanes[0];
+        ((lane.buf.len() + lane.tau.len()) as u64) * T::KIND.bytes() as u64
     }
 
-    /// Batch worker plans currently retained for reuse (0 until the
-    /// first batched execute; tests pin the no-regrowth guarantee).
+    /// Extra lanes the batch path has grown beside lane 0 (0 until the
+    /// first batch of two or more; tests pin the no-regrowth guarantee).
     pub fn batch_workers(&self) -> usize {
-        self.lock_batch().workers.len()
+        self.lanes.len() - 1
     }
 
-    /// The batch pool, robust against a poisoned mutex: a panicking
-    /// solve on one chunk must not wedge every later batch on this plan.
-    fn lock_batch(&self) -> std::sync::MutexGuard<'_, BatchPool<T>> {
-        self.batch.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Runs one solve. The returned summary covers exactly this solve
-    /// (the plan's trace is reset on entry). A plan's first execute
-    /// charges the one-shot host driver share, exactly as
+    /// Runs one solve on lane 0. The returned summary covers exactly this
+    /// solve (the lane's trace is reset on entry). A plan's first solve
+    /// on lane 0 charges the one-shot host driver share, exactly as
     /// [`svdvals_with`](crate::svdvals_with) does; every later one
     /// charges the amortized dispatch share only.
     ///
@@ -789,41 +815,25 @@ impl<T: Scalar> SvdPlan<T> {
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
     pub fn execute_into(&mut self, a: &Matrix<T>, out: &mut SvdOutput) -> Result<(), SvdError> {
-        // Cleared whatever the outcome: a failed first execute still paid
-        // for planning, so a retry on this plan pays the dispatch share.
-        let driver = if std::mem::take(&mut self.cold) {
-            DriverCost::OneShot
-        } else {
-            DriverCost::Amortized
-        };
-        self.dev.reset();
-        execute_core(
-            &self.core,
-            &mut self.ws,
-            &self.dev,
-            &self.buf,
-            &self.tau,
-            a,
-            driver,
-            out,
-        )
+        self.lanes[0].execute_into(&self.core, a, out)
     }
 
     /// Solves many same-shaped problems on the host work-stealing pool.
     ///
     /// The batch is split into contiguous chunks whose count and bounds
-    /// depend only on `mats.len()` (never the thread count); each chunk
-    /// leases a worker plan from a pool retained on `self` (built once,
-    /// reused by every later batch) and results land in index order — so
-    /// outputs are **bit-identical for any thread count**, preserving
-    /// the pool's determinism guarantee.
+    /// depend only on `mats.len()` (never the thread count); chunk `c`
+    /// runs on the plan's lane `c` — chunk 0 on the plan's own lane,
+    /// later chunks on extra lanes built once and reused by every later
+    /// batch — and results land in index order, so outputs are
+    /// **bit-identical for any thread count**, preserving the pool's
+    /// determinism guarantee.
     ///
     /// ```
     /// use unisvd_core::Svd;
     /// use unisvd_gpu::hw;
     /// use unisvd_matrix::Matrix;
     ///
-    /// let plan = Svd::on(&hw::h100()).precision::<f32>().plan(8, 8)?;
+    /// let mut plan = Svd::on(&hw::h100()).precision::<f32>().plan(8, 8)?;
     /// let mats: Vec<Matrix<f32>> = (1..=4)
     ///     .map(|k| Matrix::from_fn(8, 8, |i, j| if i == j { k as f32 } else { 0.0 }))
     ///     .collect();
@@ -833,7 +843,7 @@ impl<T: Scalar> SvdPlan<T> {
     /// }
     /// # Ok::<(), unisvd_core::PlanError>(())
     /// ```
-    pub fn execute_batch(&self, mats: &[Matrix<T>]) -> Vec<Result<SvdOutput, SvdError>> {
+    pub fn execute_batch(&mut self, mats: &[Matrix<T>]) -> Vec<Result<SvdOutput, SvdError>> {
         let refs: Vec<&Matrix<T>> = mats.iter().collect();
         let mut outs: Vec<SvdOutput> = (0..mats.len()).map(|_| SvdOutput::empty()).collect();
         let mut statuses: Vec<Result<(), SvdError>> = vec![Ok(()); mats.len()];
@@ -851,21 +861,18 @@ impl<T: Scalar> SvdPlan<T> {
     /// chunking, ordering, and bit-for-bit determinism guarantees.
     /// `outs[i]` / `statuses[i]` receive the result of `mats[i]`; a
     /// failed solve leaves its `Err` in `statuses[i]` without disturbing
-    /// any other request (per-request isolation). Every solve charges
-    /// the dispatch share: workers start warm, and the parent's
-    /// first-execute charge stays with its own
-    /// [`execute_into`](SvdPlan::execute_into).
-    /// Worker plans are leased from a pool retained on `self`, so once
-    /// the pool and the output shells have warmed up (one batch of equal
-    /// or larger size), repeated calls perform no heap allocation
-    /// (enforced by `tests/alloc_budget.rs`).
-    ///
-    /// Concurrent batch executes on one plan serialize on the pool.
+    /// any other request (per-request isolation). Chunk 0 runs on the
+    /// plan's own lane, so `mats[0]` pays the one-shot driver share if
+    /// it is the plan's first solve, exactly as
+    /// [`execute_into`](SvdPlan::execute_into) would; every other solve
+    /// charges the dispatch share. Once the lanes and the output shells
+    /// have warmed up (one batch of equal or larger size), repeated calls
+    /// perform no heap allocation (enforced by `tests/alloc_budget.rs`).
     ///
     /// # Panics
     /// If `outs` or `statuses` length differs from `mats`.
     pub fn execute_batch_refs_into(
-        &self,
+        &mut self,
         mats: &[&Matrix<T>],
         outs: &mut [SvdOutput],
         statuses: &mut [Result<(), SvdError>],
@@ -878,70 +885,46 @@ impl<T: Scalar> SvdPlan<T> {
             return;
         }
         // At most 64 contiguous chunks, remainder spread over the leading
-        // chunks: enough splits for any realistic worker count while the
-        // per-chunk worker lease stays amortized across a chunk's solves.
-        // Each worker pins its own device buffers, so the chunk count is
-        // additionally capped so the parent plan plus all retained
-        // workers together respect the device-memory budget that planning
-        // enforced for one plan (at minimum one worker runs, tolerating a
-        // 2x overshoot for plans that alone fill the budget). Count and
+        // chunks: enough splits for any realistic thread count while each
+        // lane's setup stays amortized across its chunk's solves. Every
+        // lane pins its own device buffers, so the chunk count is also
+        // capped so all lanes together respect the device-memory budget
+        // that planning enforced for one (lane 0 always runs). Count and
         // bounds depend only on `len` and fixed plan properties — never
-        // the thread count — and chunk `c` always executes on worker `c`
+        // the thread count — and chunk `c` always executes on lane `c`
         // over its fixed index range, so output order and bits are
         // schedule-independent.
         let mem_cap = match self
-            .dev
+            .device()
             .hw()
             .budget_bytes()
-            .checked_div(self.own_device_bytes())
+            .checked_div(self.lane_device_bytes())
         {
-            Some(slots) => slots.saturating_sub(1).max(1).min(usize::MAX as u64) as usize,
-            None => usize::MAX, // trace-only: workers hold no data
+            Some(slots) => usize::try_from(slots.max(1)).unwrap_or(usize::MAX),
+            None => usize::MAX, // trace-only: lanes hold no data
         };
         let nc = len.min(64).min(mem_cap);
-        let mut pool = self.lock_batch();
-        let BatchPool { workers, bounds } = &mut *pool;
-        while workers.len() < nc {
-            workers.push(self.worker());
+        while self.lanes.len() < nc {
+            let lane = self.lanes[0].sibling(&self.core);
+            self.lanes.push(lane);
         }
-        bounds.clear();
-        bounds.extend((0..nc).map(|c| {
-            let (base, rem) = (len / nc, len % nc);
-            let start = c * base + c.min(rem);
-            (start, start + base + usize::from(c < rem))
-        }));
-        let bounds = &bounds[..];
-        let workers = SendPtr(workers.as_mut_ptr());
+        let core = &self.core;
+        let (base, rem) = (len / nc, len % nc);
+        let lanes = SendPtr(self.lanes.as_mut_ptr());
         let outs = SendPtr(outs.as_mut_ptr());
         let statuses = SendPtr(statuses.as_mut_ptr());
         (0..nc).into_par_iter().for_each(|c| {
-            let (start, end) = bounds[c];
-            // SAFETY: chunk c is the only task touching worker c, and the
-            // bounds partition 0..len disjointly, so each out/status
+            let start = c * base + c.min(rem);
+            let end = start + base + usize::from(c < rem);
+            // SAFETY: chunk c is the only task touching lane c, and the
+            // chunk ranges partition 0..len disjointly, so each out/status
             // element is written by exactly one task.
-            let worker = unsafe { &mut *workers.add(c) };
+            let lane = unsafe { &mut *lanes.add(c) };
             for (i, mat) in mats.iter().enumerate().take(end).skip(start) {
                 let (out, status) = unsafe { (&mut *outs.add(i), &mut *statuses.add(i)) };
-                *status = worker.execute_into(mat, out);
+                *status = lane.execute_into(core, mat, out);
             }
         });
-    }
-
-    /// A private clone with its own device stream and workspaces — the
-    /// per-chunk worker the batch pool retains and leases out. Starts
-    /// warm: the parent already paid for planning.
-    fn worker(&self) -> SvdPlan<T> {
-        // Workers run fault-free: which batch lands on which pooled
-        // worker depends on arrival timing in a serving layer, so
-        // injecting on worker streams would make fault schedules
-        // irreproducible. Injection rides the plan's primary device
-        // stream (and each retry attempt advances its counters).
-        let mut hw = self.dev.hw().clone();
-        hw.fault = None;
-        SvdPlan {
-            cold: false,
-            ..SvdPlan::from_parts(Device::new(hw, self.dev.mode()), self.core.clone())
-        }
     }
 
     /// Simulated steady per-execute cost of this plan: what every execute
@@ -951,7 +934,7 @@ impl<T: Scalar> SvdPlan<T> {
     /// plans too; a `trace_only()` plan is the cheap way to cost
     /// paper-scale sizes.
     pub fn cost(&self) -> TraceSummary {
-        let dev = Device::trace_only(self.dev.hw().clone());
+        let dev = Device::trace_only(self.device().hw().clone());
         if self.core.kind != PlanKind::Empty {
             let buf = dev.alloc::<T>(0);
             let tau = dev.alloc::<T>(0);
@@ -995,7 +978,11 @@ impl<T: Scalar> std::fmt::Debug for SvdPlan<T> {
         write!(
             f,
             "SvdPlan({}x{} on {:?}, padded {}, {})",
-            self.core.rows, self.core.cols, self.dev, self.core.padded, self.core.cfg
+            self.core.rows,
+            self.core.cols,
+            self.device(),
+            self.core.padded,
+            self.core.cfg
         )
     }
 }
@@ -1487,14 +1474,14 @@ mod tests {
     fn plan_reuse_never_reallocates_staging() {
         let mut rng = StdRng::seed_from_u64(606);
         let mut plan = Svd::on(&h100()).precision::<f32>().plan(30, 30).unwrap();
-        let fp0 = plan.ws.staging_fingerprint();
+        let fp0 = plan.lanes[0].ws.staging_fingerprint();
         assert_eq!(fp0.1, plan.padded_n() * plan.padded_n());
         for _ in 0..3 {
             let (a, _) =
                 testmat::test_matrix::<f32, _>(30, SvDistribution::Arithmetic, false, &mut rng);
             plan.execute(&a).unwrap();
             assert_eq!(
-                plan.ws.staging_fingerprint(),
+                plan.lanes[0].ws.staging_fingerprint(),
                 fp0,
                 "staging must be reused, not reallocated"
             );
@@ -1508,13 +1495,13 @@ mod tests {
         let (a, _) =
             testmat::test_matrix::<f64, _>(12, SvDistribution::Arithmetic, false, &mut rng);
         let tall = Matrix::<f64>::from_fn(48, 12, |i, j| if i < 12 { a[(i, j)] } else { 0.0 });
-        let cap0 = plan.ws.qr.capacity();
-        let ptr0 = plan.ws.qr.as_ptr();
+        let cap0 = plan.lanes[0].ws.qr.capacity();
+        let ptr0 = plan.lanes[0].ws.qr.as_ptr();
         assert_eq!(cap0, 48 * 12);
         for _ in 0..3 {
             plan.execute(&tall).unwrap();
-            assert_eq!(plan.ws.qr.capacity(), cap0);
-            assert_eq!(plan.ws.qr.as_ptr(), ptr0);
+            assert_eq!(plan.lanes[0].ws.qr.capacity(), cap0);
+            assert_eq!(plan.lanes[0].ws.qr.as_ptr(), ptr0);
         }
     }
 
@@ -1597,22 +1584,25 @@ mod tests {
                 testmat::test_matrix::<f32, _>(16, SvDistribution::Arithmetic, false, &mut rng).0
             })
             .collect();
-        let plan = Svd::on(&h100()).precision::<f32>().plan(16, 16).unwrap();
-        assert_eq!(plan.batch_workers(), 0, "pool starts empty");
+        let mut plan = Svd::on(&h100()).precision::<f32>().plan(16, 16).unwrap();
+        assert_eq!(plan.batch_workers(), 0, "a plan starts with lane 0 alone");
         let own = plan.device_bytes();
         let first = plan.execute_batch(&mats);
         let grown = plan.batch_workers();
-        assert_eq!(grown, 7, "one worker per chunk of a 7-item batch");
+        assert_eq!(
+            grown, 6,
+            "a 7-item batch runs chunk 0 on lane 0 plus 6 extra lanes"
+        );
         assert_eq!(
             plan.device_bytes(),
-            own * (1 + grown as u64),
-            "pooled workers pin device memory and must be accounted"
+            own * 7,
+            "extra lanes pin device memory and must be accounted"
         );
-        // Same and smaller batches reuse the pool without growth; values
+        // Same and smaller batches reuse the lanes without growth; values
         // stay bit-identical.
         for take in [7, 3] {
             let again = plan.execute_batch(&mats[..take]);
-            assert_eq!(plan.batch_workers(), grown, "pool must not regrow");
+            assert_eq!(plan.batch_workers(), grown, "lanes must not regrow");
             for (a, b) in again.iter().zip(&first) {
                 assert_eq!(
                     bits(&a.as_ref().unwrap().values),
@@ -1667,7 +1657,7 @@ mod tests {
             .plan(256, 256)
             .unwrap();
         // Trace plans allocate no staging at all.
-        assert!(plan.ws.staging.is_empty());
+        assert!(plan.lanes[0].ws.staging.is_empty());
         let out = plan.execute(&Matrix::<f32>::zeros(256, 256)).unwrap();
         assert!(out.values.is_empty());
         use unisvd_gpu::KernelClass::*;

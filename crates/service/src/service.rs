@@ -546,13 +546,13 @@ impl SvdService {
     /// `cfg`, reusing a cached plan when one is resident.
     ///
     /// Protocol: the plan is checked **out** of its cache shard (no lock
-    /// is held while solving), executed with [`SvdPlan::execute_into`],
-    /// and returned. A plan's first execute charges the full one-shot
-    /// host driver overhead its planning cost — a miss, the first live
-    /// solve of a [`warm`](Self::warm)ed signature, and every
-    /// out-of-core fallback solve — and every later one the amortized
-    /// dispatch share, so the trace separates warm from cold serving
-    /// cost. The *values* are bit-identical either way.
+    /// is held while solving), executed on the plan's own lane as a
+    /// group of one, and returned. A plan's first execute charges the
+    /// full one-shot host driver overhead its planning cost — a miss,
+    /// the first live solve of a [`warm`](Self::warm)ed signature, and
+    /// every out-of-core fallback solve — and every later one the
+    /// amortized dispatch share, so the trace separates warm from cold
+    /// serving cost. The *values* are bit-identical either way.
     /// [`solve_batch`](Self::solve_batch) and the
     /// [`submit`](Self::submit) drainer run the same group execution, so
     /// retries, output verification and failure counting apply
@@ -603,8 +603,8 @@ impl SvdService {
     /// the non-blocking entry point. A drainer thread (started on the
     /// first submission) pops the queue, **coalesces every queued
     /// same-signature request — from any caller — into one batched
-    /// execute** ([`SvdPlan::execute_batch_refs_into`] fan-out on the
-    /// work-stealing pool, held open for
+    /// execute** (one [`SvdPlan::execute_batch_refs_into`] fan-out over
+    /// the plan's lanes on the work-stealing pool, held open for
     /// [`ServiceBuilder::coalesce_window`]), and resolves the tickets in
     /// arrival order. [`Ticket::wait`] returns exactly what
     /// [`solve`](Self::solve) would have: bit-identical values, and
@@ -822,11 +822,11 @@ impl SvdService {
     /// host work-stealing pool — one plan checkout (or build) per
     /// distinct shape instead of per request.
     ///
-    /// Each group's first request runs on the checked-out plan itself
-    /// (reusing its workspaces; on the plan's first execute it accounts
-    /// the one-shot driver cost exactly like [`solve`](Self::solve));
-    /// the rest of the group fans out over pooled per-chunk workers,
-    /// which charge the dispatch share. Results are
+    /// Each group is one fan-out over the checked-out plan's lanes. Its
+    /// first request runs on the plan's own lane (on the plan's first
+    /// solve it accounts the one-shot driver cost exactly like
+    /// [`solve`](Self::solve)); the rest run on extra lanes the plan
+    /// keeps, which charge the dispatch share. Results are
     /// returned in request order and are bit-identical to calling
     /// [`solve`](Self::solve) per request, for any thread count: groups
     /// are formed in first-seen order by shape, and the batched
@@ -1062,12 +1062,12 @@ impl Inner {
     }
 
     /// One attempt at a group — no retry, no failure counting. Checks
-    /// the plan out (or builds it) once for the whole group; the first
-    /// request runs on the plan itself (which charges the one-shot
-    /// driver share if this is the plan's first execute) and the rest
-    /// fan out through the plan's pooled batch workers. A
-    /// plan-time rejection fails the whole group; one the out-of-core
-    /// path absorbs streams each request instead. With
+    /// the plan out (or builds it) once for the whole group and fans the
+    /// group out over the plan's lanes in one
+    /// [`SvdPlan::execute_batch_refs_into`] call; the first request runs
+    /// on lane 0, which charges the one-shot driver share if this is the
+    /// plan's first solve. A plan-time rejection fails the whole group;
+    /// one the out-of-core path absorbs streams each request instead. With
     /// `verify_outputs`, an output failing [`SvdOutput::verify`] becomes
     /// a *transient* corruption fault — retried like any other
     /// transient, then surfaced as [`SvdError::DeviceFault`].
@@ -1080,10 +1080,7 @@ impl Inner {
     ) {
         match self.checkout_or_plan::<T>(sig) {
             Ok(mut plan) => {
-                statuses[0] = plan.execute_into(mats[0], &mut outs[0]);
-                if mats.len() > 1 {
-                    plan.execute_batch_refs_into(&mats[1..], &mut outs[1..], &mut statuses[1..]);
-                }
+                plan.execute_batch_refs_into(mats, outs, statuses);
                 // The plan survives a solve-time fault (the *data path*
                 // was hit, not the resident factor layout), so it goes
                 // back either way.

@@ -43,10 +43,11 @@ fn cached_and_uncached_solves_match_direct_plan_bits() {
 
 #[test]
 fn cold_solve_costs_more_host_overhead_than_warm() {
-    // A plan's first execute pays the one-shot driver share (planning
-    // happened for it); every later execute, and every batch worker,
-    // pays dispatch only. Every path charges the host driver share
-    // (`Other`) that way; device-stage work is equal.
+    // A plan's first solve on its own lane pays the one-shot driver
+    // share (planning happened for it); every later solve, and every
+    // solve on an extra batch lane, pays dispatch only. Every path
+    // charges the host driver share (`Other`) that way; device-stage
+    // work is equal.
     use unisvd_gpu::hw::rtx4060;
     use unisvd_gpu::KernelClass::*;
     let cfg = SvdConfig::default();
@@ -79,12 +80,15 @@ fn cold_solve_costs_more_host_overhead_than_warm() {
     let warmed_first = warmed.solve(&a, &cfg).unwrap();
     let warmed_second = warmed.solve(&a, &cfg).unwrap();
 
-    let plan = Svd::on(&h100())
+    // A fresh plan's batch and a fresh service's group: member 0 runs on
+    // lane 0 and pays for planning, members 1-2 run on warm extra lanes.
+    let mut plan = Svd::on(&h100())
         .precision::<f32>()
         .config(cfg)
         .plan(32, 32)
         .unwrap();
     let batch = plan.execute_batch(&[a.clone(), a.clone(), a.clone()]);
+    let grouped = SvdService::new(&h100()).solve_batch(&[a.clone(), a.clone(), a.clone()], &cfg);
 
     let mut table = vec![
         ("hit", &hit, dispatch),
@@ -92,8 +96,11 @@ fn cold_solve_costs_more_host_overhead_than_warm() {
         ("warmed first solve", &warmed_first, one_shot),
         ("warmed second solve", &warmed_second, dispatch),
     ];
-    for out in &batch {
-        table.push(("batch member", out.as_ref().unwrap(), dispatch));
+    for (path, outs) in [("batch member", &batch), ("solve_batch member", &grouped)] {
+        for (i, out) in outs.iter().enumerate() {
+            let want = if i == 0 { one_shot } else { dispatch };
+            table.push((path, out.as_ref().unwrap(), want));
+        }
     }
     for (path, out, want) in table {
         let got = out.summary.seconds_of(Other);
@@ -185,6 +192,72 @@ fn plan_larger_than_budget_is_discarded_not_cached() {
     let stats = service.stats().cache;
     assert_eq!(stats.discards, 1);
     assert_eq!(stats.resident_plans, 0);
+}
+
+#[test]
+fn plan_over_half_the_budget_stays_cached_after_a_group() {
+    // A device whose budget holds one 32x32 f32 plan and half of
+    // another: a group of 3 may grow no extra lane, so the plan still
+    // fits the cache ledger and every later group is a hit.
+    let cfg = SvdConfig::default();
+    let own = Svd::on(&h100())
+        .precision::<f32>()
+        .config(cfg)
+        .plan(32, 32)
+        .unwrap()
+        .device_bytes();
+    let mut hw = h100();
+    hw.memory_bytes = (1.5 * 1.3 * own as f64).ceil() as u64;
+    let service = SvdService::new(&hw);
+    let mats: Vec<Matrix<f32>> = (0..3).map(|i| random_square(32, 40 + i)).collect();
+    let oracle = SvdService::new(&h100()).solve_batch(&mats, &cfg);
+    for _ in 0..3 {
+        let got = service.solve_batch(&mats, &cfg);
+        for (g, w) in got.iter().zip(&oracle) {
+            assert_eq!(
+                bits(&g.as_ref().unwrap().values),
+                bits(&w.as_ref().unwrap().values)
+            );
+        }
+    }
+    let stats = service.stats().cache;
+    assert_eq!(
+        (
+            stats.misses,
+            stats.hits,
+            stats.discards,
+            stats.resident_plans
+        ),
+        (1, 2, 0, 1),
+        "{stats}"
+    );
+    assert!(stats.resident_bytes <= service.cache_budget_bytes());
+}
+
+#[test]
+fn faults_ride_lane_zero_only() {
+    // Every execute on a faulty device's own stream is corrupted, and
+    // extra lanes run fault-free: in a group of 4 only the request on
+    // lane 0 fails.
+    use unisvd_gpu::FaultPlan;
+    let chaotic = h100().with_faults(FaultPlan::seeded(7).corrupt_rate(1.0));
+    let cfg = SvdConfig::default();
+    let service = SvdService::new(&chaotic);
+    let mats: Vec<Matrix<f64>> = (0..4).map(|i| random_square_f64(24, 60 + i)).collect();
+    let got = service.solve_batch(&mats, &cfg);
+    assert!(
+        matches!(got[0], Err(SvdError::DeviceFault(_))),
+        "{:?}",
+        got[0]
+    );
+    let oracle = SvdService::new(&h100()).solve_batch(&mats, &cfg);
+    for (g, w) in got.iter().zip(&oracle).skip(1) {
+        assert_eq!(
+            bits(&g.as_ref().unwrap().values),
+            bits(&w.as_ref().unwrap().values)
+        );
+    }
+    assert_eq!(service.stats().cache.failures, 1);
 }
 
 #[test]

@@ -159,7 +159,7 @@ fn main() {
             testmat::with_singular_values_fast(&svs, 32, &mut rng).cast()
         })
         .collect();
-    let plan = Svd::on(&hw::h100())
+    let mut plan = Svd::on(&hw::h100())
         .precision::<F16>()
         .vectors(Want::TopK(16))
         .plan(adapter_n, adapter_n)

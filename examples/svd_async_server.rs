@@ -1,7 +1,7 @@
 //! An asynchronous SVD server: clients fire requests through
 //! [`SvdService::submit`] and get a [`Ticket`] back immediately; a
 //! drainer thread coalesces same-shape submissions from *different*
-//! clients into one batched execute on pooled plan workers.
+//! clients into one batched execute over the plan's lanes.
 //!
 //! ```text
 //! cargo run --release --example svd_async_server

@@ -93,7 +93,7 @@ pub use unisvd_service::{
 /// use unisvd::{hw, Matrix, Svd};
 ///
 /// let mats: Vec<Matrix<f32>> = (0..4).map(|_| Matrix::identity(16)).collect();
-/// let plan = Svd::on(&hw::h100()).precision::<f32>().plan(16, 16).unwrap();
+/// let mut plan = Svd::on(&hw::h100()).precision::<f32>().plan(16, 16).unwrap();
 /// let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
 /// let sv = pool.install(|| plan.execute_batch(&mats));
 /// assert!(sv.iter().all(|r| r.is_ok()));

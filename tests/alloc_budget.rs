@@ -226,7 +226,7 @@ fn steady_state_allocates_zero_bytes() {
     // a second pass over the same request count must not allocate.
     {
         let cfg = SvdConfig::default();
-        let plan = Svd::on(&h100())
+        let mut plan = Svd::on(&h100())
             .precision::<f32>()
             .config(cfg)
             .plan(N, N)
