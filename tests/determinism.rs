@@ -590,3 +590,72 @@ fn fault_schedule_bit_identical_across_thread_counts() {
         "different seeds may not share a fault schedule"
     );
 }
+
+/// FNV-1a over a stream of 64-bit words, byte by byte (little-endian).
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn vector_bits_match_golden_fingerprint() {
+    // Pins U/Vᵀ bits across commits, not just across thread counts: 42
+    // solves (square, tall, wide and vector shapes; thin and truncated;
+    // every stage-3 solver) hash to one committed constant. A change to
+    // the accumulator layout or the replay order that moves a single
+    // bit of any factor fails here.
+    use unisvd::{Stage3Solver, Want};
+    const GOLDEN: u64 = 0x3de7_bec0_9ec9_61df;
+    let shapes = [
+        (40, 40),
+        (17, 9),
+        (9, 17),
+        (100, 37),
+        (37, 100),
+        (1, 7),
+        (7, 1),
+    ];
+    let mut words = Vec::new();
+    for (m, n) in shapes {
+        let a = Matrix::<f64>::from_fn(m, n, |i, j| {
+            (((i * 31 + j * 17 + m * 7) % 101) as f64 - 50.0) / 101.0
+                + if i == j { 1.5 } else { 0.0 }
+        });
+        for want in [Want::Thin, Want::TopK(3)] {
+            for solver in [
+                Stage3Solver::Bdsqr,
+                Stage3Solver::Dqds,
+                Stage3Solver::Bisect,
+            ] {
+                let cfg = SvdConfig {
+                    vectors: want,
+                    solver,
+                    ..SvdConfig::default()
+                };
+                let out = Svd::on(&hw::h100())
+                    .precision::<f64>()
+                    .config(cfg)
+                    .plan(m, n)
+                    .unwrap()
+                    .execute(&a)
+                    .unwrap();
+                for f in [out.u.as_ref().unwrap(), out.vt.as_ref().unwrap()] {
+                    words.push(f.rows() as u64);
+                    words.push(f.cols() as u64);
+                    words.extend(f.as_slice().iter().map(|v| v.to_bits()));
+                }
+            }
+        }
+    }
+    let got = fnv1a(words);
+    assert_eq!(
+        got, GOLDEN,
+        "U/Vᵀ fingerprint moved: {got:#018x} (want {GOLDEN:#018x})"
+    );
+}
