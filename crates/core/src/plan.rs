@@ -1133,13 +1133,17 @@ pub(crate) fn execute_core<T: Scalar>(
     Ok(())
 }
 
-/// Maps the replayed device-frame accumulators (`padded × k`, see the
-/// `vectors` module) into the caller's frame and writes `out.u` /
-/// `out.vt`, reusing any buffers already in `out` (warm executes with
-/// vectors allocate nothing). Direct shapes truncate the padded rows;
-/// tall/wide shapes additionally lift the left (resp. right) factor
-/// through the retained host QR: for tall `A = Q_h·R`, `U(A) = Q_h·U(R)`,
-/// and for wide `A = (Q_h·R)ᵀ = V(R)·Σ·(Q_h·U(R))ᵀ`.
+/// Maps the replayed device-frame accumulators (`padded × k`
+/// k-contiguous, see the `vectors` module) into the caller's frame and
+/// writes `out.u` / `out.vt`, reusing any buffers already in `out` (warm
+/// executes with vectors allocate nothing). A k-contiguous accumulator's
+/// leading `n·k` entries are the transpose of its first `n` rows, so a
+/// `Vᵀ` taken straight from an accumulator is one copy and only the
+/// column-major `U` (and the `qvec` lift) are transposed here. Direct
+/// shapes truncate the padded rows; tall/wide shapes additionally lift
+/// the left (resp. right) factor through the retained host QR: for tall
+/// `A = Q_h·R`, `U(A) = Q_h·U(R)`, and for wide
+/// `A = (Q_h·R)ᵀ = V(R)·Σ·(Q_h·U(R))ᵀ`.
 fn assemble_vectors<T: Scalar>(
     core: &PlanCore,
     ws: &mut Workspace<T>,
@@ -1154,7 +1158,7 @@ fn assemble_vectors<T: Scalar>(
         return;
     }
     let k = core.cfg.vectors.columns(core.mindim);
-    let (rows, cols, padded) = (core.rows, core.cols, core.padded);
+    let (rows, cols) = (core.rows, core.cols);
     // Reuse the caller's buffers: take → clear → resize keeps capacity.
     let mut ud = out.u.take().map(Matrix::into_vec).unwrap_or_default();
     let mut vd = out.vt.take().map(Matrix::into_vec).unwrap_or_default();
@@ -1171,15 +1175,8 @@ fn assemble_vectors<T: Scalar>(
         let (wu, wv) = (&vac.wu, &vac.wv);
         match core.kind {
             PlanKind::Direct => {
-                for j in 0..k {
-                    ud[j * rows..(j + 1) * rows]
-                        .copy_from_slice(&wu[j * padded..j * padded + rows]);
-                }
-                for j in 0..k {
-                    for c in 0..cols {
-                        vd[c * k + j] = wv[j * padded + c];
-                    }
-                }
+                transpose_rows(wu, k, rows, &mut ud);
+                vd.copy_from_slice(&wv[..cols * k]);
             }
             PlanKind::TallQr | PlanKind::WideQr => {
                 // The device solved the qn × qn triangle of the host QR of
@@ -1191,26 +1188,17 @@ fn assemble_vectors<T: Scalar>(
                 };
                 ws.qvec.clear();
                 ws.qvec.resize(qm * k, 0.0);
-                for j in 0..k {
-                    ws.qvec[j * qm..j * qm + qn].copy_from_slice(&wu[j * padded..j * padded + qn]);
-                }
+                transpose_rows(wu, k, qn, &mut ws.qvec);
                 apply_q_inplace(&ws.qr, &ws.qr_tau, qm, &mut ws.qvec, k);
                 match core.kind {
                     PlanKind::TallQr => {
                         // U = Q_h·U(R) (rows × k); Vᵀ rows from W_v.
                         ud.copy_from_slice(&ws.qvec);
-                        for j in 0..k {
-                            for c in 0..cols {
-                                vd[c * k + j] = wv[j * padded + c];
-                            }
-                        }
+                        vd.copy_from_slice(&wv[..cols * k]);
                     }
                     _ => {
                         // Wide: U(A) = V(R) from W_v; Vᵀ(A) = (Q_h·U(R))ᵀ.
-                        for j in 0..k {
-                            ud[j * rows..(j + 1) * rows]
-                                .copy_from_slice(&wv[j * padded..j * padded + rows]);
-                        }
+                        transpose_rows(wv, k, rows, &mut ud);
                         for j in 0..k {
                             for c in 0..cols {
                                 vd[c * k + j] = ws.qvec[j * qm + c];
@@ -1224,6 +1212,18 @@ fn assemble_vectors<T: Scalar>(
     }
     out.u = Some(Matrix::from_col_major(rows, k, ud));
     out.vt = Some(Matrix::from_col_major(k, cols, vd));
+}
+
+/// Writes the first `n` rows of the k-contiguous accumulator `w` into the
+/// column-major `n × k` block at the top of `dst` (leading dimension
+/// `dst.len() / k`).
+fn transpose_rows(w: &[f64], k: usize, n: usize, dst: &mut [f64]) {
+    let ld = dst.len() / k;
+    for (r, row) in w[..n * k].chunks_exact(k).enumerate() {
+        for (j, &x) in row.iter().enumerate() {
+            dst[j * ld + r] = x;
+        }
+    }
 }
 
 /// The three-stage pipeline (§3) over already-uploaded device buffers:

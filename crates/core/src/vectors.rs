@@ -14,8 +14,10 @@
 //!
 //! After the values converge, the leading `k` diagonal positions are
 //! selected, `k` signed unit columns are seeded into `padded × k`
-//! accumulators, and the whole log is replayed **in reverse** through
-//! [`unisvd_kernels::rot_mix`] / [`unisvd_kernels::reflector_apply`].
+//! k-contiguous accumulators (one row of `k` entries per padded row, so
+//! each replayed transform streams whole rows), and the whole log is
+//! replayed **in reverse** through [`unisvd_kernels::rot_mix`] /
+//! [`unisvd_kernels::reflector_apply`].
 //! Every replayed operation costs `O(k)`, so a truncated top-k solve
 //! accumulates at `k/min(m,n)` of the thin cost — the economics the
 //! `fig_truncated` bench gates.
@@ -160,7 +162,7 @@ impl Stage1Log {
     /// the `GEQRT` reflectors backwards) — the order that applies the
     /// sweep's `Q` (not `Qᵀ`) to the accumulator, pinned by the panel
     /// kernels' own QR-reconstruction test.
-    fn replay_sweep(sweep: &SweepLog, ts: usize, w: &mut [f64], padded: usize, k: usize) {
+    fn replay_sweep(sweep: &SweepLog, ts: usize, w: &mut [f64], k: usize, dot: &mut [f64]) {
         let h = sweep.ntiles * ts;
         let r0 = sweep.tr0 * ts;
         for lt in (1..sweep.ntiles).rev() {
@@ -170,7 +172,7 @@ impl Stage1Log {
                     continue;
                 }
                 let col = &sweep.panel[kk * h + lt * ts..kk * h + (lt + 1) * ts];
-                reflector_apply(w, padded, k, r0 + kk, r0 + lt * ts, col, tau);
+                reflector_apply(w, k, dot, r0 + kk, r0 + lt * ts, col, tau);
             }
         }
         for kk in (0..ts).rev() {
@@ -179,7 +181,7 @@ impl Stage1Log {
                 continue;
             }
             let col = &sweep.panel[kk * h + kk + 1..kk * h + ts];
-            reflector_apply(w, padded, k, r0 + kk, r0 + kk + 1, col, tau);
+            reflector_apply(w, k, dot, r0 + kk, r0 + kk + 1, col, tau);
         }
     }
 }
@@ -203,10 +205,14 @@ pub(crate) struct VectorScratch<A: Real> {
     pub s3ws: Stage3Workspace<A>,
     /// Selection scratch: `(value, diag index)` sorted descending.
     pub order: Vec<(f64, usize)>,
-    /// Left accumulator, `padded × k` column-major.
+    /// Left accumulator, `padded × k` row-major: row `r` is
+    /// `wu[r*k .. (r+1)*k]`, so a replayed transform's operands are
+    /// contiguous.
     pub wu: Vec<f64>,
-    /// Right accumulator, `padded × k` column-major.
+    /// Right accumulator, `padded × k` row-major like `wu`.
     pub wv: Vec<f64>,
+    /// `k`-entry row scratch of [`reflector_apply`].
+    pub dot: Vec<f64>,
 }
 
 impl<A: Real> VectorScratch<A> {
@@ -237,6 +243,7 @@ impl<A: Real> VectorScratch<A> {
             } else {
                 Vec::new()
             },
+            dot: vec![0.0; k],
         }
     }
 
@@ -266,8 +273,8 @@ impl<A: Real> VectorScratch<A> {
         for (j, &(_, idx)) in self.order.iter().enumerate() {
             // diag(d) = diag(sign)·diag(|d|): the sign rides on U.
             let sign = if dvals[idx] < A::ZERO { -1.0 } else { 1.0 };
-            self.wu[j * padded + idx] = sign;
-            self.wv[j * padded + idx] = 1.0;
+            self.wu[idx * k + j] = sign;
+            self.wv[idx * k + j] = 1.0;
         }
 
         // Stage 3 then stage 2, newest rotation first. One pass per log:
@@ -275,11 +282,11 @@ impl<A: Real> VectorScratch<A> {
         // factors commute.
         for rot in self.s3.rots.iter().rev() {
             let w = if rot.left { &mut self.wu } else { &mut self.wv };
-            rot_mix(w, padded, k, rot.i as usize, rot.c, rot.s);
+            rot_mix(w, k, rot.i as usize, rot.c, rot.s);
         }
         for rot in self.s2.rots.iter().rev() {
             let w = if rot.left { &mut self.wu } else { &mut self.wv };
-            rot_mix(w, padded, k, rot.i as usize, rot.c, rot.s);
+            rot_mix(w, k, rot.i as usize, rot.c, rot.s);
         }
         // Stage 1: sweeps in reverse chronological order.
         for sweep in self.s1.sweeps.iter().rev() {
@@ -288,7 +295,7 @@ impl<A: Real> VectorScratch<A> {
             } else {
                 &mut self.wv
             };
-            Stage1Log::replay_sweep(sweep, self.s1.ts, w, padded, k);
+            Stage1Log::replay_sweep(sweep, self.s1.ts, w, k, &mut self.dot);
         }
     }
 
@@ -321,7 +328,7 @@ mod tests {
             for j in 0..n {
                 let mut acc = 0.0;
                 for (c, &(v, _)) in values.iter().enumerate().take(k) {
-                    acc += vac.wu[c * n + i] * v * vac.wv[c * n + j];
+                    acc += vac.wu[i * k + c] * v * vac.wv[j * k + c];
                 }
                 worst = worst.max((get(i, j) - acc).abs());
             }
@@ -333,7 +340,7 @@ mod tests {
         let mut worst: f64 = 0.0;
         for a in 0..k {
             for b in 0..k {
-                let dot: f64 = (0..n).map(|i| w[a * n + i] * w[b * n + i]).sum();
+                let dot: f64 = (0..n).map(|i| w[i * k + a] * w[i * k + b]).sum();
                 let want = if a == b { 1.0 } else { 0.0 };
                 worst = worst.max((dot - want).abs());
             }

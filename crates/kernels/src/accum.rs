@@ -3,14 +3,15 @@
 //! module) drives, plus the cost models the simulated device charges for
 //! them.
 //!
-//! Both primitives operate on a **padded × k column-major accumulator**
+//! Both primitives operate on a **padded × k row-major accumulator**
 //! `w`: `k` singular-vector columns of the padded device problem, stored
-//! f64 regardless of the pipeline's storage precision (the transforms
-//! being replayed were *computed* in the accumulation type; replaying in
-//! f64 adds no error of its own). They are deliberately sequential and
-//! branch-free per element, so accumulated vectors are bit-identical for
-//! any thread count — the same determinism discipline as the values
-//! path.
+//! k-contiguous (row `r` is `w[r*k .. (r+1)*k]`) so every replayed
+//! transform streams whole rows, and stored f64 regardless of the
+//! pipeline's storage precision (the transforms being replayed were
+//! *computed* in the accumulation type; replaying in f64 adds no error
+//! of its own). They are deliberately sequential and branch-free per
+//! element, so accumulated vectors are bit-identical for any thread
+//! count — the same determinism discipline as the values path.
 
 use unisvd_gpu::{Device, KernelClass};
 
@@ -27,18 +28,14 @@ use unisvd_gpu::{Device, KernelClass};
 /// record (the `DLASR`-convention pairing of LAPACK's `xBDSQR`).
 ///
 /// # Panics
-/// If `w` is not a `padded × k` column-major buffer or `i + 1` is out of
-/// range (debug assertions).
+/// If row `i + 1` is out of range of the `k`-wide row-major `w`.
 #[inline]
-pub fn rot_mix(w: &mut [f64], padded: usize, k: usize, i: usize, c: f64, s: f64) {
-    debug_assert_eq!(w.len(), padded * k);
-    debug_assert!(i + 1 < padded);
-    for col in 0..k {
-        let base = col * padded;
-        let hi = w[base + i];
-        let lo = w[base + i + 1];
-        w[base + i] = c * hi - s * lo;
-        w[base + i + 1] = s * hi + c * lo;
+pub fn rot_mix(w: &mut [f64], k: usize, i: usize, c: f64, s: f64) {
+    let (hi, lo) = w[i * k..(i + 2) * k].split_at_mut(k);
+    for (h, l) in hi.iter_mut().zip(lo) {
+        let (a, b) = (*h, *l);
+        *h = c * a - s * b;
+        *l = s * a + c * b;
     }
 }
 
@@ -49,43 +46,55 @@ pub fn rot_mix(w: &mut [f64], padded: usize, k: usize, i: usize, c: f64, s: f64)
 /// below the head inside the diagonal tile, `TSQRT` tails fill a full
 /// tile further down the panel.
 ///
+/// Row by row: `dot` (`k` entries of caller scratch) gathers
+/// `τ·(w[head, :] + Σⱼ tail[j]·w[tail_start + j, :])` as axpys over
+/// contiguous rows, then each touched row subtracts its multiple of it.
+/// Every element sees the operations of the per-column formulation in
+/// the same order, so the result is bit-identical to it.
+///
 /// A `τ = 0` reflector is the identity; callers skip those before
 /// calling (the guarded-reflector convention of `reflector_head`).
 ///
 /// # Panics
-/// If the tail range leaves the accumulator or overlaps the head (debug
-/// assertions).
+/// If `k` is zero, the head or tail rows leave the accumulator, or
+/// (debug assertions) `dot` is not `k` long or the tail overlaps the
+/// head.
 #[inline]
 pub fn reflector_apply(
     w: &mut [f64],
-    padded: usize,
     k: usize,
+    dot: &mut [f64],
     head: usize,
     tail_start: usize,
     tail: &[f64],
     tau: f64,
 ) {
-    debug_assert_eq!(w.len(), padded * k);
-    debug_assert!(head < padded);
-    debug_assert!(tail_start + tail.len() <= padded);
+    debug_assert_eq!(dot.len(), k);
     debug_assert!(head < tail_start || head >= tail_start + tail.len());
-    for col in 0..k {
-        let base = col * padded;
-        let mut dot = w[base + head];
-        for (j, &v) in tail.iter().enumerate() {
-            dot += v * w[base + tail_start + j];
+    dot.copy_from_slice(&w[head * k..(head + 1) * k]);
+    let rows = &mut w[tail_start * k..(tail_start + tail.len()) * k];
+    for (&v, row) in tail.iter().zip(rows.chunks_exact(k)) {
+        for (d, &x) in dot.iter_mut().zip(row) {
+            *d += v * x;
         }
-        let dot = tau * dot;
-        w[base + head] -= dot;
-        for (j, &v) in tail.iter().enumerate() {
-            w[base + tail_start + j] -= dot * v;
+    }
+    for d in dot.iter_mut() {
+        *d *= tau;
+    }
+    for (x, &d) in w[head * k..(head + 1) * k].iter_mut().zip(dot.iter()) {
+        *x -= d;
+    }
+    let rows = &mut w[tail_start * k..(tail_start + tail.len()) * k];
+    for (&v, row) in tail.iter().zip(rows.chunks_exact_mut(k)) {
+        for (x, &d) in row.iter_mut().zip(dot.iter()) {
+            *x -= d * v;
         }
     }
 }
 
 /// Host efficiency the accumulator replay is charged at: sequential
-/// scalar code over strided columns, well below the 15% the blocked
-/// stage-3 solver achieves.
+/// scalar code over contiguous accumulator rows, well below the 15% the
+/// blocked stage-3 solver achieves.
 pub const ACCUM_EFFICIENCY: f64 = 0.04;
 
 /// Modeled flop count for replaying the stage-1 reflectors onto `k`
@@ -156,24 +165,24 @@ mod tests {
         let nf = c * f + s * g;
         let ng = -s * f + c * g;
         let mut w = vec![nf, ng];
-        rot_mix(&mut w, 2, 1, 0, c, s);
+        rot_mix(&mut w, 1, 0, c, s);
         assert!((w[0] - f).abs() < 1e-15);
         assert!((w[1] - g).abs() < 1e-15);
     }
 
     #[test]
     fn rot_mix_touches_only_its_rows() {
-        let padded = 4;
-        let mut w: Vec<f64> = (0..padded * 2).map(|x| x as f64).collect();
+        let (padded, k) = (4, 2);
+        let mut w: Vec<f64> = (0..padded * k).map(|x| x as f64).collect();
         let before = w.clone();
-        rot_mix(&mut w, padded, 2, 1, 0.0, 1.0);
-        for col in 0..2 {
-            let b = col * padded;
-            assert_eq!(w[b], before[b], "row 0 untouched");
-            assert_eq!(w[b + 3], before[b + 3], "row 3 untouched");
+        rot_mix(&mut w, k, 1, 0.0, 1.0);
+        let at = |r: usize, col: usize| r * k + col;
+        for col in 0..k {
+            assert_eq!(w[at(0, col)], before[at(0, col)], "row 0 untouched");
+            assert_eq!(w[at(3, col)], before[at(3, col)], "row 3 untouched");
             // c = 0, s = 1 swaps with a sign: (hi, lo) → (−lo, hi).
-            assert_eq!(w[b + 1], -before[b + 2]);
-            assert_eq!(w[b + 2], before[b + 1]);
+            assert_eq!(w[at(1, col)], -before[at(2, col)]);
+            assert_eq!(w[at(2, col)], before[at(1, col)]);
         }
     }
 
@@ -188,9 +197,10 @@ mod tests {
         let tau = 2.0 / norm2;
         let mut w: Vec<f64> = (0..padded * k).map(|x| (x as f64).sin()).collect();
         let orig = w.clone();
-        reflector_apply(&mut w, padded, k, 1, 3, &tail, tau);
+        let mut dot = vec![0.0; k];
+        reflector_apply(&mut w, k, &mut dot, 1, 3, &tail, tau);
         assert!(w.iter().zip(&orig).any(|(a, b)| a != b), "H acted");
-        reflector_apply(&mut w, padded, k, 1, 3, &tail, tau);
+        reflector_apply(&mut w, k, &mut dot, 1, 3, &tail, tau);
         for (a, b) in w.iter().zip(&orig) {
             assert!((a - b).abs() < 1e-14, "H² = I");
         }

@@ -303,21 +303,25 @@ impl<P: ParallelIterator> ParallelIterator for Enumerate<P> {
 
     fn drive(self, sink: &dyn Sink<(usize, P::Item)>) {
         let len = self.base.len();
-        let nc = n_chunks(len);
+        // One cursor per chunk, held inline (there are never more than
+        // MAX_CHUNKS chunks), so enumerating allocates nothing.
         struct EnumSink<'a, T> {
-            starts: Vec<usize>,
-            next: Vec<AtomicUsize>,
+            len: usize,
+            nc: usize,
+            next: [AtomicUsize; MAX_CHUNKS],
             down: &'a dyn Sink<(usize, T)>,
         }
         impl<T> Sink<T> for EnumSink<'_, T> {
             fn accept(&self, chunk: usize, item: T) {
                 let k = self.next[chunk].fetch_add(1, Ordering::Relaxed);
-                self.down.accept(chunk, (self.starts[chunk] + k, item));
+                let start = chunk_bounds(self.len, self.nc, chunk).start;
+                self.down.accept(chunk, (start + k, item));
             }
         }
         self.base.drive(&EnumSink {
-            starts: (0..nc).map(|c| chunk_bounds(len, nc, c).start).collect(),
-            next: (0..nc).map(|_| AtomicUsize::new(0)).collect(),
+            len,
+            nc: n_chunks(len),
+            next: std::array::from_fn(|_| AtomicUsize::new(0)),
             down: sink,
         });
     }

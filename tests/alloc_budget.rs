@@ -20,7 +20,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use unisvd::{Stage3Solver, Svd, SvdConfig, SvdOutput, SvdService};
 use unisvd_gpu::hw::h100;
 use unisvd_matrix::{testmat, Matrix, SvDistribution};
@@ -190,6 +190,48 @@ fn steady_state_allocates_zero_bytes() {
         }
     }
 
+    // ---- warm execute_into with vectors, tall and wide shapes -------
+    // Tall and wide inputs solve the host QR's triangle on the device and
+    // lift one factor back through Q_h; the lift and the transposed
+    // copies out of the accumulators must reuse plan scratch as well.
+    for (rows, cols) in [(2 * N, 3 * N / 4), (3 * N / 4, 2 * N)] {
+        let mut rng = StdRng::seed_from_u64(0xA110F);
+        let shaped: Vec<Matrix<f32>> = (0..3)
+            .map(|_| Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0)))
+            .collect();
+        for want in [unisvd::Want::Thin, unisvd::Want::TopK(N / 4)] {
+            let cfg = SvdConfig {
+                vectors: want,
+                ..SvdConfig::default()
+            };
+            let mut plan = Svd::on(&h100())
+                .precision::<f32>()
+                .config(cfg)
+                .plan(rows, cols)
+                .unwrap();
+            let mut out = SvdOutput::empty();
+            for a in &shaped {
+                plan.execute_into(a, &mut out).unwrap();
+            }
+            let (allocs, bytes) = measure(|| {
+                for a in &shaped {
+                    plan.execute_into(a, &mut out).unwrap();
+                }
+            });
+            assert_eq!(
+                (allocs, bytes),
+                (0, 0),
+                "warm {rows}x{cols} execute_into with {want:?} vectors must not \
+                 allocate: {allocs} allocations / {bytes} bytes over {} solves",
+                shaped.len()
+            );
+            assert!(
+                out.u.is_some() && out.vt.is_some(),
+                "the measured solves produced factors"
+            );
+        }
+    }
+
     // ---- multi-workgroup launches (work-stealing pool engaged) -------
     // 64x64 stage-1 updates and stage-2 sweeps launch several workgroups
     // per kernel, so the measured window crosses the thread pool: job
@@ -220,10 +262,10 @@ fn steady_state_allocates_zero_bytes() {
     }
 
     // ---- warm coalesced batch path -----------------------------------
-    // execute_batch_refs_into leases per-chunk workers from the plan's
-    // batch pool; after one warmup pass the pool, the chunk bounds, the
-    // output shells, and every worker's workspaces are at steady state —
-    // a second pass over the same request count must not allocate.
+    // execute_batch_refs_into runs chunk c on lane c; after one warmup
+    // pass the plan's extra lanes, the output shells, and every lane's
+    // workspaces are at steady state — a second pass over the same
+    // request count must not allocate.
     {
         let cfg = SvdConfig::default();
         let mut plan = Svd::on(&h100())
@@ -243,14 +285,14 @@ fn steady_state_allocates_zero_bytes() {
         assert_eq!(
             (allocs, bytes),
             (0, 0),
-            "warm execute_batch_refs_into ({workers} pooled workers, {} requests) \
+            "warm execute_batch_refs_into ({workers} of the plan's extra lanes, {} requests) \
              must not allocate: {allocs} allocations / {bytes} bytes",
             refs.len()
         );
         assert_eq!(
             plan.batch_workers(),
             workers,
-            "the measured pass must reuse the pooled workers, not regrow them"
+            "the measured pass must reuse the plan's extra lanes, not regrow them"
         );
         assert!(statuses.iter().all(|s| s.is_ok()));
     }

@@ -179,8 +179,8 @@ fn service_cached_and_fresh_plans_bit_identical_across_thread_counts() {
 #[test]
 fn async_submissions_bit_identical_across_thread_counts() {
     // The async acceptance gate: results delivered through submit/wait —
-    // queued, coalesced across callers, executed on pooled batch workers
-    // — must carry the bits of a directly driven fresh SvdPlan. The
+    // queued, coalesced across callers, executed on the plan's extra
+    // lanes — must carry the bits of a directly driven fresh SvdPlan. The
     // producers run under explicit 1/4/8-thread pools; the drainer
     // executes on the global pool, which the CI thread matrix
     // (RAYON_NUM_THREADS = 1 and 4) sizes independently. Determinism
@@ -209,8 +209,8 @@ fn async_submissions_bit_identical_across_thread_counts() {
             let service = SvdService::builder(&hw::h100())
                 .coalesce_window(Duration::from_millis(2))
                 .build();
-            // Two passes: cold plans, then warm pooled batch workers.
-            // Duplicate same-shape submissions inside a pass exercise the
+            // Two passes: cold plans, then warm plans and the plan's extra
+            // lanes. Duplicate same-shape submissions inside a pass exercise the
             // coalesced multi-request path.
             for pass in ["cold", "warm"] {
                 let tickets: Vec<_> = mats
