@@ -1,6 +1,5 @@
 //! The simulated device: launch API, execution modes, and time accounting.
 
-use crate::arena::WorkgroupArena;
 use crate::buffer::GlobalBuffer;
 use crate::cost::{cost_of_cpu_work, cost_of_launch, cost_of_transfer, KernelClass, LaunchSpec};
 use crate::fault::{DeviceFault, FaultInjector, FaultKind, FaultRecord};
@@ -9,6 +8,7 @@ use crate::trace::{LaunchRecord, Trace, TraceSummary};
 use crate::workgroup::Workgroup;
 use parking_lot::Mutex;
 use rayon::prelude::*;
+use std::any::{Any, TypeId};
 use unisvd_scalar::{PrecisionKind, Real, Scalar};
 
 /// Whether kernel bodies actually execute.
@@ -22,6 +22,28 @@ pub enum ExecMode {
     TraceOnly,
 }
 
+/// The device's workgroup execution contexts, one list per compute type:
+/// workgroup `g` of every launch runs in context `g` of its type's list.
+/// A real runtime binds registers and shared memory to a workgroup at
+/// launch; it does not `malloc`, and once a list has grown to a launch's
+/// grid and geometry neither does the simulator.
+#[derive(Default)]
+struct Slots {
+    f32: Vec<Workgroup<f32>>,
+    f64: Vec<Workgroup<f64>>,
+}
+
+impl Slots {
+    fn of<R: Real>(&mut self) -> &mut Vec<Workgroup<R>> {
+        let list: &mut dyn Any = if TypeId::of::<R>() == TypeId::of::<f32>() {
+            &mut self.f32
+        } else {
+            &mut self.f64
+        };
+        list.downcast_mut().expect("Real is only f32 or f64")
+    }
+}
+
 /// A simulated GPU: a hardware descriptor plus a launch stream with
 /// simulated timing. All launches on one device serialise on a single
 /// stream, matching the paper's benchmarking setup (single stream, one
@@ -32,7 +54,7 @@ pub struct Device {
     trace: Mutex<Trace>,
     race_check: bool,
     epoch: std::sync::atomic::AtomicU64,
-    arena: WorkgroupArena,
+    slots: Mutex<Slots>,
     /// Built from `desc.fault`; `None` for the (default) fault-free
     /// descriptors, so the hot path pays one branch.
     faults: Option<FaultInjector>,
@@ -52,17 +74,9 @@ impl Device {
             trace: Mutex::new(Trace::new(false)),
             race_check: false,
             epoch: std::sync::atomic::AtomicU64::new(0),
-            arena: WorkgroupArena::default(),
+            slots: Mutex::default(),
             faults,
         }
-    }
-
-    /// The device's execution-context pool: register files, shared
-    /// memory, and per-launch trace slots, reused across launches. See
-    /// [`WorkgroupArena`]; exposed so tests and benchmarks can observe
-    /// steady-state reuse.
-    pub fn arena(&self) -> &WorkgroupArena {
-        &self.arena
     }
 
     /// Enables the cross-workgroup write-write race detector: buffers
@@ -112,14 +126,23 @@ impl Device {
     /// cross-workgroup global writes to disjoint locations (see
     /// [`GlobalBuffer`]).
     ///
-    /// Trace events are collected **per workgroup** (each workgroup writes
-    /// only its own grid-ordered slot) and merged into one complete
-    /// [`LaunchRecord`] pushed after the launch barrier, so every record's
-    /// *contents* are identical for any thread count or schedule. Record
-    /// *order* is launch-completion order: deterministic whenever a
-    /// device's launches are issued from one thread (as everywhere in
-    /// this workspace); concurrent launches on one shared device get
-    /// complete but completion-ordered records.
+    /// Workgroup `g` runs in the device's context `g` for the compute
+    /// type, reset to the zeroed state [`Workgroup::new`] builds, so the
+    /// pairing depends on grid position and not on the schedule. Once a
+    /// launch of some grid and geometry has run, later launches up to
+    /// that size allocate nothing. Each workgroup counts its supersteps
+    /// in its own context, and they are merged in grid order into one
+    /// complete [`LaunchRecord`] pushed after the launch barrier, so
+    /// every record's *contents* are identical for any thread count or
+    /// schedule.
+    ///
+    /// Concurrent launches on one shared device are correct, but only one
+    /// of them runs in the device's contexts: the others find the list
+    /// taken and build their own, which allocates. Record *order* is
+    /// launch-completion order: deterministic whenever a device's
+    /// launches are issued from one thread (as everywhere in this
+    /// workspace); concurrent launches get complete but
+    /// completion-ordered records.
     pub fn launch<R, F>(&self, spec: &LaunchSpec, body: F)
     where
         R: Real,
@@ -151,7 +174,7 @@ impl Device {
             // (drained by `take_fault`) marks the results untrustworthy.
             rec.seconds *= factor.max(1.0);
         }
-        let mut steps_slots: Option<Vec<u32>> = None;
+        let mut contexts = Vec::new();
         if self.mode == ExecMode::Numeric {
             // Numeric geometry may differ from the costed geometry for
             // purely computational parameters (SPLITK); see `ExecGeometry`.
@@ -164,50 +187,50 @@ impl Device {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
                 + 1;
             let race = self.race_check;
-            // Workgroup contexts and the grid-sized slot buffer come from
-            // the device arena — reset, not reallocated, in steady state.
-            let mut wg_steps = self.arena.lease_steps(spec.grid);
-            if spec.grid == 1 {
-                // Avoid thread-pool overhead for the (frequent) 1-block
-                // panel kernels.
+            // No lock is held while bodies run: the list leaves the
+            // device for the launch and goes back afterwards.
+            contexts = std::mem::take(self.slots.lock().of::<R>());
+            while contexts.len() < spec.grid {
+                contexts.push(Workgroup::new(contexts.len(), block, rpt, smem));
+            }
+            let run = |g: usize, wg: &mut Workgroup<R>| {
                 if race {
-                    crate::buffer::set_race_ctx(epoch, 0, true);
+                    crate::buffer::set_race_ctx(epoch, g as u64, true);
                 }
-                let mut wg = self.arena.lease::<R>(0, block, rpt, smem);
-                body(&mut wg);
-                wg_steps[0] = wg.steps() as u32;
+                wg.reset(g, block, rpt, smem);
+                body(wg);
                 if race {
                     crate::buffer::set_race_ctx(0, 0, false);
                 }
+            };
+            if spec.grid == 1 {
+                // Avoid thread-pool overhead for the (frequent) 1-block
+                // panel kernels.
+                run(0, &mut contexts[0]);
             } else {
-                wg_steps.par_iter_mut().enumerate().for_each(|(g, slot)| {
-                    if race {
-                        crate::buffer::set_race_ctx(epoch, g as u64, true);
-                    }
-                    let mut wg = self.arena.lease::<R>(g, block, rpt, smem);
-                    body(&mut wg);
-                    *slot = wg.steps() as u32;
-                    if race {
-                        crate::buffer::set_race_ctx(0, 0, false);
-                    }
-                });
+                contexts[..spec.grid]
+                    .par_iter_mut()
+                    .enumerate()
+                    .for_each(|(g, wg)| run(g, wg));
             }
-            steps_slots = Some(wg_steps);
         }
-        // One trace lock for the record push. When records are retained
-        // (tests/ablations) the slot buffer moves into the record; on the
-        // common aggregate-only path it returns to the arena and the
-        // record carries no per-workgroup payload (nothing could observe
-        // it — records are dropped on push).
+        // One trace lock for the record push. Only retained records
+        // (tests/ablations) carry the per-workgroup superstep counts;
+        // aggregate-only traces drop records on push, so nothing could
+        // observe them. Trace-only launches have no contexts.
         let mut trace = self.trace.lock();
-        if let Some(slots) = steps_slots {
-            if trace.keeps_records() {
-                rec.wg_steps = slots;
-            } else {
-                self.arena.return_steps(slots);
-            }
+        if trace.keeps_records() {
+            rec.wg_steps = contexts
+                .iter()
+                .take(spec.grid)
+                .map(|wg| wg.steps() as u32)
+                .collect();
         }
         trace.push(rec);
+        drop(trace);
+        if self.mode == ExecMode::Numeric {
+            *self.slots.lock().of::<R>() = contexts;
+        }
     }
 
     /// Accounts a host↔device transfer of `bytes` (hybrid baselines).
@@ -364,6 +387,7 @@ impl std::fmt::Debug for Device {
 mod tests {
     use super::*;
     use crate::hw::h100;
+    use std::sync::Barrier;
 
     fn spec(grid: usize, block: usize) -> LaunchSpec {
         let mut s = LaunchSpec::new(KernelClass::Other, "test", grid, block);
@@ -452,5 +476,80 @@ mod tests {
         let tdev = Device::trace_only(h100()).keep_records();
         tdev.launch::<f64, _>(&spec(6, 4), |_| {});
         assert!(tdev.records()[0].wg_steps.is_empty());
+    }
+
+    /// Launches a kernel whose output depends on every register and
+    /// shared-memory element starting at zero, with `g % 3 + 2`
+    /// supersteps in workgroup `g`; returns the buffer and `wg_steps`.
+    fn probe<R: Real>(dev: &Device, geom: (usize, usize, usize, usize)) -> (Vec<R>, Vec<u32>) {
+        let (grid, block, rpt, smem) = geom;
+        let mut s = spec(grid, block);
+        s.regs_per_thread = rpt;
+        s.smem_elems = smem;
+        let buf = GlobalBuffer::filled(grid * block, R::ZERO);
+        dev.launch::<R, _>(&s, |wg| {
+            let g = wg.group_id();
+            for _ in 0..=g % 3 {
+                wg.step(|t| {
+                    t.regs.iter_mut().for_each(|r| *r += R::ONE);
+                    t.shared[t.tid % smem] += R::ONE;
+                });
+            }
+            wg.step(|t| {
+                let regs: R = t.regs.iter().copied().sum();
+                let shared: R = t.shared.iter().copied().sum();
+                buf.write(g * block + t.tid, regs + shared);
+            });
+        });
+        let steps = dev.records().last().unwrap().wg_steps.clone();
+        (buf.to_vec(), steps)
+    }
+
+    #[test]
+    fn reused_contexts_match_a_fresh_device() {
+        // Small, then larger, then smaller again (dirty oversized
+        // contexts), f32 and f64 interleaved on the one device.
+        let dev = Device::numeric(h100()).keep_records();
+        for geom in [(2, 2, 1, 2), (6, 8, 3, 16), (3, 4, 2, 5)] {
+            let fresh = || Device::numeric(h100()).keep_records();
+            assert_eq!(probe::<f32>(&dev, geom), probe::<f32>(&fresh(), geom));
+            assert_eq!(probe::<f64>(&dev, geom), probe::<f64>(&fresh(), geom));
+        }
+    }
+
+    #[test]
+    fn concurrent_launch_builds_its_own_contexts() {
+        // Each round, one thread holds the device's f64 contexts mid-launch
+        // while the other launches on the same device: that launch finds
+        // the list taken and runs in contexts of its own. Results stay
+        // correct and every record stays complete.
+        const ROUNDS: usize = 3;
+        let geom = (5, 4, 2, 3);
+        let want = probe::<f64>(&Device::numeric(h100()).keep_records(), geom);
+        let dev = Device::numeric(h100()).keep_records();
+        let (taken, done) = (Barrier::new(2), Barrier::new(2));
+        for _ in 0..ROUNDS {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    dev.launch::<f64, _>(&spec(1, 4), |wg| {
+                        taken.wait();
+                        done.wait();
+                        wg.step(|_| {});
+                    });
+                });
+                taken.wait();
+                let got = probe::<f64>(&dev, geom);
+                done.wait();
+                assert_eq!(got, want);
+            });
+        }
+        assert_eq!(probe::<f64>(&dev, geom), want);
+        // Per round the second launch finishes first; then the final one.
+        let mut expected: Vec<Vec<u32>> = (0..ROUNDS)
+            .flat_map(|_| [want.1.clone(), vec![1]])
+            .collect();
+        expected.push(want.1.clone());
+        let steps: Vec<_> = dev.records().into_iter().map(|r| r.wg_steps).collect();
+        assert_eq!(steps, expected);
     }
 }

@@ -5,9 +5,13 @@
 //! Metal). Kernels are written against a workgroup / thread / shared-memory
 //! / barrier programming model ([`Workgroup`]) and executed on the host via
 //! the vendored work-stealing thread pool (`rayon` shim), one task per
-//! chunk of workgroups. Per-workgroup trace events land in grid-ordered
-//! slots, so traces and numerics are bit-identical for any
-//! `RAYON_NUM_THREADS`. Every launch is costed by an analytic
+//! chunk of workgroups. A [`Device`] keeps one execution context per
+//! workgroup index and runs workgroup `g` in context `g`, so the pairing
+//! depends on grid position, not on the schedule: traces and numerics
+//! are bit-identical for any `RAYON_NUM_THREADS`, and warm launches
+//! allocate nothing. Concurrent launches on one shared device are
+//! correct, but only one runs in the device's contexts; the others
+//! build their own. Every launch is costed by an analytic
 //! roofline model ([`cost`]) driven by the *actual* event counts of the
 //! launch (grid/block geometry, flops, bytes, register and shared-memory
 //! footprint) against the hardware descriptors of the paper's Table 2
@@ -19,7 +23,6 @@
 //! n = 131072, where allocating n² elements on the host is pointless —
 //! the event stream is identical by construction).
 
-pub mod arena;
 pub mod buffer;
 pub mod cost;
 pub mod device;
@@ -29,7 +32,6 @@ pub mod mem;
 pub mod trace;
 pub mod workgroup;
 
-pub use arena::WorkgroupArena;
 pub use buffer::GlobalBuffer;
 pub use cost::{cost_of_launch, ExecGeometry, KernelClass, LaunchCost, LaunchSpec};
 pub use device::{Device, ExecMode};

@@ -13,18 +13,20 @@
 //! would be racy on real hardware; the paper's kernels only communicate
 //! across barriers, which this model captures faithfully.
 
-use crate::arena::TypedPool;
-use std::sync::Arc;
 use unisvd_scalar::Real;
 
 /// Execution context of one workgroup (thread block).
 ///
-/// Constructed either directly ([`Workgroup::new`], fresh allocations —
-/// fine for tests and one-off launches) or leased from a device's
-/// [`WorkgroupArena`](crate::WorkgroupArena), in which case the register
-/// and shared-memory buffers come from a pool, start in exactly the
-/// zeroed state a fresh allocation would have, and return to the pool on
-/// drop. Kernel code cannot tell the difference.
+/// Constructed directly with [`Workgroup::new`] (tests and one-off
+/// launches) or owned by a [`Device`](crate::Device), which keeps one
+/// context per workgroup index and resets context `g` for workgroup `g`
+/// of every launch. A reset context is in exactly the state `new`
+/// builds, so kernel code cannot tell the difference.
+///
+/// Aligned so that each context sits on its own cache lines: a device's
+/// contexts are contiguous, workgroups of one launch run on different
+/// threads, and each bumps its own superstep count on every barrier.
+#[repr(align(128))]
 pub struct Workgroup<R> {
     group_id: usize,
     nthreads: usize,
@@ -37,19 +39,6 @@ pub struct Workgroup<R> {
     /// Supersteps (barriers) executed so far; collected per workgroup into
     /// the launch trace, merged in grid order.
     steps: usize,
-    /// Originating arena pool; `None` for directly constructed contexts.
-    pool: Option<Arc<TypedPool<R>>>,
-}
-
-impl<R> Drop for Workgroup<R> {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.put_back(
-                std::mem::take(&mut self.regs),
-                std::mem::take(&mut self.shared),
-            );
-        }
-    }
 }
 
 /// Per-thread view handed to a superstep closure: the thread id, its
@@ -66,39 +55,38 @@ pub struct ThreadCtx<'a, R> {
 impl<R: Real> Workgroup<R> {
     /// Creates a workgroup context with zeroed registers and shared memory.
     pub fn new(group_id: usize, nthreads: usize, regs_per_thread: usize, smem: usize) -> Self {
-        assert!(nthreads > 0, "workgroup needs at least one thread");
-        Workgroup {
+        let mut wg = Workgroup {
             group_id,
             nthreads,
             regs_per_thread,
-            regs: vec![R::ZERO; nthreads * regs_per_thread],
-            shared: vec![R::ZERO; smem],
+            regs: Vec::new(),
+            shared: Vec::new(),
             steps: 0,
-            pool: None,
-        }
+        };
+        wg.reset(group_id, nthreads, regs_per_thread, smem);
+        wg
     }
 
-    /// Arena-lease constructor: `regs`/`shared` are pre-reset pooled
-    /// buffers that return to `pool` when the workgroup drops.
-    pub(crate) fn from_pool(
+    /// Rebinds this context to workgroup `group_id` of a launch with the
+    /// given geometry: zeroed registers and shared memory, no supersteps.
+    /// Reuses the buffers' capacity, so a context already sized for the
+    /// geometry does not allocate.
+    pub(crate) fn reset(
+        &mut self,
         group_id: usize,
         nthreads: usize,
         regs_per_thread: usize,
-        regs: Vec<R>,
-        shared: Vec<R>,
-        pool: Arc<TypedPool<R>>,
-    ) -> Self {
+        smem: usize,
+    ) {
         assert!(nthreads > 0, "workgroup needs at least one thread");
-        debug_assert_eq!(regs.len(), nthreads * regs_per_thread);
-        Workgroup {
-            group_id,
-            nthreads,
-            regs_per_thread,
-            regs,
-            shared,
-            steps: 0,
-            pool: Some(pool),
-        }
+        self.group_id = group_id;
+        self.nthreads = nthreads;
+        self.regs_per_thread = regs_per_thread;
+        self.regs.clear();
+        self.regs.resize(nthreads * regs_per_thread, R::ZERO);
+        self.shared.clear();
+        self.shared.resize(smem, R::ZERO);
+        self.steps = 0;
     }
 
     /// Linear workgroup id within the launch grid (`@index(Group)`).
@@ -220,6 +208,26 @@ mod tests {
     fn step_one_bounds() {
         let mut wg = Workgroup::<f64>::new(0, 2, 0, 0);
         wg.step_one(2, |_| {});
+    }
+
+    #[test]
+    fn reset_rebuilds_the_fresh_state() {
+        let mut wg = Workgroup::<f64>::new(0, 4, 2, 3);
+        wg.step(|t| {
+            t.regs[1] = 7.0;
+            t.shared[t.tid.min(2)] = 9.0;
+        });
+        for (g, nthreads, rpt, smem) in [(5, 8, 3, 16), (1, 2, 1, 2)] {
+            wg.reset(g, nthreads, rpt, smem);
+            let fresh = Workgroup::<f64>::new(g, nthreads, rpt, smem);
+            assert_eq!(
+                (wg.group_id(), wg.nthreads(), wg.regs_per_thread, wg.steps()),
+                (g, nthreads, rpt, 0)
+            );
+            assert_eq!((&wg.regs, &wg.shared), (&fresh.regs, &fresh.shared));
+            assert!(wg.regs.iter().chain(&wg.shared).all(|&x| x == 0.0));
+            wg.step(|t| t.shared[0] = 1.0);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// Upper bound on configured threads (guards against absurd env values).
@@ -149,26 +149,35 @@ pub(crate) fn parse_thread_env(v: Option<&str>) -> usize {
 impl Registry {
     /// Creates a registry with `nthreads` total threads: `nthreads - 1`
     /// spawned workers plus the callers that block (and help) on it.
+    ///
+    /// Returns only once every worker has set up its thread-local
+    /// context, and every queue starts with room for `MAX_THREADS` jobs
+    /// (a batch pushes at most one per thread), so a fresh pool's first
+    /// parallel operation allocates nothing.
     pub(crate) fn new(nthreads: usize) -> (Arc<Self>, Vec<std::thread::JoinHandle<()>>) {
         let nthreads = nthreads.clamp(1, MAX_THREADS);
         let workers = nthreads - 1;
+        let queue = || Mutex::new(VecDeque::with_capacity(MAX_THREADS));
         let reg = Arc::new(Registry {
             nthreads,
-            injector: Mutex::new(VecDeque::new()),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            injector: queue(),
+            locals: (0..workers).map(|_| queue()).collect(),
             sleep_gen: Mutex::new(0),
             wake_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
+        let primed = Arc::new(Barrier::new(workers + 1));
         let handles = (0..workers)
             .map(|i| {
                 let r = reg.clone();
+                let primed = primed.clone();
                 std::thread::Builder::new()
                     .name(format!("rayon-shim-{i}"))
-                    .spawn(move || worker_loop(r, i))
+                    .spawn(move || worker_loop(r, i, &primed))
                     .expect("failed to spawn pool worker")
             })
             .collect();
+        primed.wait();
         (reg, handles)
     }
 
@@ -286,8 +295,9 @@ impl Registry {
     }
 }
 
-fn worker_loop(reg: Arc<Registry>, index: usize) {
+fn worker_loop(reg: Arc<Registry>, index: usize, primed: &Barrier) {
     CTX.with(|c| c.borrow_mut().worker = Some((reg.clone(), index)));
+    primed.wait();
     loop {
         if let Some(job) = reg.find_work(Some(index)) {
             // SAFETY: each JobRef is popped (and thus executed) once.

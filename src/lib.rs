@@ -65,7 +65,7 @@ pub use unisvd_gpu::hw;
 pub use unisvd_gpu::{
     BackendKind, Device, DeviceFault, ExecMode, FaultChannel, FaultInjector, FaultKind, FaultPlan,
     FaultRecord, GlobalBuffer, HardwareDescriptor, KernelClass, LaunchRecord, LaunchSpec,
-    MemoryLedger, TraceSummary, UnsupportedPrecision, WorkgroupArena,
+    MemoryLedger, TraceSummary, UnsupportedPrecision,
 };
 pub use unisvd_kernels::HyperParams;
 pub use unisvd_matrix::{

@@ -121,7 +121,7 @@ fn steady_state_allocates_zero_bytes() {
             .unwrap();
         let mut out = SvdOutput::empty();
         // Warmup: grows workspaces, the output shell, trace totals, and
-        // the device arena to their steady-state footprint.
+        // the device's workgroup contexts to their steady-state footprint.
         for a in inputs.iter().take(2) {
             plan.execute_into(a, &mut out).unwrap();
         }
@@ -233,32 +233,65 @@ fn steady_state_allocates_zero_bytes() {
     }
 
     // ---- multi-workgroup launches (work-stealing pool engaged) -------
-    // 64x64 stage-1 updates and stage-2 sweeps launch several workgroups
-    // per kernel, so the measured window crosses the thread pool: job
-    // submission, stealing, and the arena's concurrent leases must all
-    // be allocation-free too.
+    // At the tuned f32 defaults a 64x64 solve runs every launch as one
+    // workgroup; a 16-wide tile splits its stage-1 updates and stage-2
+    // sweeps into several workgroups per kernel, so the measured window
+    // crosses the thread pool: job submission, stealing, and each
+    // workgroup's context on the device must all be allocation-free, at
+    // every pool size.
     {
+        let cfg = SvdConfig {
+            params: Some(unisvd::HyperParams::new(16, 8, 1)),
+            ..SvdConfig::default()
+        };
         let wide = mats(64, 3, SvDistribution::Logarithmic, 0xA110E);
-        let mut plan = Svd::on(&h100()).precision::<f32>().plan(64, 64).unwrap();
-        let mut out = SvdOutput::empty();
-        plan.execute_into(&wide[0], &mut out).unwrap();
-        let (allocs, bytes) = measure(|| {
-            for a in &wide {
-                plan.execute_into(a, &mut out).unwrap();
-            }
-        });
-        assert_eq!(
-            (allocs, bytes),
-            (0, 0),
-            "warm 64x64 execute_into (multi-workgroup, {} pool threads) \
-             must not allocate",
-            unisvd::threading::current_num_threads()
-        );
-        let (leases, reuses) = plan.device().arena().stats();
+        let dev = unisvd_gpu::Device::numeric(h100()).keep_records();
+        unisvd::svdvals_with(&wide[0], &dev, &cfg).unwrap();
+        let records = dev.records();
+        let multi = records.iter().filter(|r| r.grid > 1).count();
+        let max_grid = records.iter().map(|r| r.grid).max().unwrap_or(0);
         assert!(
-            leases > reuses && reuses > 0,
-            "steady-state launches must recycle arena buffers ({leases} leases, {reuses} reuses)"
+            multi > 0 && max_grid > 1,
+            "the phase must launch several workgroups per kernel \
+             ({multi} of {} launches with grid > 1, largest grid {max_grid})",
+            records.len()
         );
+        for threads in [1, 2, 4, 8] {
+            let pool = unisvd::threading::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            for want in [unisvd::Want::None, unisvd::Want::Thin] {
+                let cfg = SvdConfig {
+                    vectors: want,
+                    ..cfg
+                };
+                let mut plan = Svd::on(&h100())
+                    .precision::<f32>()
+                    .config(cfg)
+                    .plan(64, 64)
+                    .unwrap();
+                let mut out = SvdOutput::empty();
+                pool.install(|| plan.execute_into(&wide[0], &mut out))
+                    .unwrap();
+                for rep in 0..5 {
+                    let (allocs, bytes) = measure(|| {
+                        pool.install(|| {
+                            for a in &wide {
+                                plan.execute_into(a, &mut out).unwrap();
+                            }
+                        })
+                    });
+                    assert_eq!(
+                        (allocs, bytes),
+                        (0, 0),
+                        "warm 64x64 execute_into with {want:?} vectors (tile 16, \
+                         {threads} pool threads, rep {rep}) must not allocate: \
+                         {allocs} allocations / {bytes} bytes"
+                    );
+                }
+            }
+        }
     }
 
     // ---- warm coalesced batch path -----------------------------------
