@@ -251,7 +251,7 @@ fn steady_state_allocates_zero_bytes() {
         let multi = records.iter().filter(|r| r.grid > 1).count();
         let max_grid = records.iter().map(|r| r.grid).max().unwrap_or(0);
         assert!(
-            multi > 0 && max_grid > 1,
+            multi > 0,
             "the phase must launch several workgroups per kernel \
              ({multi} of {} launches with grid > 1, largest grid {max_grid})",
             records.len()
