@@ -10,9 +10,16 @@
 //! superdiagonal remain. Cost is accounted per sweep through the device's
 //! launch stream so the Fig. 6 stage breakdown includes it.
 //!
-//! Rotation bookkeeping: every entry a rotation can touch lies within the
-//! stored band (`sub = 1` below, `sup = b + 1` above — the bulge room);
-//! annihilated targets are set to exact zero.
+//! Rotation bookkeeping: the band is stored with `sub = 1` below and
+//! `sup = b + 1` above — the bulge room; annihilated targets are set to
+//! exact zero. When sweep `d` starts, every entry beyond distance `d` is
+//! exactly zero, and during the sweep only the one bulge cell at
+//! distance `d + 1` joins them. So each rotation of sweep `d` runs over
+//! just the `d + 1` live superdiagonals — the width the cost model
+//! (`sweep_spec`) already charges — rather than all `b + 1` stored
+//! ones. The pairs this skips are all-zero, the same pairs the rotations'
+//! exact-zero guard skips, so the result is bit-identical to rotating the
+//! whole stored band.
 
 use crate::vectors::RotLog;
 use unisvd_gpu::{Device, ExecMode, KernelClass, LaunchSpec};
@@ -33,36 +40,16 @@ pub fn givens<R: Real>(f: R, g: R) -> (R, R, R) {
     }
 }
 
-/// Applies a right (column) rotation mixing the adjacent columns
-/// `(j1, j1 + 1)` over every stored row, then forces the annihilation
-/// target `(zi, j1 + 1)` to exact 0. Delegates to the band storage's
-/// batched slice implementation ([`BandMatrix::givens_cols`]), which is
-/// bit-identical to the historical element-at-a-time loop.
-#[inline]
-fn rotate_cols<R: Real>(b: &mut BandMatrix<R>, j1: usize, j2: usize, c: R, s: R, zi: usize) {
-    debug_assert_eq!(j2, j1 + 1, "the chase only rotates adjacent columns");
-    b.givens_cols(j1, c, s, zi);
-}
-
-/// Applies a left (row) rotation mixing the adjacent rows `(i1, i1 + 1)`
-/// over every stored column, then forces the annihilation target
-/// `(i1 + 1, zj)` to exact 0 — via [`BandMatrix::givens_rows`], the
-/// batched twin of [`rotate_cols`].
-#[inline]
-fn rotate_rows<R: Real>(b: &mut BandMatrix<R>, i1: usize, i2: usize, c: R, s: R, zj: usize) {
-    debug_assert_eq!(i2, i1 + 1, "the chase only rotates adjacent rows");
-    b.givens_rows(i1, c, s, zj);
-}
-
 /// Annihilates element `(row, row + d)` (distance `d ≥ 2`) and chases the
-/// resulting bulge off the end of the band. With `log`, every applied
-/// rotation is recorded (tagged by side) for singular-vector replay —
-/// rotations skipped by the exact-zero guards apply the identity and log
-/// nothing.
+/// resulting bulge off the end of the band, each rotation running over
+/// the first `live` superdiagonals. With `log`, every applied rotation is
+/// recorded (tagged by side) for singular-vector replay — rotations
+/// skipped by the exact-zero guards apply the identity and log nothing.
 fn chase_element<R: Real>(
     b: &mut BandMatrix<R>,
     row: usize,
     d: usize,
+    live: usize,
     mut log: Option<&mut RotLog>,
 ) {
     let n = b.n();
@@ -74,7 +61,7 @@ fn chase_element<R: Real>(
         let g = b.get(target_row, jc);
         if g != R::ZERO {
             let (c, s, _r) = givens(f, g);
-            rotate_cols(b, jc - 1, jc, c, s, target_row);
+            b.givens_cols(jc - 1, c, s, target_row, live);
             if let Some(log) = log.as_deref_mut() {
                 log.push(false, jc - 1, c.to_f64(), s.to_f64());
             }
@@ -88,7 +75,7 @@ fn chase_element<R: Real>(
             // Left rotation on rows (jc-1, jc) zeroing (jc, jc-1).
             let f = b.get(jc - 1, jc - 1);
             let (c, s, _r) = givens(f, bulge);
-            rotate_rows(b, jc - 1, jc, c, s, jc - 1);
+            b.givens_rows(jc - 1, c, s, jc - 1, live);
             if let Some(log) = log.as_deref_mut() {
                 log.push(true, jc - 1, c.to_f64(), s.to_f64());
             }
@@ -106,6 +93,25 @@ fn chase_element<R: Real>(
     }
 }
 
+/// Sweep `d`: annihilates every distance-`d` entry of a band with nothing
+/// beyond distance `d`, rotating over `live` superdiagonals. `live = d + 1`
+/// (the band plus the one-cell bulge) is all a rotation can reach;
+/// `live = band.sup()` rotates the whole stored band to the same bits.
+fn chase_sweep<R: Real>(
+    band: &mut BandMatrix<R>,
+    d: usize,
+    live: usize,
+    mut log: Option<&mut RotLog>,
+) {
+    debug_assert!(
+        band.max_abs_beyond_sup(d) == R::ZERO,
+        "sweep {d} starts with a nonzero beyond distance {d}"
+    );
+    for row in 0..band.n().saturating_sub(d) {
+        chase_element(band, row, d, live, log.as_deref_mut());
+    }
+}
+
 /// Cost accounting for one bandwidth-reduction sweep (distance `d`), as a
 /// communication-avoiding chase-set kernel batch on the device.
 fn sweep_spec(n: usize, d: usize, ts: usize, prec: unisvd_scalar::PrecisionKind) -> LaunchSpec {
@@ -117,8 +123,9 @@ fn sweep_spec(n: usize, d: usize, ts: usize, prec: unisvd_scalar::PrecisionKind)
         ts.min(256),
     );
     s.precision = prec;
-    // Each of ~n annihilations chases ~n/d hops of 2 rotations over ~d
-    // entries: ≈ 12·n per element, 12·n·(n−d) per sweep.
+    // Each of ~n annihilations chases ~n/d hops of 2 rotations over the
+    // d + 1 live superdiagonals (~d entries, which is what the host
+    // touches too): ≈ 12·n per element, 12·n·(n−d) per sweep.
     s.flops = 12.0 * n as f64 * n.saturating_sub(d) as f64;
     // Rotations stream the band region they touch (read + write).
     s.bytes = s.flops / 3.0 * prec.bytes() as f64;
@@ -133,6 +140,11 @@ fn sweep_spec(n: usize, d: usize, ts: usize, prec: unisvd_scalar::PrecisionKind)
 ///
 /// In trace-only mode only the cost stream is emitted and the returned
 /// bidiagonal is empty.
+///
+/// # Panics
+/// In numeric mode, if `band` has no bulge room for `bandwidth`: it
+/// must store `sub >= 1` subdiagonal and `sup >= bandwidth + 1`
+/// superdiagonals. Trace-only mode accepts any placeholder band.
 pub fn band_to_bidiagonal<R: Real>(
     dev: &Device,
     band: &mut BandMatrix<R>,
@@ -148,6 +160,9 @@ pub fn band_to_bidiagonal<R: Real>(
 /// [`band_to_bidiagonal`] writing the result into an existing
 /// [`Bidiagonal`] whose vectors are reused — the steady-state path of a
 /// reused plan, which performs stage 2 without any heap allocation.
+///
+/// # Panics
+/// As [`band_to_bidiagonal`].
 pub fn band_to_bidiagonal_into<R: Real>(
     dev: &Device,
     band: &mut BandMatrix<R>,
@@ -173,15 +188,22 @@ pub(crate) fn band_to_bidiagonal_into_ext<R: Real>(
     mut log: Option<&mut RotLog>,
 ) {
     let n = band.n();
+    let numeric = dev.mode() == ExecMode::Numeric;
+    assert!(
+        !numeric || (band.sub() >= 1 && band.sup() > bandwidth),
+        "stage 2 needs bulge room: bandwidth {bandwidth} requires sub >= 1 and sup >= {}, \
+         got sub = {}, sup = {}",
+        bandwidth + 1,
+        band.sub(),
+        band.sup()
+    );
     for d in (2..=bandwidth).rev() {
         dev.launch::<R, _>(&sweep_spec(n, d, ts, prec), |_| {});
-        if dev.mode() == ExecMode::Numeric {
-            for row in 0..n.saturating_sub(d) {
-                chase_element(band, row, d, log.as_deref_mut());
-            }
+        if numeric {
+            chase_sweep(band, d, d + 1, log.as_deref_mut());
         }
     }
-    if dev.mode() == ExecMode::Numeric {
+    if numeric {
         band.to_bidiagonal_into(bi);
     } else {
         bi.d.clear();
@@ -205,6 +227,86 @@ mod tests {
                 0.0
             }
         })
+    }
+
+    /// The input families of the live-window check: random, scattered
+    /// exact zeros, rank 1, empty outer diagonal, tiny with zero rows,
+    /// and −0.0 in every stored cell.
+    fn family_band<R: Real>(n: usize, bw: usize, family: usize, seed: u64) -> BandMatrix<R> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let u: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        BandMatrix::from_dense(n, 1, bw + 1, |i, j| {
+            let x: f64 = rng.gen_range(-1.0..1.0);
+            let v = match family {
+                _ if j < i || j - i > bw => 0.0,
+                1 if rng.gen_bool(0.3) => 0.0,
+                2 => u[i] * u[j],
+                3 if j - i == bw => 0.0,
+                4 if i % 5 == 0 => 0.0,
+                4 => x * 1e-30,
+                _ => x,
+            };
+            R::from_f64(if family == 5 { -0.0 } else { v })
+        })
+    }
+
+    fn bits<R: Real>(b: &BandMatrix<R>) -> Vec<u64> {
+        let mut out = Vec::new();
+        for j in 0..b.n() {
+            for i in j.saturating_sub(b.sup())..=(j + b.sub()).min(b.n() - 1) {
+                out.push(b.get(i, j).to_f64().to_bits());
+            }
+        }
+        out
+    }
+
+    /// Every stored cell after a `live = d + 1` chase matches the same
+    /// chase rotating the whole stored band, bit for bit.
+    fn live_window_matches_full_band<R: Real>() {
+        let shapes = [
+            (256, 64),
+            (128, 64),
+            (100, 7),
+            (97, 13),
+            (64, 32),
+            (40, 6),
+            (33, 32),
+            (256, 32),
+            (17, 2),
+            (5, 3),
+        ];
+        for (k, &(n, bw)) in shapes.iter().enumerate() {
+            for family in 0..6 {
+                let mut live = family_band::<R>(n, bw, family, (10 * k + family) as u64);
+                let mut full = live.clone();
+                let sup = full.sup();
+                for d in (2..=bw).rev() {
+                    chase_sweep(&mut live, d, d + 1, None);
+                    chase_sweep(&mut full, d, sup, None);
+                }
+                assert_eq!(bits(&live), bits(&full), "n={n} bw={bw} family={family}");
+            }
+        }
+    }
+
+    #[test]
+    fn live_window_matches_full_band_f32() {
+        live_window_matches_full_band::<f32>();
+    }
+
+    #[test]
+    fn live_window_matches_full_band_f64() {
+        live_window_matches_full_band::<f64>();
+    }
+
+    #[test]
+    #[should_panic(expected = "stage 2 needs bulge room")]
+    fn band_without_bulge_room_panics() {
+        let bw = 4;
+        let band = random_band(24, bw, 1);
+        let mut tight = BandMatrix::from_dense(24, 1, bw, |i, j| band.get(i, j));
+        let dev = Device::numeric(h100());
+        band_to_bidiagonal(&dev, &mut tight, bw, PrecisionKind::Fp64, 8);
     }
 
     #[test]

@@ -196,27 +196,32 @@ impl<R: Real> BandMatrix<R> {
     }
 
     /// Applies a right (column) Givens rotation mixing the **adjacent**
-    /// columns `j1` and `j1 + 1` over every stored row, then forces the
-    /// annihilation target `(zi, j1 + 1)` to exact zero — the batched
-    /// stage-2 chase update. Semantically identical to rotating element
-    /// by element through [`get`](Self::get)/[`set`](Self::set) (the
-    /// unit tests pin bit-identity against that reference), but the
-    /// interior rows — where both columns are stored — walk the two
-    /// contiguous column slices directly, skipping per-element band
+    /// columns `j1` and `j1 + 1` over the rows of the first `live`
+    /// superdiagonals, then forces the annihilation target `(zi, j1 + 1)`
+    /// to exact zero — the batched stage-2 chase update. Every cell more
+    /// than `live` superdiagonals above the diagonal must be zero: the
+    /// rotation leaves those rows alone, which is exactly what the
+    /// both-zero skip would do to them. With `live = sup` this is the
+    /// full-band rotation, semantically identical to rotating element by
+    /// element through [`get`](Self::get)/[`set`](Self::set) (the unit
+    /// tests pin bit-identity against that reference at every `live`),
+    /// but the interior rows — where both columns are live — walk the
+    /// two contiguous column slices directly, skipping per-element band
     /// checks and index arithmetic.
     ///
     /// # Panics
-    /// If `j1 + 1 >= n`.
-    pub fn givens_cols(&mut self, j1: usize, c: R, s: R, zi: usize) {
+    /// If `j1 + 1 >= n` or `live > sup`.
+    pub fn givens_cols(&mut self, j1: usize, c: R, s: R, zi: usize, live: usize) {
         let n = self.n;
         let j2 = j1 + 1;
         assert!(j2 < n, "column rotation out of matrix");
+        assert!(live <= self.sup, "live window wider than the stored band");
         let (sub, sup) = (self.sub, self.sup);
         let stride = self.stride();
-        // Row segments: `j1 - sup` is stored only in column j1,
+        // Row segments: `j1 - live` is live only in column j1,
         // `j2 + sub` only in column j2, everything between in both.
-        if j1 >= sup {
-            let i = j1 - sup;
+        if j1 >= live {
+            let i = j1 - live;
             let f = self.data[j1 * stride + (i + sup - j1)];
             let g = R::ZERO;
             if !(f == R::ZERO && g == R::ZERO) {
@@ -226,7 +231,7 @@ impl<R: Real> BandMatrix<R> {
                 debug_assert!(ng == R::ZERO, "column rotation escaped band at ({i},{j2})");
             }
         }
-        let lo = j2.saturating_sub(sup);
+        let lo = j2.saturating_sub(live);
         let hi = (j1 + sub).min(n - 1);
         if lo <= hi {
             // Column j1 rows [lo, hi] and column j2 rows [lo, hi] are two
@@ -266,19 +271,21 @@ impl<R: Real> BandMatrix<R> {
     }
 
     /// Applies a left (row) Givens rotation mixing the **adjacent** rows
-    /// `i1` and `i1 + 1` over every stored column, then forces the
-    /// annihilation target `(i1 + 1, zj)` to exact zero. The row-side
-    /// twin of [`givens_cols`](Self::givens_cols): the two row elements
-    /// of one column sit next to each other in band storage, so the
-    /// interior loop touches each column's pair directly with a constant
-    /// stride walk.
+    /// `i1` and `i1 + 1` over the columns of the first `live`
+    /// superdiagonals, then forces the annihilation target `(i1 + 1, zj)`
+    /// to exact zero. The row-side twin of
+    /// [`givens_cols`](Self::givens_cols), with the same contract on
+    /// `live`: the two row elements of one column sit next to each other
+    /// in band storage, so the interior loop touches each column's pair
+    /// directly with a constant stride walk.
     ///
     /// # Panics
-    /// If `i1 + 1 >= n`.
-    pub fn givens_rows(&mut self, i1: usize, c: R, s: R, zj: usize) {
+    /// If `i1 + 1 >= n` or `live > sup`.
+    pub fn givens_rows(&mut self, i1: usize, c: R, s: R, zj: usize, live: usize) {
         let n = self.n;
         let i2 = i1 + 1;
         assert!(i2 < n, "row rotation out of matrix");
+        assert!(live <= self.sup, "live window wider than the stored band");
         let (sub, sup) = (self.sub, self.sup);
         let stride = self.stride();
         if i1 >= sub {
@@ -293,7 +300,7 @@ impl<R: Real> BandMatrix<R> {
             }
         }
         let lo = i2.saturating_sub(sub);
-        let hi = (i1 + sup).min(n - 1);
+        let hi = (i1 + live).min(n - 1);
         if lo <= hi {
             // Element (i1, j) sits directly above (i2, j) in column j's
             // block; consecutive columns advance the pair by `stride - 1`,
@@ -331,8 +338,8 @@ impl<R: Real> BandMatrix<R> {
                 }
             }
         }
-        if i1 + sup + 1 < n {
-            let j = i1 + sup + 1;
+        if i1 + live + 1 < n {
+            let j = i1 + live + 1;
             let f = R::ZERO;
             let g = self.data[j * stride + (i2 + sup - j)];
             if !(f == R::ZERO && g == R::ZERO) {
@@ -520,6 +527,17 @@ mod tests {
         out
     }
 
+    /// `b` with every cell more than `live` superdiagonals up set to zero.
+    fn zeroed_beyond(b: &BandMatrix<f64>, live: usize) -> BandMatrix<f64> {
+        let mut z = b.clone();
+        for j in 0..z.n() {
+            for i in j.saturating_sub(z.sup())..j.saturating_sub(live) {
+                z.set(i, j, 0.0);
+            }
+        }
+        z
+    }
+
     #[test]
     fn batched_rotations_bit_identical_to_elementwise() {
         // Pseudo-random band values via a simple LCG (bit-exact, no rand
@@ -552,7 +570,20 @@ mod tests {
                         m.set(k + 1 + sub, k + 1, 0.0);
                     }
                 }
-                a.givens_cols(k, c, s, k / 2);
+                // Every live window, on a band zeroed beyond it (and at
+                // the window's own spill cell), against the full-width
+                // reference.
+                for live in 1..=sup {
+                    let mut x = zeroed_beyond(&a, live);
+                    if k >= live {
+                        x.set(k - live, k, 0.0);
+                    }
+                    let mut y = x.clone();
+                    x.givens_cols(k, c, s, k / 2, live);
+                    ref_givens_cols(&mut y, k, c, s, k / 2);
+                    assert_eq!(band_bits(&x), band_bits(&y), "cols k={k} live={live}");
+                }
+                a.givens_cols(k, c, s, k / 2, sup);
                 ref_givens_cols(&mut b, k, c, s, k / 2);
                 for m in [&mut a, &mut b] {
                     if k >= sub {
@@ -562,8 +593,19 @@ mod tests {
                         m.set(k + 1, k + sup + 1, 0.0);
                     }
                 }
-                a.givens_rows(k, s, c, (k + 1).min(n - 1));
-                ref_givens_rows(&mut b, k, s, c, (k + 1).min(n - 1));
+                let zj = (k + 1).min(n - 1);
+                for live in 1..=sup {
+                    let mut x = zeroed_beyond(&a, live);
+                    if k + live + 1 < n {
+                        x.set(k + 1, k + live + 1, 0.0);
+                    }
+                    let mut y = x.clone();
+                    x.givens_rows(k, s, c, zj, live);
+                    ref_givens_rows(&mut y, k, s, c, zj);
+                    assert_eq!(band_bits(&x), band_bits(&y), "rows k={k} live={live}");
+                }
+                a.givens_rows(k, s, c, zj, sup);
+                ref_givens_rows(&mut b, k, s, c, zj);
             }
             assert_eq!(
                 band_bits(&a),
