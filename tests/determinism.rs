@@ -64,10 +64,8 @@ fn batched_solves_bit_identical_across_thread_counts() {
     assert_eq!(global, sequential, "global pool disagrees");
 }
 
-/// Serialises every field of a record into comparable bit patterns.
-fn record_key(
-    r: &LaunchRecord,
-) -> (
+/// Every field of a launch record as comparable bit patterns.
+type RecordKey = (
     String,
     String,
     usize,
@@ -78,7 +76,10 @@ fn record_key(
     u64,
     u64,
     Vec<u32>,
-) {
+);
+
+/// Serialises every field of a record into comparable bit patterns.
+fn record_key(r: &LaunchRecord) -> RecordKey {
     (
         format!("{:?}", r.class),
         r.label.to_string(),
@@ -93,22 +94,26 @@ fn record_key(
     )
 }
 
-#[test]
-fn launch_traces_bit_identical_across_thread_counts() {
-    // A 64×64 solve with a 16-wide tile produces multi-workgroup grids,
-    // so the per-workgroup slots genuinely exercise concurrent collection.
+/// The launch trace of a 64×64 Kahan solve with a 16-wide tile, one key
+/// per record, run on a pool of `threads`. The tile produces
+/// multi-workgroup grids, so the per-workgroup slots genuinely exercise
+/// concurrent collection.
+fn kahan_trace_keys(threads: usize) -> Vec<RecordKey> {
     let a = testmat::kahan(64, 0.285);
     let cfg = SvdConfig {
         params: Some(HyperParams::new(16, 8, 1)),
         ..SvdConfig::default()
     };
-    let run = |t: usize| -> Vec<_> {
-        pool(t).install(|| {
-            let dev = Device::numeric(hw::h100()).keep_records();
-            svdvals_with(&a, &dev, &cfg).unwrap();
-            dev.records().iter().map(record_key).collect()
-        })
-    };
+    pool(threads).install(|| {
+        let dev = Device::numeric(hw::h100()).keep_records();
+        svdvals_with(&a, &dev, &cfg).unwrap();
+        dev.records().iter().map(record_key).collect()
+    })
+}
+
+#[test]
+fn launch_traces_bit_identical_across_thread_counts() {
+    let run = kahan_trace_keys;
     let sequential = run(1);
     assert!(
         sequential.iter().any(|k| k.9.len() > 1),
@@ -657,5 +662,78 @@ fn vector_bits_match_golden_fingerprint() {
     assert_eq!(
         got, GOLDEN,
         "U/Vᵀ fingerprint moved: {got:#018x} (want {GOLDEN:#018x})"
+    );
+}
+
+/// Values of a solve as 64-bit words: the count, then each value's bits.
+fn values_words<T: unisvd::Scalar>(a: &Matrix<f64>, params: HyperParams) -> Vec<u64> {
+    let cfg = SvdConfig {
+        params: Some(params),
+        ..SvdConfig::default()
+    };
+    let dev = Device::numeric(hw::h100());
+    let values = svdvals_with(&a.cast::<T>(), &dev, &cfg).unwrap().values;
+    std::iter::once(values.len() as u64)
+        .chain(values.iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+#[test]
+fn values_bits_match_golden_fingerprint() {
+    // Pins singular-value bits across commits in every precision, where
+    // the U/Vᵀ fingerprint above covers f64 at the default tile only:
+    // four tile geometries × four sizes (tile multiples and padded) ×
+    // random, Kahan and zero-column inputs, each solved in f64, f32 and
+    // F16. The zero columns drive the guarded (τ̂ = 0) reflector branch
+    // of the panel kernels. A change to the stage-1 kernels' operation
+    // order that moves a single bit of any value fails here.
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use unisvd::F16;
+    const GOLDEN: u64 = 0xa62f_c930_4feb_1e7f;
+    let mut words = Vec::new();
+    for (ts, cpb) in [(64, 32), (32, 32), (16, 8), (8, 4)] {
+        let params = HyperParams::new(ts, cpb, 1);
+        for n in [256, 100, 64, 33] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let random = Matrix::<f64>::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+            let zero_cols =
+                Matrix::<f64>::from_fn(n, n, |i, j| if j % 3 == 2 { 0.0 } else { random[(i, j)] });
+            for a in [random, testmat::kahan(n, 0.285), zero_cols] {
+                words.extend(values_words::<f64>(&a, params));
+                words.extend(values_words::<f32>(&a, params));
+                words.extend(values_words::<F16>(&a, params));
+            }
+        }
+    }
+    let got = fnv1a(words);
+    assert_eq!(
+        got, GOLDEN,
+        "values fingerprint moved: {got:#018x} (want {GOLDEN:#018x})"
+    );
+}
+
+#[test]
+fn launch_trace_matches_golden_fingerprint() {
+    // Pins the simulated accounting across commits, where the test above
+    // compares thread counts only: every record of the Kahan tile-16
+    // trace (class, label, grid, block, the bits of seconds, flops,
+    // bytes, occupancy and spill, and each workgroup's superstep count)
+    // hashes to one committed constant. A kernel whose supersteps stop
+    // counting one barrier each, or a cost that moves, fails here.
+    const GOLDEN: u64 = 0x8c35_6400_eff6_0e63;
+    let words = kahan_trace_keys(1).into_iter().flat_map(|k| {
+        let (class, label, grid, block, s, f, b, occ, spill, steps) = k;
+        let text = [class, label].into_iter().flat_map(|t| {
+            std::iter::once(t.len() as u64).chain(t.into_bytes().into_iter().map(u64::from))
+        });
+        text.chain([grid as u64, block as u64, s, f, b, occ, spill])
+            .chain(std::iter::once(steps.len() as u64))
+            .chain(steps.into_iter().map(u64::from))
+            .collect::<Vec<_>>()
+    });
+    let got = fnv1a(words);
+    assert_eq!(
+        got, GOLDEN,
+        "launch-trace fingerprint moved: {got:#018x} (want {GOLDEN:#018x})"
     );
 }
