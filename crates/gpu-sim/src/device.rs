@@ -402,7 +402,11 @@ mod tests {
         let buf = dev.upload(&vec![0.0f64; 64]);
         dev.launch::<f64, _>(&spec(8, 8), |wg| {
             let g = wg.group_id();
-            wg.step(|t| buf.write(g * 8 + t.tid, (g * 8 + t.tid) as f64));
+            wg.step_lanes(|r, _| {
+                for tid in 0..r.lanes() {
+                    buf.write(g * 8 + tid, (g * 8 + tid) as f64);
+                }
+            });
         });
         let v = buf.to_vec();
         assert!(v.iter().enumerate().all(|(i, &x)| x == i as f64));
@@ -467,7 +471,7 @@ mod tests {
         let dev = Device::numeric(h100()).keep_records();
         dev.launch::<f64, _>(&spec(6, 4), |wg| {
             for _ in 0..=wg.group_id() {
-                wg.step(|_| {});
+                wg.step_lanes(|_, _| {});
             }
         });
         let recs = dev.records();
@@ -490,15 +494,21 @@ mod tests {
         dev.launch::<R, _>(&s, |wg| {
             let g = wg.group_id();
             for _ in 0..=g % 3 {
-                wg.step(|t| {
-                    t.regs.iter_mut().for_each(|r| *r += R::ONE);
-                    t.shared[t.tid % smem] += R::ONE;
+                wg.step_lanes(|mut regs, shared| {
+                    for r in 0..regs.rows() {
+                        regs.row_mut(r).iter_mut().for_each(|x| *x += R::ONE);
+                    }
+                    for tid in 0..regs.lanes() {
+                        shared[tid % smem] += R::ONE;
+                    }
                 });
             }
-            wg.step(|t| {
-                let regs: R = t.regs.iter().copied().sum();
-                let shared: R = t.shared.iter().copied().sum();
-                buf.write(g * block + t.tid, regs + shared);
+            wg.step_lanes(|regs, shared| {
+                for tid in 0..regs.lanes() {
+                    let own: R = (0..regs.rows()).map(|r| regs.row(r)[tid]).sum();
+                    let shared: R = shared.iter().copied().sum();
+                    buf.write(g * block + tid, own + shared);
+                }
             });
         });
         let steps = dev.records().last().unwrap().wg_steps.clone();
@@ -534,7 +544,7 @@ mod tests {
                     dev.launch::<f64, _>(&spec(1, 4), |wg| {
                         taken.wait();
                         done.wait();
-                        wg.step(|_| {});
+                        wg.step_lanes(|_, _| {});
                     });
                 });
                 taken.wait();

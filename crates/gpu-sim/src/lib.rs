@@ -39,4 +39,4 @@ pub use fault::{DeviceFault, FaultChannel, FaultInjector, FaultKind, FaultPlan, 
 pub use hw::{BackendKind, Fp16Mode, HardwareDescriptor, UnsupportedPrecision};
 pub use mem::{MemoryLedger, Reservation};
 pub use trace::{ClassTotals, LaunchRecord, Trace, TraceSummary};
-pub use workgroup::{ThreadCtx, Workgroup};
+pub use workgroup::{LaneRegs, Workgroup};

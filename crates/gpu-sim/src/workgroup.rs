@@ -1,17 +1,23 @@
 //! The bulk-synchronous workgroup execution context.
 //!
 //! A kernel body receives a [`Workgroup`] and structures its work as a
-//! sequence of **supersteps**: `wg.step(|t| …)` runs the closure once per
-//! thread id with access to that thread's persistent register file and the
-//! block's shared memory, and ends with an implicit barrier — the exact
-//! semantics of `@synchronize` in KernelAbstractions.jl. Thread-private
-//! registers persist across steps (they model the `@private` arrays of
-//! Algorithm 5); shared memory models `@localmem`.
+//! sequence of **supersteps**: `wg.step_lanes(|regs, shared| …)` runs the
+//! closure once for the whole workgroup, with every thread's register
+//! file and the block's shared memory, and ends with an implicit barrier
+//! — the exact semantics of `@synchronize` in KernelAbstractions.jl.
+//! Thread-private registers persist across steps (they model the
+//! `@private` arrays of Algorithm 5); shared memory models `@localmem`.
 //!
-//! Within one superstep the simulator runs threads sequentially, so a
-//! kernel whose correctness depends on *intra-step* shared-memory timing
-//! would be racy on real hardware; the paper's kernels only communicate
-//! across barriers, which this model captures faithfully.
+//! The threads of a block run in lockstep on the hardware, and the
+//! simulator mirrors that: registers are stored register-major, so
+//! register `r` of every thread forms one contiguous row ([`LaneRegs`]),
+//! and a kernel writes each per-thread operation as a loop over lanes,
+//! lane index innermost. What thread `i` computes is what lane `i` of
+//! each row receives, in the same order, so a superstep's values do not
+//! depend on how its lanes are swept. A kernel whose correctness depends
+//! on *intra-step* shared-memory timing would be racy on real hardware;
+//! the paper's kernels only communicate across barriers, which this
+//! model captures faithfully.
 
 use unisvd_scalar::Real;
 
@@ -31,8 +37,8 @@ pub struct Workgroup<R> {
     group_id: usize,
     nthreads: usize,
     regs_per_thread: usize,
-    /// All thread register files, contiguous: thread `t` owns
-    /// `regs[t*regs_per_thread .. (t+1)*regs_per_thread]`.
+    /// All thread register files, register-major: register `r` of
+    /// thread `t` is `regs[r*nthreads + t]`.
     regs: Vec<R>,
     /// Block shared memory (`@localmem`).
     shared: Vec<R>,
@@ -41,15 +47,56 @@ pub struct Workgroup<R> {
     steps: usize,
 }
 
-/// Per-thread view handed to a superstep closure: the thread id, its
-/// private register file, and the block's shared memory.
-pub struct ThreadCtx<'a, R> {
-    /// Linear thread id within the workgroup (0-based).
-    pub tid: usize,
-    /// This thread's private register file.
-    pub regs: &'a mut [R],
-    /// Block shared memory, visible to all threads of the group.
-    pub shared: &'a mut [R],
+/// The register files of a workgroup's threads as seen by one lane-wide
+/// superstep: `rows()` register rows of `lanes()` lanes each, where lane
+/// `t` of row `r` is register `r` of thread `t`.
+pub struct LaneRegs<'a, R> {
+    regs: &'a mut [R],
+    lanes: usize,
+}
+
+impl<R> LaneRegs<'_, R> {
+    /// Lanes per row: the workgroup's thread count.
+    #[inline]
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    /// Register rows: registers per thread.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.regs.len() / self.lanes
+    }
+
+    /// Register `r` of every lane.
+    #[inline]
+    pub fn row(&self, r: usize) -> &[R] {
+        &self.regs[r * self.lanes..(r + 1) * self.lanes]
+    }
+
+    /// Register `r` of every lane, mutably.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [R] {
+        &mut self.regs[r * self.lanes..(r + 1) * self.lanes]
+    }
+
+    /// Two distinct rows at once, both mutable, in argument order.
+    ///
+    /// # Panics
+    /// If `a == b` or either row is out of range.
+    #[inline]
+    pub fn pair_mut(&mut self, a: usize, b: usize) -> (&mut [R], &mut [R]) {
+        assert_ne!(a, b, "a row pair needs two distinct rows");
+        let n = self.lanes;
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (head, tail) = self.regs.split_at_mut(hi * n);
+        let (lo, hi) = (&mut head[lo * n..(lo + 1) * n], &mut tail[..n]);
+        if a < b {
+            (lo, hi)
+        } else {
+            (hi, lo)
+        }
+    }
 }
 
 impl<R: Real> Workgroup<R> {
@@ -101,60 +148,25 @@ impl<R: Real> Workgroup<R> {
         self.nthreads
     }
 
-    /// Supersteps executed so far (each `step`/`step_one` counts one).
+    /// Supersteps executed so far (each `step_lanes` counts one).
     #[inline]
     pub fn steps(&self) -> usize {
         self.steps
     }
 
-    /// Runs one superstep: the closure executes for every thread id with
-    /// its private registers and the shared memory, then all threads
-    /// barrier (implicitly, by the step ending).
-    pub fn step(&mut self, mut f: impl FnMut(ThreadCtx<'_, R>)) {
+    /// Runs one superstep for all threads in lockstep: the closure gets
+    /// every register row across all lanes and the shared memory, then
+    /// all threads barrier (implicitly, by the step ending). Counts
+    /// exactly one superstep, however many lanes the closure touches —
+    /// one thread's work (the `Thread i = k` lines of Algorithm 3) and a
+    /// cooperative copy into shared memory are a superstep each, too.
+    pub fn step_lanes(&mut self, f: impl FnOnce(LaneRegs<'_, R>, &mut [R])) {
         self.steps += 1;
-        let rpt = self.regs_per_thread;
-        for tid in 0..self.nthreads {
-            let regs = if rpt == 0 {
-                &mut [][..]
-            } else {
-                &mut self.regs[tid * rpt..(tid + 1) * rpt]
-            };
-            f(ThreadCtx {
-                tid,
-                regs,
-                shared: &mut self.shared,
-            });
-        }
-    }
-
-    /// Superstep restricted to a single thread id (the `Thread i = k`
-    /// lines of Algorithm 3). Still ends with a barrier.
-    pub fn step_one(&mut self, tid: usize, mut f: impl FnMut(ThreadCtx<'_, R>)) {
-        assert!(tid < self.nthreads, "thread id out of range");
-        self.steps += 1;
-        let rpt = self.regs_per_thread;
-        let regs = if rpt == 0 {
-            &mut [][..]
-        } else {
-            &mut self.regs[tid * rpt..(tid + 1) * rpt]
+        let regs = LaneRegs {
+            regs: &mut self.regs,
+            lanes: self.nthreads,
         };
-        f(ThreadCtx {
-            tid,
-            regs,
-            shared: &mut self.shared,
-        });
-    }
-
-    /// Runs one superstep in which the whole workgroup cooperates on a
-    /// single operation over shared memory — the simulator counterpart of
-    /// a cooperative (all-threads) copy such as `shared[0..ts] = col`,
-    /// where the per-thread strided loop degenerates to one contiguous
-    /// slice operation. Counts exactly one superstep (one barrier), like
-    /// [`step`](Self::step); the closure sees shared memory only, because
-    /// a cooperative operation touches no thread-private registers.
-    pub fn step_collective(&mut self, f: impl FnOnce(&mut [R])) {
-        self.steps += 1;
-        f(&mut self.shared);
+        f(regs, &mut self.shared);
     }
 
     /// Read-only peek at shared memory (diagnostics/tests).
@@ -170,52 +182,88 @@ mod tests {
     #[test]
     fn registers_persist_across_steps() {
         let mut wg = Workgroup::<f64>::new(0, 4, 2, 1);
-        wg.step(|t| t.regs[0] = t.tid as f64 + 1.0);
-        wg.step(|t| t.regs[1] = t.regs[0] * 10.0);
+        wg.step_lanes(|mut r, _| {
+            for (tid, x) in r.row_mut(0).iter_mut().enumerate() {
+                *x = tid as f64 + 1.0;
+            }
+        });
+        wg.step_lanes(|mut r, _| {
+            let (r1, r0) = r.pair_mut(1, 0);
+            for (y, &x) in r1.iter_mut().zip(r0.iter()) {
+                *y = x * 10.0;
+            }
+        });
         let mut collected = vec![];
-        wg.step(|t| collected.push(t.regs[1]));
+        wg.step_lanes(|r, _| collected.extend_from_slice(r.row(1)));
         assert_eq!(collected, vec![10.0, 20.0, 30.0, 40.0]);
+    }
+
+    #[test]
+    fn registers_are_register_major() {
+        let mut wg = Workgroup::<f64>::new(0, 3, 2, 0);
+        wg.step_lanes(|mut r, _| {
+            assert_eq!((r.lanes(), r.rows()), (3, 2));
+            r.row_mut(1)[2] = 7.0;
+        });
+        assert_eq!(wg.regs, vec![0.0, 0.0, 0.0, 0.0, 0.0, 7.0]);
     }
 
     #[test]
     fn shared_memory_visible_after_barrier() {
         let mut wg = Workgroup::<f32>::new(0, 8, 0, 8);
-        // Each thread publishes to its slot …
-        wg.step(|t| t.shared[t.tid] = t.tid as f32);
-        // … and after the (implicit) barrier every thread reduces all slots.
+        // Each lane publishes to its slot …
+        wg.step_lanes(|r, shared| {
+            for (tid, s) in shared[..r.lanes()].iter_mut().enumerate() {
+                *s = tid as f32;
+            }
+        });
+        // … and after the (implicit) barrier every lane reduces all slots.
         let mut sums = vec![];
-        wg.step(|t| sums.push(t.shared.iter().sum::<f32>()));
+        wg.step_lanes(|r, shared| {
+            for _ in 0..r.lanes() {
+                sums.push(shared.iter().sum::<f32>());
+            }
+        });
+        assert_eq!(sums.len(), 8);
         assert!(sums.iter().all(|&s| s == 28.0));
     }
 
     #[test]
-    fn step_one_touches_single_thread() {
+    fn lane_step_touches_single_lane() {
         let mut wg = Workgroup::<f64>::new(3, 4, 1, 0);
-        wg.step_one(2, |t| {
-            assert_eq!(t.tid, 2);
-            t.regs[0] = 5.0;
-        });
+        wg.step_lanes(|mut r, _| r.row_mut(0)[2] = 5.0);
         let mut vals = vec![];
-        wg.step(|t| vals.push(t.regs[0]));
+        wg.step_lanes(|r, _| vals.extend_from_slice(r.row(0)));
         assert_eq!(vals, vec![0.0, 0.0, 5.0, 0.0]);
         assert_eq!(wg.group_id(), 3);
         assert_eq!(wg.nthreads(), 4);
-        assert_eq!(wg.steps(), 2, "step_one and step each count once");
+        assert_eq!(wg.steps(), 2, "each lane step counts once");
     }
 
     #[test]
-    #[should_panic(expected = "thread id out of range")]
-    fn step_one_bounds() {
-        let mut wg = Workgroup::<f64>::new(0, 2, 0, 0);
-        wg.step_one(2, |_| {});
+    #[should_panic(expected = "index out of bounds")]
+    fn lane_index_bounds() {
+        let mut wg = Workgroup::<f64>::new(0, 2, 1, 0);
+        wg.step_lanes(|mut r, _| r.row_mut(0)[2] = 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "two distinct rows")]
+    fn pair_mut_rejects_one_row() {
+        let mut wg = Workgroup::<f64>::new(0, 2, 2, 0);
+        wg.step_lanes(|mut r, _| {
+            r.pair_mut(1, 1);
+        });
     }
 
     #[test]
     fn reset_rebuilds_the_fresh_state() {
         let mut wg = Workgroup::<f64>::new(0, 4, 2, 3);
-        wg.step(|t| {
-            t.regs[1] = 7.0;
-            t.shared[t.tid.min(2)] = 9.0;
+        wg.step_lanes(|mut r, shared| {
+            r.row_mut(1).fill(7.0);
+            for tid in 0..r.lanes() {
+                shared[tid.min(2)] = 9.0;
+            }
         });
         for (g, nthreads, rpt, smem) in [(5, 8, 3, 16), (1, 2, 1, 2)] {
             wg.reset(g, nthreads, rpt, smem);
@@ -226,14 +274,17 @@ mod tests {
             );
             assert_eq!((&wg.regs, &wg.shared), (&fresh.regs, &fresh.shared));
             assert!(wg.regs.iter().chain(&wg.shared).all(|&x| x == 0.0));
-            wg.step(|t| t.shared[0] = 1.0);
+            wg.step_lanes(|_, shared| shared[0] = 1.0);
         }
     }
 
     #[test]
     fn zero_register_workgroup() {
         let mut wg = Workgroup::<f64>::new(0, 2, 0, 2);
-        wg.step(|t| t.shared[t.tid] = 1.0);
+        wg.step_lanes(|r, shared| {
+            assert_eq!(r.rows(), 0);
+            shared[..r.lanes()].fill(1.0);
+        });
         assert_eq!(wg.shared(), &[1.0, 1.0]);
     }
 }

@@ -124,6 +124,23 @@ impl<'a, T: Scalar> DMat<'a, T> {
                 .write_range_with(c * self.n + r0, src, T::from_accum);
         }
     }
+
+    /// Bulk load of the row segment `(r, c0 .. c0 + out.len())` into
+    /// `out` — one register row of a workgroup whose lanes own
+    /// consecutive columns. A row of this view is a column of its
+    /// transpose, so the segment is one slice copy on a transposed view
+    /// and the stride-`n` element loop on an untransposed one.
+    #[inline]
+    pub fn read_row(&self, r: usize, c0: usize, out: &mut [T::Accum]) {
+        self.t().read_col(c0, r, out);
+    }
+
+    /// Bulk store of `src` to the row segment `(r, c0 ..)` — the store
+    /// twin of [`read_row`](Self::read_row).
+    #[inline]
+    pub fn write_row(&self, r: usize, c0: usize, src: &[T::Accum]) {
+        self.t().write_col(c0, r, src);
+    }
 }
 
 /// Device vector view for the τ coefficients, with the same upcast
@@ -194,6 +211,20 @@ mod tests {
         a.t().write(0, 2, 99.0);
         // (0,2) of Aᵀ is (2,0) of A.
         assert_eq!(a.read(2, 0), 99.0);
+    }
+
+    #[test]
+    fn row_segments_on_plain_and_transposed_views() {
+        let b = buf_3x3();
+        let a = DMat::new(&b, 3);
+        let mut row = [0.0; 2];
+        a.read_row(1, 1, &mut row);
+        assert_eq!(row, [11.0, 21.0]);
+        a.t().read_row(1, 1, &mut row);
+        assert_eq!(row, [11.0, 12.0]);
+        a.write_row(2, 0, &[-1.0, -2.0]);
+        a.t().write_row(0, 1, &[-3.0, -4.0]);
+        assert_eq!(b.to_vec(), [0., -3., -4., 10., 11., -2., 20., 21., 22.]);
     }
 
     #[test]

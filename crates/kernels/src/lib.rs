@@ -10,6 +10,7 @@
 
 pub mod accum;
 pub mod cost;
+mod lanes;
 pub mod layout;
 pub mod panel;
 pub mod params;

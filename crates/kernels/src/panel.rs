@@ -1,11 +1,12 @@
 //! Panel factorisation kernels: `GEQRT` (Algorithm 3), `TSQRT`, and the
 //! fused `FTSQRT` that factors a whole tile column in one launch (Fig. 2).
 //!
-//! One workgroup of `TILESIZE` threads runs the whole panel; thread `i`
-//! owns column `i` of the tile(s) in registers. Each Householder iteration
-//! publishes the pivot column to shared memory, barriers, and updates all
-//! trailing columns in parallel — a line-for-line transcription of
-//! Algorithm 3 into the simulator's superstep model. The `SPLITK`
+//! One workgroup of `TILESIZE` threads runs the whole panel; lane `i`
+//! owns column `i` of the tile(s) in registers, so register row `j` holds
+//! row `j` of the tile. Each Householder iteration publishes the pivot
+//! column to shared memory, barriers, and updates all trailing columns
+//! in one lane-wide superstep, lane index innermost — a line-for-line
+//! transcription of Algorithm 3 into the simulator's superstep model. The `SPLITK`
 //! refinement is purely computational (§3.2) and enters via the launch
 //! spec (see [`crate::cost`]); the numeric body always executes the
 //! one-thread-per-column form.
@@ -16,9 +17,10 @@
 //! `τ̂` is stored such that `H = I − τ̂ v̂ v̂ᵀ`.
 
 use crate::cost::{ftsqrt_spec, geqrt_spec, tsqrt_spec};
+use crate::lanes::dot_lanes;
 use crate::layout::{DMat, DVec};
 use crate::params::HyperParams;
-use unisvd_gpu::{Device, Workgroup};
+use unisvd_gpu::{Device, LaneRegs, Workgroup};
 use unisvd_scalar::{Real, Scalar};
 
 /// Householder reflector head: given the pivot head `akk` and the squared
@@ -47,11 +49,10 @@ pub fn reflector_head<R: Real>(akk: R, nrm: R, eps10: R) -> (R, R, bool) {
     }
 }
 
-/// Loads tile `(tr, tc)` into per-thread column registers at `reg_off`.
-/// Thread `i` owns tile column `i`, whose `ts` rows are one contiguous
-/// column-major segment — [`DMat::read_col`] copies it as a slice on
-/// untransposed views and falls back to the element loop on transposed
-/// ones (the LQ sweep).
+/// Loads tile `(tr, tc)` into register rows `reg_off ..`. Lane `i` owns
+/// tile column `i`, so register row `j` holds tile row `j`:
+/// [`DMat::read_row`] walks it with stride `n` on untransposed views and
+/// copies it as one slice on transposed ones (the LQ sweep).
 fn load_tile<T: Scalar>(
     wg: &mut Workgroup<T::Accum>,
     a: DMat<'_, T>,
@@ -60,14 +61,14 @@ fn load_tile<T: Scalar>(
     tc: usize,
     reg_off: usize,
 ) {
-    wg.step(|t| {
-        if t.tid < ts {
-            a.read_col(tr * ts, tc * ts + t.tid, &mut t.regs[reg_off..reg_off + ts]);
+    wg.step_lanes(|mut regs, _| {
+        for j in 0..ts {
+            a.read_row(tr * ts + j, tc * ts, &mut regs.row_mut(reg_off + j)[..ts]);
         }
     });
 }
 
-/// Stores per-thread column registers at `reg_off` back to tile `(tr, tc)`.
+/// Stores register rows `reg_off ..` back to tile `(tr, tc)`.
 fn store_tile<T: Scalar>(
     wg: &mut Workgroup<T::Accum>,
     a: DMat<'_, T>,
@@ -76,16 +77,16 @@ fn store_tile<T: Scalar>(
     tc: usize,
     reg_off: usize,
 ) {
-    wg.step(|t| {
-        if t.tid < ts {
-            a.write_col(tr * ts, tc * ts + t.tid, &t.regs[reg_off..reg_off + ts]);
+    wg.step_lanes(|regs, _| {
+        for j in 0..ts {
+            a.write_row(tr * ts + j, tc * ts, &regs.row(reg_off + j)[..ts]);
         }
     });
 }
 
-/// Writes each thread's saved τ̂ (register `tau_slot`) to `tau[off + tid]`.
-/// The last column of a `GEQRT` has no reflector; pass `last_zero` to
-/// clear it.
+/// Writes each lane's saved τ̂ (register row `tau_slot`) to
+/// `tau[off + lane]`. The last column of a `GEQRT` has no reflector; pass
+/// `last_zero` to clear it.
 fn store_tau<T: Scalar>(
     wg: &mut Workgroup<T::Accum>,
     tau: DVec<'_, T>,
@@ -94,116 +95,109 @@ fn store_tau<T: Scalar>(
     tau_slot: usize,
     last_zero: bool,
 ) {
-    wg.step(|t| {
-        if t.tid < ts {
-            let v = if last_zero && t.tid == ts - 1 {
+    wg.step_lanes(|regs, _| {
+        for (i, &v) in regs.row(tau_slot)[..ts].iter().enumerate() {
+            let v = if last_zero && i == ts - 1 {
                 T::Accum::ZERO
             } else {
-                t.regs[tau_slot]
+                v
             };
-            tau.write(off + t.tid, v);
+            tau.write(off + i, v);
         }
     });
 }
 
+/// One Householder step on the lanes `k..ts` (Algorithm 3 lines 9–19,
+/// and their `TSQRT` twin). Lane `k` has published the tail of its
+/// column to shared memory as `v`, which pairs `v[i]` with register row
+/// `tail + i`; `head` is `(akk, nrm, 10ε)` for [`reflector_head`].
+/// Register row `k` is the pivot row, row `tau_slot` takes τ̂ in lane
+/// `k`, and row `tau_slot − 1` — spare in every panel launch — holds each
+/// lane's dot product `ρ`.
+fn reflect_lanes<R: Real>(
+    regs: &mut LaneRegs<'_, R>,
+    (akk, nrm, eps10): (R, R, R),
+    v: &[R],
+    tail: usize,
+    k: usize,
+    ts: usize,
+    tau_slot: usize,
+) {
+    let (x, tau, guarded) = reflector_head(akk, nrm, eps10);
+    if guarded {
+        // Negligible column: H = I. Leave the (≤ 10ε) tail in place as an
+        // implied zero and record τ̂ = 0.
+        regs.row_mut(tau_slot)[k] = R::ZERO;
+        return;
+    }
+    let acc = tau_slot - 1;
+    regs.row_mut(acc)[k..ts].fill(R::ZERO);
+    dot_lanes(regs, acc, tail, v, k..ts);
+    // ρ' = (τ̂ / x) · (R[k, i]·x + ρ); R[k, i] −= ρ'.
+    let tx = tau / x;
+    let (rho, rk) = regs.pair_mut(acc, k);
+    for (r, a) in rho[k..ts].iter_mut().zip(&mut rk[k..ts]) {
+        *r = tx * (*a * x + *r);
+        *a -= *r;
+    }
+    // Lanes i > k update their column; lane k stores the normalised
+    // reflector tail in place.
+    for (i, &vi) in v.iter().enumerate() {
+        let (rho, row) = regs.pair_mut(acc, tail + i);
+        let vx = vi / x;
+        for (&r, a) in rho[k + 1..ts].iter().zip(&mut row[k + 1..ts]) {
+            *a -= r * vx;
+        }
+        row[k] /= x;
+    }
+    regs.row_mut(tau_slot)[k] = tau;
+}
+
 /// In-register Householder QR of the `ts × ts` tile living at register
-/// offset 0 (Algorithm 3 proper). Shared layout: `[0..ts)` pivot column,
-/// `[ts]` tail norm². τ̂ of column `i` is saved in register `tau_slot` of
-/// thread `i`.
+/// rows `[0, ts)` (Algorithm 3 proper). Shared layout: `[0..ts)` pivot
+/// column, `[ts]` tail norm². τ̂ of column `i` is saved in lane `i` of
+/// register row `tau_slot`.
 fn geqrt_inplace<R: Real>(wg: &mut Workgroup<R>, ts: usize, eps10: R, tau_slot: usize) {
     for k in 0..ts - 1 {
-        // Thread k publishes its column and the tail norm (Alg. 3 l. 6–7).
-        wg.step_one(k, |t| {
+        // Lane k publishes its column and the tail norm (Alg. 3 l. 6–7).
+        wg.step_lanes(|regs, shared| {
             let mut nrm = R::ZERO;
-            for j in 0..ts {
-                t.shared[j] = t.regs[j];
+            for (j, s) in shared[..ts].iter_mut().enumerate() {
+                let a = regs.row(j)[k];
+                *s = a;
                 if j > k {
-                    nrm += t.regs[j] * t.regs[j];
+                    nrm += a * a;
                 }
             }
-            t.shared[ts] = nrm;
+            shared[ts] = nrm;
         });
-        // All threads i ≥ k apply the reflector to their column (l. 9–19).
-        wg.step(|t| {
-            if t.tid < k || t.tid >= ts {
-                return;
-            }
-            let akk = t.shared[k];
-            let nrm = t.shared[ts];
-            let mut rho = R::ZERO;
-            for j in (k + 1)..ts {
-                rho += t.regs[j] * t.shared[j];
-            }
-            let (x, tau, guarded) = reflector_head(akk, nrm, eps10);
-            if guarded {
-                // Negligible column: H = I. Leave the (≤ 10ε) tail in
-                // place as an implied zero and record τ̂ = 0.
-                if t.tid == k {
-                    t.regs[tau_slot] = R::ZERO;
-                }
-                return;
-            }
-            let rho_p = (tau / x) * (t.regs[k] * x + rho);
-            t.regs[k] -= rho_p;
-            if t.tid > k {
-                for j in (k + 1)..ts {
-                    t.regs[j] -= rho_p * (t.shared[j] / x);
-                }
-            } else {
-                // t.tid == k: store the normalised reflector tail in place.
-                for j in (k + 1)..ts {
-                    t.regs[j] /= x;
-                }
-                t.regs[tau_slot] = tau;
-            }
+        // Lanes i ≥ k apply the reflector to their column (l. 9–19).
+        wg.step_lanes(|mut regs, shared| {
+            let head = (shared[k], shared[ts], eps10);
+            reflect_lanes(&mut regs, head, &shared[k + 1..ts], k + 1, k, ts, tau_slot);
         });
     }
 }
 
 /// In-register coupled QR of `[R_top; B]`: the triangular tile at register
-/// offset 0 and the square tile at offset `ts` (TSQRT). Shared layout:
-/// `[0..ts)` pivot bottom column, `[ts]` its norm², `[ts+1]` `R[k,k]`.
+/// rows `[0, ts)` and the square tile at `[ts, 2ts)` (TSQRT). Shared
+/// layout: `[0..ts)` pivot bottom column, `[ts]` its norm², `[ts+1]`
+/// `R[k,k]`.
 fn tsqrt_inplace<R: Real>(wg: &mut Workgroup<R>, ts: usize, eps10: R, tau_slot: usize) {
     for k in 0..ts {
-        wg.step_one(k, |t| {
+        wg.step_lanes(|regs, shared| {
             let mut nrm = R::ZERO;
-            for j in 0..ts {
-                let b = t.regs[ts + j];
-                t.shared[j] = b;
+            for (j, s) in shared[..ts].iter_mut().enumerate() {
+                let b = regs.row(ts + j)[k];
+                *s = b;
                 nrm += b * b;
             }
-            t.shared[ts] = nrm;
-            t.shared[ts + 1] = t.regs[k]; // R[k,k] lives in thread k's col
+            shared[ts] = nrm;
+            shared[ts + 1] = regs.row(k)[k]; // R[k,k] lives in lane k
         });
-        wg.step(|t| {
-            if t.tid < k || t.tid >= ts {
-                return;
-            }
-            let rkk = t.shared[ts + 1];
-            let nrm = t.shared[ts];
-            let mut rho = R::ZERO;
-            for j in 0..ts {
-                rho += t.regs[ts + j] * t.shared[j];
-            }
-            let (x, tau, guarded) = reflector_head(rkk, nrm, eps10);
-            if guarded {
-                if t.tid == k {
-                    t.regs[tau_slot] = R::ZERO;
-                }
-                return;
-            }
-            let rho_p = (tau / x) * (t.regs[k] * x + rho);
-            t.regs[k] -= rho_p;
-            if t.tid > k {
-                for j in 0..ts {
-                    t.regs[ts + j] -= rho_p * (t.shared[j] / x);
-                }
-            } else {
-                for j in 0..ts {
-                    t.regs[ts + j] /= x;
-                }
-                t.regs[tau_slot] = tau;
-            }
+        wg.step_lanes(|mut regs, shared| {
+            let head = (shared[ts + 1], shared[ts], eps10);
+            reflect_lanes(&mut regs, head, &shared[..ts], ts, k, ts, tau_slot);
         });
     }
 }

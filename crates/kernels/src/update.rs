@@ -3,19 +3,26 @@
 //! reflectors in one launch, keeping the top row tile in registers.
 //!
 //! Launch geometry: `ncols / COLPERBLOCK` workgroups of `COLPERBLOCK`
-//! threads; thread `i` of group `g` owns one matrix column. The Householder
+//! threads; lane `i` of group `g` owns one matrix column. The Householder
 //! column `Ak` and the τ̂ vector are cooperatively staged through shared
-//! memory (each thread loads a strided share), with a barrier between the
-//! load and the apply — the `@synchronize` of Algorithm 5 line 24.
+//! memory, with a barrier between the load and the apply — the
+//! `@synchronize` of Algorithm 5 line 24. Each apply is one lane-wide
+//! superstep: every register row is updated across all lanes at once,
+//! lane index innermost, so the per-column dot products of a block run
+//! side by side instead of one serial add chain per column.
 
 use crate::cost::{ftsmqr_spec, tsmqr_spec, unmqr_spec};
+use crate::lanes::dot_lanes;
 use crate::layout::{DMat, DVec};
 use crate::params::HyperParams;
 use unisvd_gpu::{Device, Workgroup};
 use unisvd_scalar::{Real, Scalar};
 
-/// Register layout: `Yi` (top-row column) at `[0, ts)`, `Xi` (current-row
-/// column) at `[ts, 2ts)`. Shared: `Ak` at `[0, ts)`, `τ̂` at `[ts, 2ts)`.
+/// Register layout: `Yi` (top-row column) at rows `[0, ts)`, `Xi`
+/// (current-row column) at `[ts, 2ts)`, and the per-lane reflector
+/// accumulator (`ρ`/`Xik`) in the last row, which every update launch
+/// leaves spare (`ts + 2` or `2ts + 2` registers per thread). Shared:
+/// `Ak` at `[0, ts)`, `τ̂` at `[ts, 2ts)`.
 struct Layout {
     ts: usize,
 }
@@ -29,18 +36,12 @@ impl Layout {
 
 /// Cooperative load of τ̂ row `lt` into shared `[ts, 2ts)`.
 ///
-/// On real hardware each of the `cpb` threads loads a strided share; the
-/// τ̂ vector is contiguous, so the strided loop degenerates to one slice
-/// copy the whole workgroup performs collectively (one superstep, same
-/// values, no per-element indexing).
-fn coop_load_tau<T: Scalar>(
-    wg: &mut Workgroup<T::Accum>,
-    tau: DVec<'_, T>,
-    ts: usize,
-    _cpb: usize,
-    lt: usize,
-) {
-    wg.step_collective(|shared| {
+/// On real hardware each thread loads a strided share; the τ̂ vector is
+/// contiguous, so the strided loop degenerates to one slice copy the
+/// whole workgroup performs collectively (one superstep, same values, no
+/// per-element indexing).
+fn coop_load_tau<T: Scalar>(wg: &mut Workgroup<T::Accum>, tau: DVec<'_, T>, ts: usize, lt: usize) {
+    wg.step_lanes(|_, shared| {
         tau.read_range(lt * ts, &mut shared[ts..2 * ts]);
     });
 }
@@ -54,12 +55,11 @@ fn coop_load_v<T: Scalar>(
     wg: &mut Workgroup<T::Accum>,
     a: DMat<'_, T>,
     ts: usize,
-    _cpb: usize,
     lt: usize,
     pc: usize,
     k: usize,
 ) {
-    wg.step_collective(|shared| {
+    wg.step_lanes(|_, shared| {
         a.read_col(lt * ts, pc * ts + k, &mut shared[..ts]);
     });
 }
@@ -71,23 +71,36 @@ fn apply_diag_reflectors<T: Scalar>(
     a: DMat<'_, T>,
     tau: DVec<'_, T>,
     ts: usize,
-    cpb: usize,
     tr0: usize,
     pc: usize,
 ) {
-    coop_load_tau(wg, tau, ts, cpb, tr0);
+    coop_load_tau(wg, tau, ts, tr0);
     for k in 0..ts - 1 {
-        coop_load_v(wg, a, ts, cpb, tr0, pc, k);
-        wg.step(|t| {
+        coop_load_v(wg, a, ts, tr0, pc, k);
+        wg.step_lanes(|mut regs, shared| {
             // ρ = τ̂[k] · (Yi[k] + Σ_{j>k} v̂[j]·Yi[j]); v̂[k] = 1 implicit.
-            let mut rho = t.regs[Layout::YI + k];
-            for j in (k + 1)..ts {
-                rho += t.shared[j] * t.regs[Layout::YI + j];
+            let acc = regs.rows() - 1;
+            let lanes = 0..regs.lanes();
+            let (rho, yk) = regs.pair_mut(acc, Layout::YI + k);
+            rho.copy_from_slice(yk);
+            dot_lanes(
+                &mut regs,
+                acc,
+                Layout::YI + k + 1,
+                &shared[k + 1..ts],
+                lanes,
+            );
+            let (rho, yk) = regs.pair_mut(acc, Layout::YI + k);
+            let tau = shared[ts + k];
+            for (r, y) in rho.iter_mut().zip(yk.iter_mut()) {
+                *r *= tau;
+                *y -= *r;
             }
-            rho *= t.shared[ts + k];
-            t.regs[Layout::YI + k] -= rho;
-            for j in (k + 1)..ts {
-                t.regs[Layout::YI + j] -= rho * t.shared[j];
+            for (j, &v) in shared.iter().enumerate().take(ts).skip(k + 1) {
+                let (rho, yj) = regs.pair_mut(acc, Layout::YI + j);
+                for (&r, y) in rho.iter().zip(yj.iter_mut()) {
+                    *y -= r * v;
+                }
             }
         });
     }
@@ -99,67 +112,68 @@ fn apply_coupled_reflectors<T: Scalar>(
     wg: &mut Workgroup<T::Accum>,
     a: DMat<'_, T>,
     ts: usize,
-    cpb: usize,
     lt: usize,
     pc: usize,
 ) {
-    let lay = Layout { ts };
+    let xi = Layout { ts }.xi();
     for k in 0..ts {
-        coop_load_v(wg, a, ts, cpb, lt, pc, k);
-        wg.step(|t| {
-            let xi = lay.xi();
+        coop_load_v(wg, a, ts, lt, pc, k);
+        wg.step_lanes(|mut regs, shared| {
+            let acc = regs.rows() - 1;
             // Xik = Σ_j Ak[j]·Xi[j] (Alg. 5 l. 26–28).
-            let mut xik = T::Accum::ZERO;
-            for j in 0..ts {
-                xik += t.shared[j] * t.regs[xi + j];
-            }
+            regs.row_mut(acc).fill(T::Accum::ZERO);
+            let lanes = 0..regs.lanes();
+            dot_lanes(&mut regs, acc, xi, &shared[..ts], lanes);
             // Xik = (Xik + Yi[k]) · τ̂[k] (l. 29).
-            xik = (xik + t.regs[Layout::YI + k]) * t.shared[ts + k];
-            t.regs[Layout::YI + k] -= xik;
-            for j in 0..ts {
-                t.regs[xi + j] -= xik * t.shared[j];
+            let (xik, yk) = regs.pair_mut(acc, Layout::YI + k);
+            let tau = shared[ts + k];
+            for (r, y) in xik.iter_mut().zip(yk.iter_mut()) {
+                *r = (*r + *y) * tau;
+                *y -= *r;
+            }
+            for (j, &v) in shared[..ts].iter().enumerate() {
+                let (xik, xj) = regs.pair_mut(acc, xi + j);
+                for (&r, x) in xik.iter().zip(xj.iter_mut()) {
+                    *x -= r * v;
+                }
             }
         });
     }
 }
 
-/// Loads column `col` rows `[row0, row0+ts)` into registers at `reg_off`
-/// — a contiguous column segment per thread ([`DMat::read_col`] slice
-/// fast path on untransposed views).
+/// Loads rows `[row0, row0+ts)` of the lanes' columns `col0 ..` into
+/// register rows `reg_off ..` — register row `j` is one matrix row
+/// segment ([`DMat::read_row`]).
 fn load_col<T: Scalar>(
     wg: &mut Workgroup<T::Accum>,
     a: DMat<'_, T>,
     ts: usize,
-    cpb: usize,
     col0: usize,
     row0: usize,
     reg_off: usize,
 ) {
-    wg.step(|t| {
-        let c = col0 + wg_col(t.tid, cpb);
-        a.read_col(row0, c, &mut t.regs[reg_off..reg_off + ts]);
+    wg.step_lanes(|mut regs, _| {
+        for j in 0..ts {
+            a.read_row(row0 + j, col0, regs.row_mut(reg_off + j));
+        }
     });
 }
 
-/// Stores registers at `reg_off` back to column `col` rows `[row0, …)`.
+/// Stores register rows `reg_off ..` back to rows `[row0, row0+ts)` of
+/// the lanes' columns `col0 ..`.
 fn store_col<T: Scalar>(
     wg: &mut Workgroup<T::Accum>,
     a: DMat<'_, T>,
     ts: usize,
-    cpb: usize,
     col0: usize,
     row0: usize,
     reg_off: usize,
 ) {
-    wg.step(|t| {
-        let c = col0 + wg_col(t.tid, cpb);
-        a.write_col(row0, c, &t.regs[reg_off..reg_off + ts]);
+    wg.step_lanes(|regs, _| {
+        for j in 0..ts {
+            a.write_row(row0 + j, col0, regs.row(reg_off + j));
+        }
     });
-}
-
-#[inline]
-fn wg_col(tid: usize, _cpb: usize) -> usize {
-    tid
 }
 
 /// `UNMQR`: applies the diagonal-tile reflectors of panel `(tr0, pc)` to
@@ -181,9 +195,9 @@ pub fn unmqr<T: Scalar>(
     dev.launch::<T::Accum, _>(&spec, |wg| {
         let g = wg.group_id();
         let base = col0 + g * cpb;
-        load_col(wg, a, ts, cpb, base, tr0 * ts, Layout::YI);
-        apply_diag_reflectors(wg, a, tau, ts, cpb, tr0, pc);
-        store_col(wg, a, ts, cpb, base, tr0 * ts, Layout::YI);
+        load_col(wg, a, ts, base, tr0 * ts, Layout::YI);
+        apply_diag_reflectors(wg, a, tau, ts, tr0, pc);
+        store_col(wg, a, ts, base, tr0 * ts, Layout::YI);
     });
 }
 
@@ -208,12 +222,12 @@ pub fn tsmqr<T: Scalar>(
         let lay = Layout { ts };
         let g = wg.group_id();
         let base = col0 + g * cpb;
-        load_col(wg, a, ts, cpb, base, tr0 * ts, Layout::YI);
-        load_col(wg, a, ts, cpb, base, lt * ts, lay.xi());
-        coop_load_tau(wg, tau, ts, cpb, lt);
-        apply_coupled_reflectors(wg, a, ts, cpb, lt, pc);
-        store_col(wg, a, ts, cpb, base, lt * ts, lay.xi());
-        store_col(wg, a, ts, cpb, base, tr0 * ts, Layout::YI);
+        load_col(wg, a, ts, base, tr0 * ts, Layout::YI);
+        load_col(wg, a, ts, base, lt * ts, lay.xi());
+        coop_load_tau(wg, tau, ts, lt);
+        apply_coupled_reflectors(wg, a, ts, lt, pc);
+        store_col(wg, a, ts, base, lt * ts, lay.xi());
+        store_col(wg, a, ts, base, tr0 * ts, Layout::YI);
     });
 }
 
@@ -242,15 +256,15 @@ pub fn ftsmqr<T: Scalar>(
         let lay = Layout { ts };
         let g = wg.group_id();
         let base = col0 + g * cpb;
-        load_col(wg, a, ts, cpb, base, tr0 * ts, Layout::YI);
-        apply_diag_reflectors(wg, a, tau, ts, cpb, tr0, pc);
+        load_col(wg, a, ts, base, tr0 * ts, Layout::YI);
+        apply_diag_reflectors(wg, a, tau, ts, tr0, pc);
         for l in (tr0 + 1)..nbt {
-            load_col(wg, a, ts, cpb, base, l * ts, lay.xi());
-            coop_load_tau(wg, tau, ts, cpb, l);
-            apply_coupled_reflectors(wg, a, ts, cpb, l, pc);
-            store_col(wg, a, ts, cpb, base, l * ts, lay.xi());
+            load_col(wg, a, ts, base, l * ts, lay.xi());
+            coop_load_tau(wg, tau, ts, l);
+            apply_coupled_reflectors(wg, a, ts, l, pc);
+            store_col(wg, a, ts, base, l * ts, lay.xi());
         }
-        store_col(wg, a, ts, cpb, base, tr0 * ts, Layout::YI);
+        store_col(wg, a, ts, base, tr0 * ts, Layout::YI);
     });
 }
 

@@ -12,11 +12,7 @@ fn deliberate_write_write_race_is_caught() {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         dev.launch::<f64, _>(&spec, |wg| {
             // Every workgroup writes element 0: a textbook race.
-            wg.step(|t| {
-                if t.tid == 0 {
-                    buf.write(0, 1.0);
-                }
-            });
+            wg.step_lanes(|_, _| buf.write(0, 1.0));
         });
     }));
     assert!(
@@ -33,7 +29,11 @@ fn disjoint_writes_pass_the_detector() {
     spec.flops = 1.0;
     dev.launch::<f64, _>(&spec, |wg| {
         let g = wg.group_id();
-        wg.step(|t| buf.write(g * 8 + t.tid, 1.0));
+        wg.step_lanes(|r, _| {
+            for tid in 0..r.lanes() {
+                buf.write(g * 8 + tid, 1.0);
+            }
+        });
     });
     assert!(buf.to_vec().iter().all(|&x| x == 1.0));
 }
@@ -48,7 +48,11 @@ fn same_location_across_launches_is_fine() {
     spec.flops = 1.0;
     for pass in 0..3 {
         dev.launch::<f64, _>(&spec, |wg| {
-            wg.step(|t| buf.write(t.tid, pass as f64));
+            wg.step_lanes(|r, _| {
+                for tid in 0..r.lanes() {
+                    buf.write(tid, pass as f64);
+                }
+            });
         });
     }
     assert!(buf.to_vec().iter().all(|&x| x == 2.0));
