@@ -19,6 +19,7 @@
 //! the paper's kernels only communicate across barriers, which this
 //! model captures faithfully.
 
+use std::ops::Range;
 use unisvd_scalar::Real;
 
 /// Execution context of one workgroup (thread block).
@@ -80,21 +81,22 @@ impl<R> LaneRegs<'_, R> {
         &mut self.regs[r * self.lanes..(r + 1) * self.lanes]
     }
 
-    /// Two distinct rows at once, both mutable, in argument order.
+    /// The register rows `rows` as one slice, row by row (lane `t` of
+    /// row `rows.start + i` at `i * lanes() + t`), and row `r` beside
+    /// them, both mutable.
     ///
     /// # Panics
-    /// If `a == b` or either row is out of range.
+    /// If `r` lies in `rows`, or either is out of range.
     #[inline]
-    pub fn pair_mut(&mut self, a: usize, b: usize) -> (&mut [R], &mut [R]) {
-        assert_ne!(a, b, "a row pair needs two distinct rows");
+    pub fn split_mut(&mut self, rows: Range<usize>, r: usize) -> (&mut [R], &mut [R]) {
+        assert!(!rows.contains(&r), "row {r} lies in the block {rows:?}");
         let n = self.lanes;
-        let (lo, hi) = (a.min(b), a.max(b));
-        let (head, tail) = self.regs.split_at_mut(hi * n);
-        let (lo, hi) = (&mut head[lo * n..(lo + 1) * n], &mut tail[..n]);
-        if a < b {
-            (lo, hi)
+        if r < rows.start {
+            let (head, tail) = self.regs.split_at_mut(rows.start * n);
+            (&mut tail[..rows.len() * n], &mut head[r * n..(r + 1) * n])
         } else {
-            (hi, lo)
+            let (head, tail) = self.regs.split_at_mut(r * n);
+            (&mut head[rows.start * n..rows.end * n], &mut tail[..n])
         }
     }
 }
@@ -188,7 +190,7 @@ mod tests {
             }
         });
         wg.step_lanes(|mut r, _| {
-            let (r1, r0) = r.pair_mut(1, 0);
+            let (r0, r1) = r.split_mut(0..1, 1);
             for (y, &x) in r1.iter_mut().zip(r0.iter()) {
                 *y = x * 10.0;
             }
@@ -248,11 +250,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "two distinct rows")]
-    fn pair_mut_rejects_one_row() {
-        let mut wg = Workgroup::<f64>::new(0, 2, 2, 0);
+    fn split_mut_yields_the_block_and_the_row() {
+        let mut wg = Workgroup::<f64>::new(0, 2, 4, 0);
         wg.step_lanes(|mut r, _| {
-            r.pair_mut(1, 1);
+            for i in 0..4 {
+                r.row_mut(i).fill(i as f64);
+            }
+            let (block, row) = r.split_mut(1..3, 0);
+            assert_eq!(
+                (&*block, &*row),
+                (&[1.0, 1.0, 2.0, 2.0][..], &[0.0, 0.0][..])
+            );
+            let (block, row) = r.split_mut(0..2, 3);
+            assert_eq!(
+                (&*block, &*row),
+                (&[0.0, 0.0, 1.0, 1.0][..], &[3.0, 3.0][..])
+            );
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "lies in the block")]
+    fn split_mut_rejects_a_row_in_the_block() {
+        let mut wg = Workgroup::<f64>::new(0, 2, 3, 0);
+        wg.step_lanes(|mut r, _| {
+            r.split_mut(0..2, 1);
         });
     }
 

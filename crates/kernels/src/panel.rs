@@ -17,7 +17,7 @@
 //! `τ̂` is stored such that `H = I − τ̂ v̂ v̂ᵀ`.
 
 use crate::cost::{ftsqrt_spec, geqrt_spec, tsqrt_spec};
-use crate::lanes::dot_lanes;
+use crate::lanes::{dot_lanes, sub_lanes};
 use crate::layout::{DMat, DVec};
 use crate::params::HyperParams;
 use unisvd_gpu::{Device, LaneRegs, Workgroup};
@@ -111,9 +111,9 @@ fn store_tau<T: Scalar>(
 /// and their `TSQRT` twin). Lane `k` has published the tail of its
 /// column to shared memory as `v`, which pairs `v[i]` with register row
 /// `tail + i`; `head` is `(akk, nrm, 10ε)` for [`reflector_head`].
-/// Register row `k` is the pivot row, row `tau_slot` takes τ̂ in lane
-/// `k`, and row `tau_slot − 1` — spare in every panel launch — holds each
-/// lane's dot product `ρ`.
+/// Register row `k < tail` is the pivot row, row `tau_slot` takes τ̂ in
+/// lane `k`, and row `tau_slot − 1` — spare in every panel launch, above
+/// every tile row — holds each lane's dot product `ρ`.
 fn reflect_lanes<R: Real>(
     regs: &mut LaneRegs<'_, R>,
     (akk, nrm, eps10): (R, R, R),
@@ -131,23 +131,22 @@ fn reflect_lanes<R: Real>(
         return;
     }
     let acc = tau_slot - 1;
-    regs.row_mut(acc)[k..ts].fill(R::ZERO);
-    dot_lanes(regs, acc, tail, v, k..ts);
+    let (rows, rho) = regs.split_mut(0..acc, acc);
+    let n = rho.len();
+    let (head, tail) = rows.split_at_mut(tail * n);
+    let tail = &mut tail[..v.len() * n];
+    rho[k..ts].fill(R::ZERO);
+    dot_lanes(rho, tail, v, k..ts);
     // ρ' = (τ̂ / x) · (R[k, i]·x + ρ); R[k, i] −= ρ'.
     let tx = tau / x;
-    let (rho, rk) = regs.pair_mut(acc, k);
-    for (r, a) in rho[k..ts].iter_mut().zip(&mut rk[k..ts]) {
+    for (r, a) in rho[k..ts].iter_mut().zip(&mut head[k * n + k..k * n + ts]) {
         *r = tx * (*a * x + *r);
         *a -= *r;
     }
     // Lanes i > k update their column; lane k stores the normalised
     // reflector tail in place.
-    for (i, &vi) in v.iter().enumerate() {
-        let (rho, row) = regs.pair_mut(acc, tail + i);
-        let vx = vi / x;
-        for (&r, a) in rho[k + 1..ts].iter().zip(&mut row[k + 1..ts]) {
-            *a -= r * vx;
-        }
+    sub_lanes(tail, rho, v.iter().map(|&vi| vi / x), k + 1..ts);
+    for row in tail.chunks_exact_mut(n) {
         row[k] /= x;
     }
     regs.row_mut(tau_slot)[k] = tau;

@@ -12,7 +12,7 @@
 //! side by side instead of one serial add chain per column.
 
 use crate::cost::{ftsmqr_spec, tsmqr_spec, unmqr_spec};
-use crate::lanes::dot_lanes;
+use crate::lanes::{dot_lanes, sub_lanes};
 use crate::layout::{DMat, DVec};
 use crate::params::HyperParams;
 use unisvd_gpu::{Device, Workgroup};
@@ -80,28 +80,19 @@ fn apply_diag_reflectors<T: Scalar>(
         wg.step_lanes(|mut regs, shared| {
             // ρ = τ̂[k] · (Yi[k] + Σ_{j>k} v̂[j]·Yi[j]); v̂[k] = 1 implicit.
             let acc = regs.rows() - 1;
-            let lanes = 0..regs.lanes();
-            let (rho, yk) = regs.pair_mut(acc, Layout::YI + k);
+            let (yi, rho) = regs.split_mut(Layout::YI..Layout::YI + ts, acc);
+            let n = rho.len();
+            let (head, tail) = yi.split_at_mut((k + 1) * n);
+            let yk = &mut head[k * n..];
+            let v = &shared[k + 1..ts];
             rho.copy_from_slice(yk);
-            dot_lanes(
-                &mut regs,
-                acc,
-                Layout::YI + k + 1,
-                &shared[k + 1..ts],
-                lanes,
-            );
-            let (rho, yk) = regs.pair_mut(acc, Layout::YI + k);
+            dot_lanes(rho, tail, v, 0..n);
             let tau = shared[ts + k];
-            for (r, y) in rho.iter_mut().zip(yk.iter_mut()) {
+            for (r, y) in rho.iter_mut().zip(yk) {
                 *r *= tau;
                 *y -= *r;
             }
-            for (j, &v) in shared.iter().enumerate().take(ts).skip(k + 1) {
-                let (rho, yj) = regs.pair_mut(acc, Layout::YI + j);
-                for (&r, y) in rho.iter().zip(yj.iter_mut()) {
-                    *y -= r * v;
-                }
-            }
+            sub_lanes(tail, rho, v.iter().copied(), 0..n);
         });
     }
 }
@@ -120,23 +111,20 @@ fn apply_coupled_reflectors<T: Scalar>(
         coop_load_v(wg, a, ts, lt, pc, k);
         wg.step_lanes(|mut regs, shared| {
             let acc = regs.rows() - 1;
+            let (yx, xik) = regs.split_mut(Layout::YI..xi + ts, acc);
+            let n = xik.len();
+            let (y, x) = yx.split_at_mut((xi - Layout::YI) * n);
+            let v = &shared[..ts];
             // Xik = Σ_j Ak[j]·Xi[j] (Alg. 5 l. 26–28).
-            regs.row_mut(acc).fill(T::Accum::ZERO);
-            let lanes = 0..regs.lanes();
-            dot_lanes(&mut regs, acc, xi, &shared[..ts], lanes);
+            xik.fill(T::Accum::ZERO);
+            dot_lanes(xik, x, v, 0..n);
             // Xik = (Xik + Yi[k]) · τ̂[k] (l. 29).
-            let (xik, yk) = regs.pair_mut(acc, Layout::YI + k);
             let tau = shared[ts + k];
-            for (r, y) in xik.iter_mut().zip(yk.iter_mut()) {
+            for (r, y) in xik.iter_mut().zip(&mut y[k * n..(k + 1) * n]) {
                 *r = (*r + *y) * tau;
                 *y -= *r;
             }
-            for (j, &v) in shared[..ts].iter().enumerate() {
-                let (xik, xj) = regs.pair_mut(acc, xi + j);
-                for (&r, x) in xik.iter().zip(xj.iter_mut()) {
-                    *x -= r * v;
-                }
-            }
+            sub_lanes(x, xik, v.iter().copied(), 0..n);
         });
     }
 }
