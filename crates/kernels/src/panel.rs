@@ -110,15 +110,15 @@ fn store_tau<T: Scalar>(
 /// One Householder step on the lanes `k..ts` (Algorithm 3 lines 9–19,
 /// and their `TSQRT` twin). Lane `k` has published the tail of its
 /// column to shared memory as `v`, which pairs `v[i]` with register row
-/// `tail + i`; `head` is `(akk, nrm, 10ε)` for [`reflector_head`].
-/// Register row `k < tail` is the pivot row, row `tau_slot` takes τ̂ in
+/// `tail_row + i`; `head` is `(akk, nrm, 10ε)` for [`reflector_head`].
+/// Register row `k < tail_row` is the pivot row, row `tau_slot` takes τ̂ in
 /// lane `k`, and row `tau_slot − 1` — spare in every panel launch, above
 /// every tile row — holds each lane's dot product `ρ`.
 fn reflect_lanes<R: Real>(
     regs: &mut LaneRegs<'_, R>,
     (akk, nrm, eps10): (R, R, R),
     v: &[R],
-    tail: usize,
+    tail_row: usize,
     k: usize,
     ts: usize,
     tau_slot: usize,
@@ -133,7 +133,7 @@ fn reflect_lanes<R: Real>(
     let acc = tau_slot - 1;
     let (rows, rho) = regs.split_mut(0..acc, acc);
     let n = rho.len();
-    let (head, tail) = rows.split_at_mut(tail * n);
+    let (head, tail) = rows.split_at_mut(tail_row * n);
     let tail = &mut tail[..v.len() * n];
     rho[k..ts].fill(R::ZERO);
     dot_lanes(rho, tail, v, k..ts);
