@@ -37,7 +37,6 @@ use unisvd_scalar::Real;
 pub struct Workgroup<R> {
     group_id: usize,
     nthreads: usize,
-    regs_per_thread: usize,
     /// All thread register files, register-major: register `r` of
     /// thread `t` is `regs[r*nthreads + t]`.
     regs: Vec<R>,
@@ -107,7 +106,6 @@ impl<R: Real> Workgroup<R> {
         let mut wg = Workgroup {
             group_id,
             nthreads,
-            regs_per_thread,
             regs: Vec::new(),
             shared: Vec::new(),
             steps: 0,
@@ -130,7 +128,6 @@ impl<R: Real> Workgroup<R> {
         assert!(nthreads > 0, "workgroup needs at least one thread");
         self.group_id = group_id;
         self.nthreads = nthreads;
-        self.regs_per_thread = regs_per_thread;
         self.regs.clear();
         self.regs.resize(nthreads * regs_per_thread, R::ZERO);
         self.shared.clear();
@@ -291,8 +288,8 @@ mod tests {
             wg.reset(g, nthreads, rpt, smem);
             let fresh = Workgroup::<f64>::new(g, nthreads, rpt, smem);
             assert_eq!(
-                (wg.group_id(), wg.nthreads(), wg.regs_per_thread, wg.steps()),
-                (g, nthreads, rpt, 0)
+                (wg.group_id(), wg.nthreads(), wg.regs.len(), wg.steps()),
+                (g, nthreads, nthreads * rpt, 0)
             );
             assert_eq!((&wg.regs, &wg.shared), (&fresh.regs, &fresh.shared));
             assert!(wg.regs.iter().chain(&wg.shared).all(|&x| x == 0.0));
