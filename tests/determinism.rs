@@ -712,6 +712,62 @@ fn values_bits_match_golden_fingerprint() {
     );
 }
 
+/// Values of an out-of-core solve of `a` in precision `T` as 64-bit
+/// words: the panel count, the value count, then each value's bits.
+fn oocore_words<T: unisvd::Scalar>(
+    hw: &unisvd::HardwareDescriptor,
+    mode: unisvd::OocMode,
+    a: &Matrix<f64>,
+    panels: usize,
+) -> Vec<u64> {
+    let mut plan = unisvd::OutOfCore::on(hw)
+        .precision::<T>()
+        .mode(mode)
+        .plan(a.rows(), a.cols())
+        .unwrap();
+    assert_eq!(plan.mode(), mode);
+    assert_eq!(plan.panels(), panels, "{mode:?} {}x{}", a.rows(), a.cols());
+    let values = plan.execute(&a.cast::<T>()).unwrap().values;
+    [panels as u64, values.len() as u64]
+        .into_iter()
+        .chain(values.iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+#[test]
+fn oocore_values_match_golden_fingerprint() {
+    // Pins out-of-core value bits across commits, where the TSQR and
+    // streaming tests above compare thread counts within one build:
+    // TSQR solves over 3, 5 and 7 panels (each tree has a level that
+    // promotes an odd tail unchanged) and one streaming solve, in f64
+    // and f32. A change to which R meets which, or in what order a
+    // combine rounds, fails here.
+    use unisvd::OocMode;
+    const GOLDEN: u64 = 0xbfe8_c319_e447_0499;
+    let mut tiny = hw::rtx4060();
+    tiny.memory_bytes = 24 * 1024; // TSQR panels of 49 rows at n = 24
+    let n = 24;
+    let mut words = Vec::new();
+    for (m, panels) in [(147, 3), (235, 5), (323, 7)] {
+        let a = Matrix::<f64>::from_fn(m, n, |i, j| {
+            (((i * 31 + j * 17 + m) % 101) as f64 - 50.0) / 101.0 + if i == j { 2.0 } else { 0.0 }
+        });
+        words.extend(oocore_words::<f64>(&tiny, OocMode::Tsqr, &a, panels));
+        words.extend(oocore_words::<f32>(&tiny, OocMode::Tsqr, &a, panels));
+    }
+    tiny.memory_bytes = 16 * 1024;
+    let a = Matrix::<f64>::from_fn(96, 96, |i, j| {
+        (((i * 13 + j * 29) % 97) as f64 - 48.0) / 97.0 + if i == j { 1.5 } else { 0.0 }
+    });
+    words.extend(oocore_words::<f64>(&tiny, OocMode::Streaming, &a, 24));
+    words.extend(oocore_words::<f32>(&tiny, OocMode::Streaming, &a, 12));
+    let got = fnv1a(words);
+    assert_eq!(
+        got, GOLDEN,
+        "out-of-core values fingerprint moved: {got:#018x} (want {GOLDEN:#018x})"
+    );
+}
+
 #[test]
 fn launch_trace_matches_golden_fingerprint() {
     // Pins the simulated accounting across commits, where the test above
