@@ -9,6 +9,8 @@
 //!   rocSOLVER, oneMKL, MAGMA, SLATE) as algorithm-faithful cost models
 //!   replayed through the simulated devices.
 
+#![forbid(unsafe_code)]
+
 pub mod jacobi;
 pub mod library;
 pub mod onestage;

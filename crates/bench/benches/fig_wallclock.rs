@@ -13,7 +13,7 @@
 //!    as a reference (public `BandMatrix` API only), verified
 //!    bit-identical, and the batched implementation is **asserted
 //!    ≥ 1.5× faster** — the speedup of the repeated-solve workload's
-//!    dominant stage over the pre-arena path.
+//!    dominant stage over the frozen elementwise reference.
 //! 2. **Steady-state plan reuse vs per-solve cold start** (plan + first
 //!    execute per matrix): the end-to-end repeated-solve workload, with
 //!    the steady path running `execute_into` against a reused output

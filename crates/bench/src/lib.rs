@@ -4,6 +4,8 @@
 //! the `harness` binary prints (and optionally serialises to JSON); the
 //! README's "Build, test, bench" section shows how to run it.
 
+#![forbid(unsafe_code)]
+
 pub mod accuracy;
 pub mod figures;
 pub mod hyperparams;

@@ -20,6 +20,7 @@
 //! 3. [`bdsqr`] / [`bisect`] — bidiagonal → singular values on the CPU.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod band2bi;
 pub mod band_diag;

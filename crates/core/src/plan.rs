@@ -678,20 +678,10 @@ impl<T: Scalar> Lane<T> {
     }
 }
 
-/// A raw pointer sendable across the pool's chunk tasks. Sound only
-/// because every task derived from one of these touches a disjoint
-/// element range (the batch chunk bounds partition the index space).
-struct SendPtr<P>(*mut P);
-unsafe impl<P> Send for SendPtr<P> {}
-unsafe impl<P> Sync for SendPtr<P> {}
-impl<P> SendPtr<P> {
-    /// # Safety
-    /// Standard pointer-offset rules apply, and the caller must hold
-    /// exclusive access to the target element for the borrow it creates.
-    unsafe fn add(&self, i: usize) -> *mut P {
-        self.0.add(i)
-    }
-}
+/// Upper bound on the chunks of one batch: enough splits for any
+/// realistic thread count while each lane's setup stays amortized across
+/// its chunk's solves.
+const MAX_BATCH_CHUNKS: usize = 64;
 
 impl<T: Scalar> SvdPlan<T> {
     /// The input shape this plan accepts.
@@ -884,15 +874,14 @@ impl<T: Scalar> SvdPlan<T> {
         if len == 0 {
             return;
         }
-        // At most 64 contiguous chunks, remainder spread over the leading
-        // chunks: enough splits for any realistic thread count while each
-        // lane's setup stays amortized across its chunk's solves. Every
-        // lane pins its own device buffers, so the chunk count is also
-        // capped so all lanes together respect the device-memory budget
-        // that planning enforced for one (lane 0 always runs). Count and
-        // bounds depend only on `len` and fixed plan properties — never
-        // the thread count — and chunk `c` always executes on lane `c`
-        // over its fixed index range, so output order and bits are
+        // At most MAX_BATCH_CHUNKS contiguous chunks, remainder spread
+        // over the leading chunks. Every lane pins its own device
+        // buffers, so the chunk count is also capped so all lanes
+        // together respect the device-memory budget that planning
+        // enforced for one (lane 0 always runs). Count and bounds depend
+        // only on `len` and fixed plan properties — never the thread
+        // count — and chunk `c` always executes on lane `c` over its
+        // fixed index range, so output order and bits are
         // schedule-independent.
         let mem_cap = match self
             .device()
@@ -903,25 +892,29 @@ impl<T: Scalar> SvdPlan<T> {
             Some(slots) => usize::try_from(slots.max(1)).unwrap_or(usize::MAX),
             None => usize::MAX, // trace-only: lanes hold no data
         };
-        let nc = len.min(64).min(mem_cap);
+        let nc = len.min(MAX_BATCH_CHUNKS).min(mem_cap);
         while self.lanes.len() < nc {
             let lane = self.lanes[0].sibling(&self.core);
             self.lanes.push(lane);
         }
         let core = &self.core;
         let (base, rem) = (len / nc, len % nc);
-        let lanes = SendPtr(self.lanes.as_mut_ptr());
-        let outs = SendPtr(outs.as_mut_ptr());
-        let statuses = SendPtr(statuses.as_mut_ptr());
-        (0..nc).into_par_iter().for_each(|c| {
-            let start = c * base + c.min(rem);
-            let end = start + base + usize::from(c < rem);
-            // SAFETY: chunk c is the only task touching lane c, and the
-            // chunk ranges partition 0..len disjointly, so each out/status
-            // element is written by exactly one task.
-            let lane = unsafe { &mut *lanes.add(c) };
-            for (i, mat) in mats.iter().enumerate().take(end).skip(start) {
-                let (out, status) = unsafe { (&mut *outs.add(i), &mut *statuses.add(i)) };
+        // Split everything chunk `c` touches — its lane and its slices of
+        // inputs, output shells and status slots — into disjoint borrows
+        // up front, held inline so the fan-out allocates nothing.
+        let mut chunks: [Option<_>; MAX_BATCH_CHUNKS] = std::array::from_fn(|_| None);
+        let (mut mats, mut outs, mut statuses) = (mats, outs, statuses);
+        for (c, (slot, lane)) in chunks.iter_mut().zip(&mut self.lanes).take(nc).enumerate() {
+            let n = base + usize::from(c < rem);
+            let (m, mats_rest) = mats.split_at(n);
+            let (o, outs_rest) = std::mem::take(&mut outs).split_at_mut(n);
+            let (st, statuses_rest) = std::mem::take(&mut statuses).split_at_mut(n);
+            (mats, outs, statuses) = (mats_rest, outs_rest, statuses_rest);
+            *slot = Some((lane, m, o, st));
+        }
+        chunks[..nc].par_iter_mut().for_each(|chunk| {
+            let (lane, mats, outs, statuses) = chunk.as_mut().expect("chunks[..nc] are all split");
+            for ((mat, out), status) in mats.iter().zip(outs.iter_mut()).zip(statuses.iter_mut()) {
                 *status = lane.execute_into(core, mat, out);
             }
         });

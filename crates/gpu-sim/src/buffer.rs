@@ -77,27 +77,14 @@ impl<T: Copy + Send + Sync> GlobalBuffer<T> {
             return Self::from_vec(vec![fill; len]);
         }
         use rayon::prelude::*;
-        struct CellPtr<T>(*mut DeviceCell<T>);
-        // SAFETY: each index is written by exactly one chunk below.
-        unsafe impl<T: Send + Sync> Send for CellPtr<T> {}
-        unsafe impl<T: Send + Sync> Sync for CellPtr<T> {}
-        impl<T> CellPtr<T> {
-            /// Method (not field) access so the closure captures the
-            /// wrapper, keeping the `Send`/`Sync` impls effective under
-            /// edition-2021 disjoint capture.
-            unsafe fn at(&self, i: usize) -> *mut DeviceCell<T> {
-                self.0.add(i)
-            }
-        }
         let mut cells: Vec<DeviceCell<T>> = Vec::with_capacity(len);
-        let base = CellPtr(cells.as_mut_ptr());
-        (0..len).into_par_iter().for_each(|i| {
-            // SAFETY: `i` is in capacity bounds and each index is written
-            // exactly once, by the chunk that owns it.
-            unsafe { base.at(i).write(DeviceCell(UnsafeCell::new(fill))) };
-        });
-        // SAFETY: every slot in 0..len was initialised above, and the
-        // parallel loop completed before this point.
+        cells.spare_capacity_mut()[..len]
+            .par_iter_mut()
+            .for_each(|cell| {
+                cell.write(DeviceCell(UnsafeCell::new(fill)));
+            });
+        // SAFETY: the parallel loop initialised every slot in 0..len and
+        // completed before this point.
         unsafe { cells.set_len(len) };
         GlobalBuffer {
             cells: cells.into_boxed_slice(),

@@ -8,6 +8,8 @@
 //! on any simulated backend through [`unisvd_gpu::Device`]; the LQ sweep
 //! reuses them unchanged through the lazy-transpose view [`DMat::t`].
 
+#![forbid(unsafe_code)]
+
 pub mod accum;
 pub mod cost;
 mod lanes;

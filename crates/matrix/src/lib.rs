@@ -15,6 +15,8 @@
 //!   `A = U Σ Vᵀ` with Haar-random `U`, `V` and arithmetic / logarithmic /
 //!   quarter-circle singular value distributions on `[0, 1]`.
 
+#![forbid(unsafe_code)]
+
 pub mod band;
 pub mod dense;
 pub mod reference;

@@ -46,8 +46,11 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::marker::PhantomData;
+
+use rayon::prelude::*;
 
 use unisvd_core::{PlanError, Svd, SvdConfig, SvdError, SvdOutput, SvdPlan};
 use unisvd_gpu::{HardwareDescriptor, KernelClass};
@@ -299,7 +302,7 @@ impl<T: Scalar> OutOfCorePlan<T> {
 
     /// TSQR: sequential panel QR sweep (one panel staged at a time),
     /// fixed-shape pairwise R reduction (parallel within each tree
-    /// level, disjoint slots, index order — thread-count independent),
+    /// level, collected in index order — thread-count independent),
     /// then the in-core pipeline on the final `n × n` R.
     fn execute_tsqr(
         &mut self,
@@ -325,28 +328,21 @@ impl<T: Scalar> OutOfCorePlan<T> {
             panel_bytes.push((p * n) as u64 * T::KIND.bytes() as u64);
         }
         // Pairwise reduction tree. The shape — which R meets which, at
-        // which level — depends only on `npanels`; within a level the
-        // combines are independent and write disjoint slots, so the
-        // spawn order (and thread count) cannot change a single bit.
+        // which level — depends only on `npanels`: node `i` of a level
+        // combines nodes 2i and 2i+1 of the level below, and an odd tail
+        // moves up unchanged. Within a level the combines are
+        // independent and `collect` is index-ordered, so the thread
+        // count cannot change a single bit.
         let mut combines = 0u32;
         while rs.len() > 1 {
-            let mut next: Vec<Option<Matrix<f64>>> =
-                (0..rs.len().div_ceil(2)).map(|_| None).collect();
-            rayon::scope(|s| {
-                for (slot, pair) in next.iter_mut().zip(rs.chunks(2)) {
-                    s.spawn(move |_| {
-                        *slot = Some(match pair {
-                            [a, b] => combine_rs(a, b),
-                            [a] => a.clone(),
-                            _ => unreachable!("chunks(2) yields 1- or 2-slices"),
-                        });
-                    });
-                }
-            });
             combines += rs.len() as u32 / 2;
-            rs = next
-                .into_iter()
-                .map(|r| r.expect("every tree slot is written by its spawn"))
+            rs = (0..rs.len().div_ceil(2))
+                .into_par_iter()
+                .map(|i| match &rs[2 * i..rs.len().min(2 * i + 2)] {
+                    [a, b] => combine_rs(a, b),
+                    [a] => a.clone(),
+                    _ => unreachable!("a tree node has one or two children"),
+                })
                 .collect();
         }
         let r_final = rs.pop().expect("nonempty shapes have ≥ 1 panel");

@@ -15,6 +15,8 @@
 //!   (round-to-nearest-even, subnormals, infinities, NaN) so that no external
 //!   half-precision crate is needed.
 
+#![forbid(unsafe_code)]
+
 mod f16;
 mod real;
 mod scalar;

@@ -60,6 +60,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cache;
 mod fleet;

@@ -1,21 +1,20 @@
-//! Chunked, index-ordered parallel iterators over ranges, slices and
-//! vectors.
+//! Chunked, index-ordered parallel iterators over integer ranges and
+//! slices (a `Vec` autoderefs to its slice).
 //!
 //! Every operation splits its input into contiguous chunks whose count
 //! and boundaries depend **only on the input length — never on the
 //! thread count** ([`n_chunks`]). Chunks execute concurrently on the
 //! pool, each delivering its items in order; consumers (`collect`,
-//! `sum`, `reduce`) buffer per-chunk results in dedicated slots and
-//! combine them in fixed chunk order on the calling thread. The result
-//! is bit-identical to the 1-thread sequential path for any thread
-//! count, including non-associative float reductions.
+//! `sum`) buffer per-chunk results in dedicated slots and combine them
+//! in fixed chunk order on the calling thread. The result is
+//! bit-identical to the 1-thread sequential path for any thread count,
+//! including non-associative float reductions.
 
 use crate::pool::{self, current_registry};
 use std::cell::UnsafeCell;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// Fixed upper bound on chunks per parallel operation: independent of the
 /// worker count by design (determinism), but comfortably larger than any
@@ -34,10 +33,6 @@ pub(crate) fn chunk_bounds(len: usize, nc: usize, c: usize) -> Range<usize> {
     let rem = len % nc;
     let start = c * base + c.min(rem);
     start..start + base + usize::from(c < rem)
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Splits `0..len` into chunks and runs `body(chunk, index_range)` for
@@ -122,57 +117,6 @@ pub trait ParallelIterator: Sized + Send {
             .into_iter()
             .map(|chunk| chunk.into_iter().sum::<S>())
             .sum()
-    }
-
-    /// Reduces items with `op` starting from `identity()`: incremental
-    /// per-chunk folds, combined in fixed chunk order — bit-identical
-    /// across thread counts. `op` should be associative up to the
-    /// tolerance the caller cares about (the combination tree is fixed
-    /// regardless).
-    fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
-    where
-        ID: Fn() -> Self::Item + Sync + Send,
-        OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync + Send,
-    {
-        let nc = n_chunks(self.len());
-        struct FoldSink<'a, T, ID, OP> {
-            accs: ChunkSlots<Option<T>>,
-            identity: &'a ID,
-            op: &'a OP,
-        }
-        impl<T: Send, ID: Fn() -> T + Sync, OP: Fn(T, T) -> T + Sync> Sink<T> for FoldSink<'_, T, ID, OP> {
-            fn accept(&self, chunk: usize, item: T) {
-                // SAFETY: one thread drives chunk `chunk` (ChunkSlots
-                // invariant).
-                let slot = unsafe { self.accs.get_mut(chunk) };
-                let acc = slot.take().unwrap_or_else(self.identity);
-                *slot = Some((self.op)(acc, item));
-            }
-        }
-        let sink = FoldSink {
-            accs: ChunkSlots::new((0..nc).map(|_| None)),
-            identity: &identity,
-            op: &op,
-        };
-        self.drive(&sink);
-        sink.accs
-            .into_vec()
-            .into_iter()
-            .flatten()
-            .fold(identity(), &op)
-    }
-
-    /// Counts items after running the pipeline (side effects included).
-    fn count(self) -> usize {
-        struct CountSink(AtomicUsize);
-        impl<T> Sink<T> for CountSink {
-            fn accept(&self, _chunk: usize, _item: T) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let sink = CountSink(AtomicUsize::new(0));
-        self.drive(&sink);
-        sink.0.into_inner()
     }
 }
 
@@ -435,44 +379,9 @@ impl<'data, T: Send + 'data> ParallelIterator for SliceParIterMut<'data, T> {
     }
 }
 
-/// Owning parallel iterator over `Vec<T>`.
-pub struct VecParIter<T> {
-    vec: Vec<T>,
-}
-
-impl<T: Send> ParallelIterator for VecParIter<T> {
-    type Item = T;
-
-    fn len(&self) -> usize {
-        self.vec.len()
-    }
-
-    fn drive(self, sink: &dyn Sink<T>) {
-        let len = self.vec.len();
-        if len == 0 {
-            return;
-        }
-        let nc = n_chunks(len);
-        // Pre-split into per-chunk vecs (splitting from the tail keeps
-        // the total element moves linear).
-        let mut parts: Vec<Mutex<Vec<T>>> = Vec::with_capacity(nc);
-        let mut rest = self.vec;
-        for c in (0..nc).rev() {
-            parts.push(Mutex::new(rest.split_off(chunk_bounds(len, nc, c).start)));
-        }
-        parts.reverse();
-        pool::run_batch(&current_registry(), nc, |c| {
-            let chunk = std::mem::take(&mut *lock(&parts[c]));
-            for item in chunk {
-                sink.accept(c, item);
-            }
-        });
-    }
-}
-
 // ------------------------------------------------- conversion traits
 
-/// `into_par_iter()` on owned collections and ranges.
+/// `into_par_iter()` on integer ranges and slice references.
 pub trait IntoParallelIterator {
     type Item: Send;
     type Iter: ParallelIterator<Item = Self::Item>;
@@ -490,23 +399,7 @@ impl<T: ParRangeItem> IntoParallelIterator for Range<T> {
     }
 }
 
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-    type Iter = VecParIter<T>;
-    fn into_par_iter(self) -> Self::Iter {
-        VecParIter { vec: self }
-    }
-}
-
 impl<'data, T: Sync> IntoParallelIterator for &'data [T] {
-    type Item = &'data T;
-    type Iter = SliceParIter<'data, T>;
-    fn into_par_iter(self) -> Self::Iter {
-        SliceParIter { slice: self }
-    }
-}
-
-impl<'data, T: Sync> IntoParallelIterator for &'data Vec<T> {
     type Item = &'data T;
     type Iter = SliceParIter<'data, T>;
     fn into_par_iter(self) -> Self::Iter {
@@ -519,16 +412,6 @@ impl<'data, T: Send> IntoParallelIterator for &'data mut [T] {
     type Iter = SliceParIterMut<'data, T>;
     fn into_par_iter(self) -> Self::Iter {
         SliceParIterMut { slice: self }
-    }
-}
-
-impl<'data, T: Send> IntoParallelIterator for &'data mut Vec<T> {
-    type Item = &'data mut T;
-    type Iter = SliceParIterMut<'data, T>;
-    fn into_par_iter(self) -> Self::Iter {
-        SliceParIterMut {
-            slice: self.as_mut_slice(),
-        }
     }
 }
 
@@ -616,22 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_matches_sequential_chunked_fold() {
-        let xs: Vec<f64> = (0..500).map(|i| (i as f64).cos()).collect();
-        let max_with = |t: usize| -> f64 {
-            pool(t).install(|| {
-                xs.par_iter()
-                    .map(|&x| x)
-                    .reduce(|| f64::NEG_INFINITY, f64::max)
-            })
-        };
-        let seq = max_with(1);
-        for t in [2, 4] {
-            assert_eq!(max_with(t).to_bits(), seq.to_bits());
-        }
-    }
-
-    #[test]
     fn par_iter_mut_writes_every_slot() {
         let p = pool(4);
         let mut xs = vec![0usize; 513];
@@ -640,20 +507,8 @@ mod tests {
     }
 
     #[test]
-    fn vec_into_par_iter_moves_items() {
-        let p = pool(4);
-        let v: Vec<String> = (0..100).map(|i| format!("s{i}")).collect();
-        let got: Vec<String> = p.install(|| v.into_par_iter().map(|s| s + "!").collect());
-        assert_eq!(got.len(), 100);
-        assert_eq!(got[37], "s37!");
-    }
-
-    #[test]
-    fn count_and_empty() {
+    fn empty_collect() {
         let p = pool(2);
-        assert_eq!(p.install(|| (0..77u32).into_par_iter().count()), 77);
-        let empty: Vec<i32> = Vec::new();
-        assert_eq!(p.install(|| empty.par_iter().count()), 0);
         let got: Vec<i32> = p.install(|| (0..0i32).into_par_iter().collect());
         assert!(got.is_empty());
     }

@@ -4,10 +4,9 @@
 //!
 //! Covered API surface:
 //!
-//! * [`prelude`] — `par_iter` / `into_par_iter` / `par_iter_mut` over
-//!   slices, `Vec` and integer ranges, with `for_each`, `map`,
-//!   `enumerate`, `collect`, `sum`, `reduce` and `count`;
-//! * [`join`] and [`scope`] (fork-join and scoped spawns);
+//! * [`prelude`] — `par_iter` / `par_iter_mut` over slices (and so over
+//!   `Vec`s and arrays) and `into_par_iter` over integer ranges, with
+//!   `for_each`, `map`, `enumerate`, `collect` and `sum`;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] for explicitly
 //!   sized pools, and [`current_num_threads`].
 //!
@@ -19,12 +18,12 @@
 //! **Determinism guarantee:** inputs are split into chunks whose count
 //! and boundaries depend only on the input length, never on the thread
 //! count or schedule. `collect` concatenates per-chunk buffers in chunk
-//! order, and `sum`/`reduce` combine per-chunk partials in chunk order
-//! on the calling thread, so results — including non-associative float
-//! reductions — are **bit-identical** across thread counts. Blocked
-//! callers execute queued jobs while they wait, so nested parallelism
-//! (a batched solve whose device launches fan out again) cannot
-//! deadlock.
+//! order, and `sum` combines per-chunk partials in chunk order on the
+//! calling thread, so results — including non-associative float
+//! reductions — are **bit-identical** across thread counts. Every
+//! operation runs as one chunked batch on the pool; blocked callers
+//! execute queued jobs while they wait, so nested parallelism (a batched
+//! solve whose device launches fan out again) cannot deadlock.
 //!
 //! ```
 //! use rayon::prelude::*;
@@ -32,16 +31,15 @@
 //! let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
 //! let squares: Vec<u64> = pool.install(|| (0..32u64).into_par_iter().map(|i| i * i).collect());
 //! assert_eq!(squares[7], 49);
-//! let (a, b) = rayon::join(|| 1 + 1, || 2 + 2);
-//! assert_eq!((a, b), (2, 4));
+//! let mut halves = [0u64; 32];
+//! pool.install(|| halves.par_iter_mut().enumerate().for_each(|(i, h)| *h = squares[i] / 2));
+//! assert_eq!(halves[7], 24);
 //! ```
 
 mod iter;
 mod pool;
 
-pub use pool::{
-    current_num_threads, join, scope, Scope, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder,
-};
+pub use pool::{current_num_threads, ThreadPool, ThreadPoolBuildError, ThreadPoolBuilder};
 
 pub mod prelude {
     //! Traits required for `par_iter()` / `into_par_iter()` /
@@ -58,7 +56,7 @@ mod tests {
 
     #[test]
     fn sequential_semantics_match() {
-        let v = vec![1, 2, 3, 4];
+        let v = [1, 2, 3, 4];
         let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled, vec![2, 4, 6, 8]);
         let s: i32 = (0..10).into_par_iter().sum();

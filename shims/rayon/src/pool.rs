@@ -1,13 +1,16 @@
 //! The work-stealing thread pool underneath the parallel iterators.
 //!
 //! Hand-rolled on `std` threads, mutexed deques and a condvar (the build
-//! is offline, so no crossbeam): each worker owns a deque it pushes and
-//! pops LIFO; idle workers — and threads blocked on a latch — steal FIFO
+//! is offline, so no crossbeam). The pool runs one kind of job: a
+//! drainer of a chunked batch ([`run_batch`]) whose shared frame lives
+//! on the caller's stack. Each worker owns a deque it pushes and pops
+//! LIFO; idle workers — and threads blocked on a batch — steal FIFO
 //! from the other deques and from a shared injector queue. Blocked
 //! waiters never just sleep: [`Registry::wait_while_helping`] executes
-//! any available job while waiting, which is what makes nested
-//! parallelism (a batched solve whose device launches fan out again)
-//! deadlock-free.
+//! any available job while waiting, and a worker pops its own deque
+//! first, so a nested batch (a batched solve whose device launches fan
+//! out again) drains its own chunks before older work and cannot
+//! deadlock.
 //!
 //! A registry with `num_threads() == 1` spawns no workers at all and
 //! every operation degenerates to plain inline execution — the
@@ -27,7 +30,7 @@ const MAX_THREADS: usize = 256;
 /// (backstop only — every push and every completion notifies the condvar).
 const IDLE_SLEEP: Duration = Duration::from_millis(10);
 
-/// How long a latch waiter sleeps between help attempts (backstop only).
+/// How long a batch waiter sleeps between help attempts (backstop only).
 const WAIT_SLEEP: Duration = Duration::from_millis(1);
 
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
@@ -36,21 +39,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Stores `p` into `slot` unless an earlier panic is already recorded.
-fn store_first_panic(slot: &Mutex<Option<PanicPayload>>, p: PanicPayload) {
-    let mut g = lock(slot);
-    if g.is_none() {
-        *g = Some(p);
-    }
-}
-
 // ---------------------------------------------------------------- JobRef
 
-/// Type-erased pointer to a unit of work. The pointee is either a stack
-/// frame that provably outlives execution (the caller blocks on a latch
-/// before returning — batches and `join`) or a leaked heap box (`scope`
-/// spawns). `execute` must be called exactly once, and must never unwind:
-/// every exec fn catches panics and routes the payload to its latch.
+/// Type-erased pointer to a batch drainer. The pointee is always a
+/// [`run_batch`] frame on the caller's stack, which provably outlives
+/// execution: the caller blocks until every drainer has released it.
+/// `execute` must be called exactly once, and must never unwind: the
+/// drainer catches panics and routes the payload to its batch.
 pub(crate) struct JobRef {
     data: *const (),
     exec_fn: unsafe fn(*const ()),
@@ -268,8 +263,7 @@ impl Registry {
 
     /// Blocks until `done()` holds, executing available jobs while
     /// waiting. This is the only blocking primitive in the pool; because
-    /// every waiter drains the queues, nested fork-join work cannot
-    /// deadlock.
+    /// every waiter drains the queues, nested batches cannot deadlock.
     pub(crate) fn wait_while_helping(self: &Arc<Self>, done: &dyn Fn() -> bool) {
         let me = self.my_worker_index();
         loop {
@@ -350,7 +344,8 @@ impl<F: Fn(usize) + Sync> BatchShared<'_, F> {
                 return;
             }
             if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| (self.f)(i))) {
-                store_first_panic(&self.panic, p);
+                // The first panic wins; later ones are dropped.
+                lock(&self.panic).get_or_insert(p);
                 self.poisoned.store(true, Ordering::SeqCst);
                 self.reg.wake_all();
                 return;
@@ -419,167 +414,6 @@ pub(crate) fn run_batch<F: Fn(usize) + Sync>(reg: &Arc<Registry>, n: usize, f: F
     let payload = lock(&shared.panic).take();
     if let Some(p) = payload {
         panic::resume_unwind(p);
-    }
-}
-
-// ----------------------------------------------------------------- join
-
-struct JoinJob<B, RB> {
-    func: Mutex<Option<B>>,
-    result: Mutex<Option<Result<RB, PanicPayload>>>,
-    done: AtomicBool,
-    reg: Arc<Registry>,
-}
-
-unsafe fn join_exec<B: FnOnce() -> RB, RB>(p: *const ()) {
-    let j = &*(p as *const JoinJob<B, RB>);
-    let func = lock(&j.func).take().expect("join job executed twice");
-    let r = panic::catch_unwind(AssertUnwindSafe(func));
-    *lock(&j.result) = Some(r);
-    // Clone the registry handle *before* setting `done`: the blocked
-    // caller may observe it and free the JoinJob frame immediately, so
-    // nothing behind `j` may be touched after the store.
-    let reg = j.reg.clone();
-    j.done.store(true, Ordering::SeqCst);
-    reg.wake_all();
-}
-
-/// Runs both closures, potentially in parallel, and returns both results.
-/// `oper_a` runs on the calling thread; `oper_b` is offered to the pool
-/// (and may be taken back by the caller while it waits). With a 1-thread
-/// pool both simply run inline, in order.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let reg = current_registry();
-    if reg.num_threads() <= 1 {
-        let ra = oper_a();
-        let rb = oper_b();
-        return (ra, rb);
-    }
-    let job = JoinJob {
-        func: Mutex::new(Some(oper_b)),
-        result: Mutex::new(None),
-        done: AtomicBool::new(false),
-        reg: reg.clone(),
-    };
-    reg.push_jobs([JobRef {
-        data: &job as *const JoinJob<B, RB> as *const (),
-        exec_fn: join_exec::<B, RB>,
-    }]);
-    let ra = panic::catch_unwind(AssertUnwindSafe(oper_a));
-    // Wait even if `a` panicked: the queued job points at this frame.
-    reg.wait_while_helping(&|| job.done.load(Ordering::SeqCst));
-    let rb = lock(&job.result).take().expect("join job lost its result");
-    match (ra, rb) {
-        (Ok(ra), Ok(rb)) => (ra, rb),
-        (Err(p), _) => panic::resume_unwind(p),
-        (_, Err(p)) => panic::resume_unwind(p),
-    }
-}
-
-// ---------------------------------------------------------------- scope
-
-/// A fork-join scope: closures spawned on it may borrow from the
-/// enclosing stack frame (`'scope`), because [`scope`] does not return
-/// until every spawned closure has finished.
-pub struct Scope<'scope> {
-    reg: Arc<Registry>,
-    pending: AtomicUsize,
-    panic: Mutex<Option<PanicPayload>>,
-    marker: std::marker::PhantomData<fn(&'scope ()) -> &'scope ()>,
-}
-
-struct ScopePtr<'s>(*const Scope<'s>);
-// SAFETY: the Scope is Sync (atomics + mutex) and outlives all spawned
-// jobs — `scope` blocks until `pending` drains to zero.
-unsafe impl Send for ScopePtr<'_> {}
-
-impl<'s> ScopePtr<'s> {
-    /// Method (not field) access, so the spawned closure captures the
-    /// wrapper — edition-2021 disjoint capture would otherwise grab the
-    /// raw pointer field and lose the `Send` impl above.
-    fn get(&self) -> *const Scope<'s> {
-        self.0
-    }
-}
-
-struct HeapJob<F>(F);
-
-fn heap_job_ref<F: FnOnce() + Send>(f: F) -> JobRef {
-    unsafe fn exec<F: FnOnce()>(p: *const ()) {
-        let job = Box::from_raw(p as *mut HeapJob<F>);
-        (job.0)();
-    }
-    JobRef {
-        data: Box::into_raw(Box::new(HeapJob(f))) as *const (),
-        exec_fn: exec::<F>,
-    }
-}
-
-/// Creates a scope for spawning borrowed work. Returns `op`'s result
-/// after every spawned closure completed; the first panic (from `op` or
-/// any spawn) is re-raised.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    let reg = current_registry();
-    let s = Scope {
-        reg: reg.clone(),
-        pending: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-        marker: std::marker::PhantomData,
-    };
-    let r = panic::catch_unwind(AssertUnwindSafe(|| op(&s)));
-    reg.wait_while_helping(&|| s.pending.load(Ordering::SeqCst) == 0);
-    let spawned_panic = lock(&s.panic).take();
-    match r {
-        Err(p) => panic::resume_unwind(p),
-        Ok(r) => {
-            if let Some(p) = spawned_panic {
-                panic::resume_unwind(p);
-            }
-            r
-        }
-    }
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawns `f` onto the pool; it runs before the enclosing [`scope`]
-    /// call returns. On a 1-thread pool it runs inline immediately.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        if self.reg.num_threads() <= 1 {
-            if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| f(self))) {
-                store_first_panic(&self.panic, p);
-            }
-            return;
-        }
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        let sptr = ScopePtr(self as *const Scope<'scope>);
-        self.reg.clone().push_jobs([heap_job_ref(move || {
-            // SAFETY: `scope` keeps the Scope alive until `pending` is 0.
-            let scope = unsafe { &*sptr.get() };
-            if let Err(p) = panic::catch_unwind(AssertUnwindSafe(|| f(scope))) {
-                store_first_panic(&scope.panic, p);
-            }
-            // Clone the registry handle *before* the decrement: once
-            // `pending` hits zero the blocked `scope` call may return and
-            // free the Scope, so nothing behind `scope` may be touched
-            // after fetch_sub.
-            let reg = scope.reg.clone();
-            if scope.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-                reg.wake_all();
-            }
-        })]);
     }
 }
 
@@ -715,61 +549,27 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let p = pool(4);
-        let (a, b) = p.install(|| join(|| 2 + 2, || "b"));
-        assert_eq!((a, b), (4, "b"));
-    }
-
-    #[test]
-    fn nested_join_recursion() {
-        // Fork-join recursion exercises stealing and help-while-waiting.
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
-        let p = pool(4);
-        assert_eq!(p.install(|| fib(16)), 987);
-        let seq = pool(1);
-        assert_eq!(seq.install(|| fib(16)), 987);
-    }
-
-    #[test]
-    fn scope_spawn_completes_before_return() {
-        for threads in [1, 4] {
+    fn nested_batches_complete() {
+        // Every outer chunk runs a batch of its own — the path of a
+        // batched solve whose launches fan out again. Each waiter must
+        // help drain the queues, or this deadlocks.
+        const OUTER: usize = 8;
+        const INNER: usize = 13;
+        for threads in [1, 2, 4] {
             let p = pool(threads);
-            let counter = AtomicU64::new(0);
+            let hits: Vec<AtomicU64> = (0..OUTER * INNER).map(|_| AtomicU64::new(0)).collect();
             p.install(|| {
-                scope(|s| {
-                    for _ in 0..32 {
-                        s.spawn(|_| {
-                            counter.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
+                run_batch(&current_registry(), OUTER, |i| {
+                    run_batch(&current_registry(), INNER, |j| {
+                        hits[i * INNER + j].fetch_add(1, Ordering::SeqCst);
+                    })
                 })
             });
-            assert_eq!(counter.load(Ordering::SeqCst), 32, "threads={threads}");
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
+                "threads={threads}: every (i, j) exactly once"
+            );
         }
-    }
-
-    #[test]
-    fn scope_nested_spawn() {
-        let p = pool(3);
-        let counter = AtomicU64::new(0);
-        p.install(|| {
-            scope(|s| {
-                s.spawn(|s| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    s.spawn(|_| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                });
-            })
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -785,15 +585,6 @@ mod tests {
             }));
             assert!(r.is_err(), "threads={threads}: panic must propagate");
         }
-    }
-
-    #[test]
-    fn join_panic_propagates() {
-        let p = pool(4);
-        let r = panic::catch_unwind(AssertUnwindSafe(|| {
-            p.install(|| join(|| 1, || panic!("b exploded")))
-        }));
-        assert!(r.is_err());
     }
 
     #[test]

@@ -36,8 +36,9 @@
 //!   operands beyond device memory: a TSQR front-end for tall-skinny
 //!   shapes (panel QR + fixed-shape R-reduction tree, bit-identical for
 //!   any thread count) and a panel-streaming path for general shapes
-//!   (tiles staged through a bounded reusable arena), both bit-identical
-//!   to a large-enough device. Services and fleets opt in with
+//!   (one simulated transfer charged per tile, straight from the
+//!   operand's slice), the streaming path bit-identical to a
+//!   large-enough device. Services and fleets opt in with
 //!   `oocore_fallback(true)` to stream requests their device rejects as
 //!   over-capacity.
 //! * [`Device`] / [`hw`] — the bulk-synchronous GPU simulator and the
@@ -54,6 +55,8 @@
 //! let sv = svdvals(&a, &dev).unwrap();
 //! assert!((sv[0] - 1.0).abs() < 1e-5);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use unisvd_baselines::{gebrd, jacobi_svdvals, onestage_svdvals, Library};
 pub use unisvd_core::{
@@ -83,7 +86,8 @@ pub use unisvd_service::{
 /// pool (`shims/rayon`).
 ///
 /// Everything parallel in this workspace — [`SvdPlan::execute_batch`], gpu-sim
-/// workgroup launches, buffer fills — runs on this pool. The global pool
+/// workgroup launches, buffer fills, the out-of-core TSQR tree — runs on
+/// this pool, as one chunked batch per parallel loop. The global pool
 /// sizes itself from `RAYON_NUM_THREADS` (1 = guaranteed-sequential
 /// fallback, no worker threads at all); an explicitly sized pool can be
 /// installed around any call:
@@ -103,5 +107,5 @@ pub use unisvd_service::{
 /// into chunks that depend only on input sizes, and all collection /
 /// reduction happens in fixed chunk order.
 pub mod threading {
-    pub use rayon::{current_num_threads, join, scope, Scope, ThreadPool, ThreadPoolBuilder};
+    pub use rayon::{current_num_threads, ThreadPool, ThreadPoolBuilder};
 }
