@@ -665,6 +665,45 @@ fn vector_bits_match_golden_fingerprint() {
     );
 }
 
+#[test]
+fn graded_vector_bits_match_golden_fingerprint() {
+    // Pins U/Vᵀ bits on graded inputs, where the pin above uses small
+    // structured matrices: logarithmic spectra over three decades drive
+    // bdsqr's final zero-shift sweeps, whose rotations decay each seed
+    // column's tail toward the subnormal range during replay. 128²
+    // `Thin` and 256² `TopK(32)`, two seeded inputs each.
+    use rand::{rngs::StdRng, SeedableRng};
+    use unisvd::Want;
+    const GOLDEN: u64 = 0xaac4_8f76_7282_06b0;
+    let mut words = Vec::new();
+    for (n, want) in [(128, Want::Thin), (256, Want::TopK(32))] {
+        let mut plan = Svd::on(&hw::h100())
+            .precision::<f64>()
+            .config(SvdConfig {
+                vectors: want,
+                ..SvdConfig::default()
+            })
+            .plan(n, n)
+            .unwrap();
+        for seed in [1, 2] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a =
+                testmat::test_matrix::<f64, _>(n, SvDistribution::Logarithmic, true, &mut rng).0;
+            let out = plan.execute(&a).unwrap();
+            for f in [out.u.as_ref().unwrap(), out.vt.as_ref().unwrap()] {
+                words.push(f.rows() as u64);
+                words.push(f.cols() as u64);
+                words.extend(f.as_slice().iter().map(|v| v.to_bits()));
+            }
+        }
+    }
+    let got = fnv1a(words);
+    assert_eq!(
+        got, GOLDEN,
+        "graded U/Vᵀ fingerprint moved: {got:#018x} (want {GOLDEN:#018x})"
+    );
+}
+
 /// Values of a solve as 64-bit words: the count, then each value's bits.
 fn values_words<T: unisvd::Scalar>(a: &Matrix<f64>, params: HyperParams) -> Vec<u64> {
     let cfg = SvdConfig {
