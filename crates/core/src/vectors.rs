@@ -33,12 +33,30 @@
 //! a side, one combined reverse pass over the tagged log preserves the
 //! required order.
 //!
+//! **Flushing decayed lanes.** `bdsqr`'s final zero-shift sweeps
+//! (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11(5), 1990) rotate by
+//! small `s`, so replaying them newest first decays each seed column's
+//! entries far from its seed geometrically, down past
+//! `f64::MIN_POSITIVE`; on x86 every subnormal operand or result takes a
+//! slow microcode assist. Stage-3 replay therefore runs in batches of
+//! `FLUSH_PERIOD·padded` rotations and, after each batch, sets every
+//! entry below 2⁻⁹⁶⁰ on the rows that batch touched to `+0.0`
+//! ([`unisvd_kernels::flush_tiny`]); the last flush leaves stage 2 a
+//! clean start. The bits hold: every replayed transform preserves each
+//! accumulator column's unit 2-norm, so a flushed entry is below half an
+//! ulp of any entry above ~2⁻⁹⁰⁰ it later mixes with, and that result
+//! rounds as before. Only an output entry that stays below ~2⁻⁹⁰⁰ (or
+//! exactly zero, whose sign may change) to the end of the replay could
+//! differ; on graded 128² and 256² inputs the smallest |entry| of U/Vᵀ is
+//! ~1e-7. Stage-2 and stage-1 replay do not flush: stage-2 rotations hop
+//! across the band, so a flush there covers every row on every pass.
+//!
 //! Everything here is sequential host code — accumulated vectors are
 //! bit-identical for any thread count, like the values.
 
 use crate::bidiag_svd::Stage3Workspace;
 use unisvd_gpu::GlobalBuffer;
-use unisvd_kernels::{reflector_apply, rot_mix, DMat};
+use unisvd_kernels::{flush_tiny, reflector_apply, rot_mix, DMat};
 use unisvd_scalar::{Real, Scalar};
 
 /// One recorded Givens rotation: `left` routes it to the `U`
@@ -186,6 +204,49 @@ impl Stage1Log {
     }
 }
 
+/// Stage-3 rotations replayed between two flushes of decayed lanes, as
+/// a multiple of the padded edge. A `bdsqr` sweep over `m` rows logs
+/// `2(m − 1)` rotations, so a period spans one sweep of the whole problem
+/// or, near convergence, several shorter ones. Replaying graded 128²
+/// `Thin` solves (release, 2-vCPU x86-64 VM), a period of `1·padded` was
+/// slower than `2·` or `4·padded`, which measured about the same.
+const FLUSH_PERIOD: usize = 2;
+
+/// A row range `lo..hi` that holds no row.
+const EMPTY_ROWS: (usize, usize) = (usize::MAX, 0);
+
+/// Flushes decayed lanes ([`flush_tiny`]) on rows `rows.0..rows.1` of
+/// the `k`-wide row-major `w`, then empties the range.
+fn flush_rows(w: &mut [f64], k: usize, rows: &mut (usize, usize)) {
+    if rows.0 < rows.1 {
+        flush_tiny(&mut w[rows.0 * k..rows.1 * k]);
+    }
+    *rows = EMPTY_ROWS;
+}
+
+/// Replays the stage-3 log newest rotation first onto the `k`-wide
+/// accumulators, in batches of `FLUSH_PERIOD·padded` rotations with the
+/// oldest batch last. After each batch it flushes decayed lanes on the
+/// rows each side touched in it (see the module docs), so the last flush
+/// hands stage 2 a clean start.
+fn replay_stage3(rots: &[Rot], wu: &mut [f64], wv: &mut [f64], k: usize, padded: usize) {
+    let mut touched = [EMPTY_ROWS; 2];
+    for batch in rots.rchunks((FLUSH_PERIOD * padded).max(1)) {
+        for rot in batch.iter().rev() {
+            let i = rot.i as usize;
+            let (w, rows) = if rot.left {
+                (&mut *wu, &mut touched[0])
+            } else {
+                (&mut *wv, &mut touched[1])
+            };
+            rot_mix(w, k, i, rot.c, rot.s);
+            *rows = (rows.0.min(i), rows.1.max(i + 2));
+        }
+        flush_rows(wu, k, &mut touched[0]);
+        flush_rows(wv, k, &mut touched[1]);
+    }
+}
+
 /// Per-plan vector workspace: every log, selection scratch and
 /// accumulator the vector path touches, owned by `PipelineScratch` so a
 /// warm `execute_into` with vectors allocates nothing. `A` is the
@@ -259,11 +320,8 @@ impl<A: Real> VectorScratch<A> {
         for (idx, d) in dvals.iter().enumerate() {
             self.order.push((d.abs().to_f64(), idx));
         }
-        self.order.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
+        self.order
+            .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         self.order.truncate(k);
 
         self.wu.clear();
@@ -280,10 +338,7 @@ impl<A: Real> VectorScratch<A> {
         // Stage 3 then stage 2, newest rotation first. One pass per log:
         // within a side the reverse order is exact, across sides the
         // factors commute.
-        for rot in self.s3.rots.iter().rev() {
-            let w = if rot.left { &mut self.wu } else { &mut self.wv };
-            rot_mix(w, k, rot.i as usize, rot.c, rot.s);
-        }
+        replay_stage3(&self.s3.rots, &mut self.wu, &mut self.wv, k, padded);
         for rot in self.s2.rots.iter().rev() {
             let w = if rot.left { &mut self.wu } else { &mut self.wv };
             rot_mix(w, k, rot.i as usize, rot.c, rot.s);
@@ -380,6 +435,34 @@ mod tests {
         assert!(err < 1e-12, "B − UΣVᵀ max err {err}");
     }
 
+    /// A graded bidiagonal drives `bdsqr`'s zero-shift sweeps, whose
+    /// rotations decay each seed column's far entries geometrically: the
+    /// replay must flush them before they turn subnormal, and keep the
+    /// columns orthonormal.
+    #[test]
+    fn stage3_replay_leaves_no_subnormals() {
+        let (n, k) = (128, 16);
+        let mut rng = StdRng::seed_from_u64(3);
+        let d: Vec<f64> = (0..n)
+            .map(|i| 10f64.powf(-3.0 * i as f64 / (n - 1) as f64))
+            .collect();
+        let e = (0..n - 1)
+            .map(|i| rng.gen_range(-1.0..1.0) * d[i])
+            .collect();
+        let bi = Bidiagonal { d, e };
+        let mut ws = Stage3Workspace::default();
+        let mut vac = VectorScratch::<f64>::new(k, true, n, 4, true);
+        vac.s1 = Stage1Log::default();
+        bdsqr_into_ext(&bi, &mut ws, Some(&mut vac.s3)).unwrap();
+        vac.select_and_replay(n, &ws.d);
+        for (side, w) in [("U", &vac.wu), ("V", &vac.wv)] {
+            let subnormal = w.iter().filter(|x| x.is_subnormal()).count();
+            assert_eq!(subnormal, 0, "{side} holds {subnormal} subnormal entries");
+        }
+        assert!(ortho_err(&vac.wu, n, k) < 1e-13, "U orthogonality");
+        assert!(ortho_err(&vac.wv, n, k) < 1e-13, "V orthogonality");
+    }
+
     /// Stage-2 + stage-3 isolation: chase a random band matrix to
     /// bidiagonal with logging, run logged bdsqr, replay both logs —
     /// must reconstruct the band matrix.
@@ -439,5 +522,35 @@ mod tests {
         assert_eq!(vac2.order, vec![(5.0, 0)]);
         assert_eq!(vac2.wu[0], -1.0);
         assert_eq!(vac2.wv[0], 1.0);
+    }
+
+    /// A NaN on the diagonal must not hand the sort an inconsistent
+    /// comparator: selection completes, and the finite entries keep
+    /// their descending order around it.
+    #[test]
+    fn selection_with_nan_orders_finite_entries() {
+        let d: Vec<f64> = (0..40)
+            .map(|i| {
+                if i == 17 {
+                    f64::NAN
+                } else {
+                    ((i * 7) % 40) as f64 - 20.0
+                }
+            })
+            .collect();
+        let mut vac = VectorScratch::<f64>::new(d.len(), false, d.len(), 4, true);
+        vac.s1 = Stage1Log::default();
+        vac.select_and_replay(d.len(), &d);
+        let finite: Vec<f64> = vac
+            .order
+            .iter()
+            .map(|o| o.0)
+            .filter(|v| !v.is_nan())
+            .collect();
+        assert_eq!(finite.len(), d.len() - 1);
+        assert!(
+            finite.windows(2).all(|p| p[0] >= p[1]),
+            "finite keys out of order: {finite:?}"
+        );
     }
 }

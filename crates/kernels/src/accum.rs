@@ -3,7 +3,7 @@
 //! module) drives, plus the cost models the simulated device charges for
 //! them.
 //!
-//! Both primitives operate on a **padded × k row-major accumulator**
+//! All three primitives operate on a **padded × k row-major accumulator**
 //! `w`: `k` singular-vector columns of the padded device problem, stored
 //! k-contiguous (row `r` is `w[r*k .. (r+1)*k]`) so every replayed
 //! transform streams whole rows, and stored f64 regardless of the
@@ -12,6 +12,12 @@
 //! of its own). They are deliberately sequential and branch-free per
 //! element, so accumulated vectors are bit-identical for any thread
 //! count — the same determinism discipline as the values path.
+//!
+//! [`flush_tiny`], beside the two transforms, zeroes entries below
+//! 2⁻⁹⁶⁰ before they decay into the subnormal range, where x86 takes a
+//! slow assist on every operation. Stage-3 replay calls it on the rows
+//! each batch of `2·padded` rotations touched; the bit argument is on
+//! the function.
 
 use unisvd_gpu::{Device, KernelClass};
 
@@ -36,6 +42,23 @@ pub fn rot_mix(w: &mut [f64], k: usize, i: usize, c: f64, s: f64) {
         let (a, b) = (*h, *l);
         *h = c * a - s * b;
         *l = s * a + c * b;
+    }
+}
+
+/// Sets every entry of `w` with `|x| < 2⁻⁹⁶⁰` to `+0.0`, in one
+/// branch-free pass; NaN and ±Inf pass through unchanged.
+///
+/// The accumulator's columns keep unit 2-norm under every replayed
+/// transform, so such an entry is below half an ulp of any entry above
+/// ~2⁻⁹⁰⁰ it is later mixed with, and zeroing it leaves that result's
+/// rounding unchanged. What it removes is the decay of those entries
+/// into the subnormal range, where every x86 operation on them takes a
+/// slow microcode assist.
+#[inline]
+pub fn flush_tiny(w: &mut [f64]) {
+    const TINY: f64 = f64::from_bits(63 << 52); // 2⁻⁹⁶⁰
+    for x in w.iter_mut() {
+        *x = if x.abs() < TINY { 0.0 } else { *x };
     }
 }
 
@@ -211,6 +234,40 @@ mod tests {
         assert_eq!(accum_s1_flops(64, 8) * 2.0, accum_s1_flops(64, 16));
         assert_eq!(accum_s2_flops(64, 8) * 2.0, accum_s2_flops(64, 16));
         assert_eq!(accum_s3_flops(64, 8) * 2.0, accum_s3_flops(64, 16));
+    }
+
+    #[test]
+    fn flush_tiny_zeroes_only_below_threshold() {
+        let tiny = 2f64.powi(-960);
+        let kept = [
+            tiny,
+            -tiny,
+            2.0 * tiny,
+            1.0,
+            -3.5,
+            f64::MIN_POSITIVE * 2f64.powi(100),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let zeroed = [
+            tiny * (1.0 - f64::EPSILON),
+            -tiny * (1.0 - f64::EPSILON),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            0.0,
+            -0.0,
+        ];
+        let mut w: Vec<f64> = kept.iter().chain(&zeroed).copied().collect();
+        flush_tiny(&mut w);
+        for (got, want) in w.iter().zip(&kept) {
+            assert_eq!(got.to_bits(), want.to_bits(), "{want:e} must keep its bits");
+        }
+        for (got, was) in w[kept.len()..].iter().zip(&zeroed) {
+            assert_eq!(got.to_bits(), 0.0f64.to_bits(), "{was:e} must become +0.0");
+        }
     }
 
     #[test]
