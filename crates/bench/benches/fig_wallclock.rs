@@ -6,14 +6,14 @@
 //! `BENCH_wall.json` as the wall-clock baseline future PRs regress
 //! against):
 //!
-//! 1. **Batched stage-2 chase vs the pre-batching reference.** The
-//!    Givens bulge chase dominates host wall time of a solve; this PR
-//!    rewrote its rotations to walk band-storage slices instead of
-//!    element-at-a-time `get`/`set`. The elementwise loop is frozen here
-//!    as a reference (public `BandMatrix` API only), verified
-//!    bit-identical, and the batched implementation is **asserted
-//!    ≥ 1.5× faster** — the speedup of the repeated-solve workload's
-//!    dominant stage over the frozen elementwise reference.
+//! 1. **Householder stage-2 chase vs the elementwise Givens reference.**
+//!    The bulge chase dominates host wall time of a values-only solve.
+//!    The Givens chase it replaced, with its rotations through
+//!    element-at-a-time `get`/`set`, is frozen here as a reference (public
+//!    `BandMatrix` API only). The two chases produce different bidiagonals
+//!    of the same band, so the gate compares their `bdsqr` values within
+//!    the f32 tolerance of `tests/golden_values.rs`, and the Householder
+//!    chase is **asserted ≥ 1.5× faster** than the reference.
 //! 2. **Steady-state plan reuse vs per-solve cold start** (plan + first
 //!    execute per matrix): the end-to-end repeated-solve workload, with
 //!    the steady path running `execute_into` against a reused output
@@ -22,15 +22,15 @@
 //!    with the warm service prewarmed from a signature trace
 //!    (`SvdService::warm`).
 //!
-//! Determinism gates run before any timing: the reference chase must
-//! reproduce the batched chase bit for bit, and warm serving must equal
-//! cold serving bit for bit.
+//! Correctness gates run before any timing: the two chases' values must
+//! agree, and warm serving must equal cold serving bit for bit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Instant;
-use unisvd_core::band2bi::givens;
-use unisvd_core::{band_to_bidiagonal, Svd, SvdConfig, SvdOutput};
+use unisvd_core::band2bi::work_band_geometry;
+use unisvd_core::bidiag_svd::givens;
+use unisvd_core::{band_to_bidiagonal, bdsqr, Svd, SvdConfig, SvdOutput};
 use unisvd_gpu::hw::h100;
 use unisvd_gpu::Device;
 use unisvd_matrix::{testmat, BandMatrix, Matrix, SvDistribution};
@@ -50,7 +50,7 @@ fn median_wall(reps: usize, mut f: impl FnMut()) -> f64 {
     walls[walls.len() / 2]
 }
 
-// --- frozen pre-batching chase reference (public BandMatrix API) -------
+// --- frozen elementwise Givens chase reference (public BandMatrix API) --
 
 fn ref_rotate_cols(b: &mut BandMatrix<f32>, j1: usize, j2: usize, c: f32, s: f32, zi: usize) {
     let n = b.n();
@@ -131,8 +131,8 @@ fn ref_chase_element(b: &mut BandMatrix<f32>, row: usize, d: usize) {
     }
 }
 
-/// The full pre-batching reduction: identical sweep structure, rotations
-/// through elementwise `get`/`set`.
+/// The full elementwise Givens reduction: one sweep per superdiagonal,
+/// outermost first, rotations through `get`/`set`.
 fn ref_band_to_bidiagonal(band: &mut BandMatrix<f32>, bandwidth: usize) {
     let n = band.n();
     for d in (2..=bandwidth).rev() {
@@ -153,16 +153,6 @@ fn random_band(n: usize, bw: usize, seed: u64) -> BandMatrix<f32> {
     })
 }
 
-fn band_bits(b: &BandMatrix<f32>) -> Vec<u32> {
-    let mut out = Vec::new();
-    for j in 0..b.n() {
-        for i in j.saturating_sub(b.sup())..=(j + b.sub()).min(b.n() - 1) {
-            out.push(b.get(i, j).to_bits());
-        }
-    }
-    out
-}
-
 fn fig_wallclock(c: &mut Criterion) {
     let quick = criterion::quick_mode();
     let reps = if quick { 3 } else { 7 };
@@ -170,29 +160,42 @@ fn fig_wallclock(c: &mut Criterion) {
     // ------------------------------------------------ 1. chase A/B ----
     let (n, bw) = if quick { (64, 32) } else { (96, 32) };
     let band0 = random_band(n, bw, 0xBA5E);
+    // The Householder chase runs in place on a band with its fill room.
+    let (sub, sup) = work_band_geometry(n, bw);
+    let work0 = BandMatrix::from_dense(n, sub, sup, |i, j| band0.get(i, j));
     let dev = Device::numeric(h100());
 
-    // Bit-identity gate: the batched rotations must reproduce the frozen
-    // elementwise reference exactly.
-    let mut batched = band0.clone();
-    band_to_bidiagonal(&dev, &mut batched, bw, PrecisionKind::Fp32, bw);
+    // Values gate: both bidiagonals carry the band's singular values, to
+    // the f32 tolerance of the golden-value tests (relative to 1 + σ₁).
+    let mut work = work0.clone();
+    let householder = bdsqr(&band_to_bidiagonal(
+        &dev,
+        &mut work,
+        bw,
+        PrecisionKind::Fp32,
+        bw,
+    ))
+    .expect("Householder bidiagonal converges");
     let mut reference = band0.clone();
     ref_band_to_bidiagonal(&mut reference, bw);
-    assert_eq!(
-        band_bits(&batched),
-        band_bits(&reference),
-        "batched chase must be bit-identical to the pre-batching reference"
-    );
+    let given = bdsqr(&reference.to_bidiagonal()).expect("Givens bidiagonal converges");
+    let tol = 2e-4 * (1.0 + given[0]);
+    for (i, (a, b)) in householder.iter().zip(&given).enumerate() {
+        assert!(
+            (a - b).abs() <= tol,
+            "chase values disagree at σ[{i}]: Householder {a:e}, Givens reference {b:e}"
+        );
+    }
 
     let mut g = c.benchmark_group("fig_wallclock");
     g.sample_size(10);
-    let mut scratch = band0.clone();
-    g.bench_function(format!("chase_batched_n{n}"), |b| {
+    g.bench_function(format!("chase_householder_n{n}"), |b| {
         b.iter(|| {
-            scratch.clone_from(&band0);
-            band_to_bidiagonal(&dev, &mut scratch, bw, PrecisionKind::Fp32, bw)
+            work.clone_from(&work0);
+            band_to_bidiagonal(&dev, &mut work, bw, PrecisionKind::Fp32, bw)
         })
     });
+    let mut scratch = band0.clone();
     g.bench_function(format!("chase_reference_n{n}"), |b| {
         b.iter(|| {
             scratch.clone_from(&band0);
@@ -200,19 +203,23 @@ fn fig_wallclock(c: &mut Criterion) {
         })
     });
 
-    let clone_cost = median_wall(reps, || {
+    let clone_work = median_wall(reps, || {
+        work.clone_from(&work0);
+        std::hint::black_box(&work);
+    });
+    let clone_ref = median_wall(reps, || {
         scratch.clone_from(&band0);
         std::hint::black_box(&scratch);
     });
-    let wall_batched = median_wall(reps, || {
-        scratch.clone_from(&band0);
-        band_to_bidiagonal(&dev, &mut scratch, bw, PrecisionKind::Fp32, bw);
-    }) - clone_cost;
+    let wall_householder = median_wall(reps, || {
+        work.clone_from(&work0);
+        band_to_bidiagonal(&dev, &mut work, bw, PrecisionKind::Fp32, bw);
+    }) - clone_work;
     let wall_reference = median_wall(reps, || {
         scratch.clone_from(&band0);
         ref_band_to_bidiagonal(&mut scratch, bw);
-    }) - clone_cost;
-    let chase_speedup = wall_reference / wall_batched;
+    }) - clone_ref;
+    let chase_speedup = wall_reference / wall_householder;
 
     // ------------------------------- 2. steady vs cold plan reuse -----
     const SOLVE_N: usize = 48;
@@ -311,8 +318,8 @@ fn fig_wallclock(c: &mut Criterion) {
     // ------------------------------------------------ report ----------
     println!("\nfig_wallclock (host wall time, H100 simulator):");
     println!(
-        "  stage-2 chase ({n}x{n}, bw {bw}):   batched {:>8.3} ms   elementwise reference {:>8.3} ms   ({chase_speedup:.2}x)",
-        wall_batched * 1e3,
+        "  stage-2 chase ({n}x{n}, bw {bw}):   Householder {:>8.3} ms   elementwise Givens reference {:>8.3} ms   ({chase_speedup:.2}x)",
+        wall_householder * 1e3,
         wall_reference * 1e3
     );
     println!(
@@ -330,7 +337,7 @@ fn fig_wallclock(c: &mut Criterion) {
     );
     assert!(
         chase_speedup >= 1.5,
-        "the batched chase must beat the pre-batching reference by >= 1.5x \
+        "the Householder chase must beat the elementwise Givens reference by >= 1.5x \
          on the repeated-solve workload's dominant stage, got {chase_speedup:.2}x"
     );
     assert!(

@@ -1,119 +1,223 @@
-//! Stage 2: band → bidiagonal reduction by Givens bulge chasing.
+//! Stage 2: band → bidiagonal reduction by Householder bulge chasing.
 //!
 //! The paper performs this stage on the GPU with the cache-efficient tile
 //! kernels of Haidar et al. and the communication-avoiding grouping of
 //! Ballard et al., and defers its detailed study to future work. Here we
-//! implement the classical successive band reduction: the outermost
-//! superdiagonal is annihilated element by element, each annihilation
-//! chasing its bulge down the band with alternating right (column) and
-//! left (row) Givens rotations, until only the main diagonal and first
-//! superdiagonal remain. Cost is accounted per sweep through the device's
-//! launch stream so the Fig. 6 stage breakdown includes it.
+//! run the host form of those kernels: the one-pass successive band
+//! reduction with Householder reflectors of length ≤ b (Bischof, Lang &
+//! Sun, ACM TOMS 26(4), 2000; the bidiagonal case is the second stage of
+//! Haidar, Kurzak & Luszczek, SC'13). Sweep `i` clears row `i` beyond the
+//! first superdiagonal and chases the bulge this creates down the band,
+//! one hop of up to `b` columns at a time (`for_each_hop`). Each hop
+//! applies one right reflector (from row `p`, over columns `c0..=c1`) and
+//! one left reflector (from column `c0`, over rows `c0..=c1`) to a dense
+//! block of the band. Cost is accounted per bandwidth-reduction sweep
+//! through the device's launch stream so the Fig. 6 stage breakdown
+//! includes it; that model predates the Householder chase and is kept as
+//! it is (see `sweep_spec`), so the simulated numbers do not move.
 //!
-//! Rotation bookkeeping: the band is stored with `sub = 1` below and
-//! `sup = b + 1` above — the bulge room; annihilated targets are set to
-//! exact zero. When sweep `d` starts, every entry beyond distance `d` is
-//! exactly zero, and during the sweep only the one bulge cell at
-//! distance `d + 1` joins them. So each rotation of sweep `d` runs over
-//! just the `d + 1` live superdiagonals — the width the cost model
-//! (`sweep_spec`) already charges — rather than all `b + 1` stored
-//! ones. The pairs this skips are all-zero, the same pairs the rotations'
-//! exact-zero guard skips, so the result is bit-identical to rotating the
-//! whole stored band.
+//! Fill: a hop's right reflector fills the `len × len` block below the
+//! diagonal (`b − 1` subdiagonals) and its left reflector extends rows
+//! `c0..=c1` to column `c1 + b` (`2b − 1` superdiagonals); between sweeps
+//! the fill is at most `b − 2` below and `2b − 2` above. The chase
+//! therefore runs on a *work band* of that geometry
+//! ([`work_band_geometry`]), which a plan allocates once and stage-1
+//! extraction fills directly. Annihilated cells are set to exact zero, so
+//! the result is exactly bidiagonal.
 
-use crate::vectors::RotLog;
+use crate::vectors::Stage2Log;
 use unisvd_gpu::{Device, ExecMode, KernelClass, LaunchSpec};
 use unisvd_matrix::{BandMatrix, Bidiagonal};
 use unisvd_scalar::Real;
 
-/// Computes a Givens rotation `(c, s, r)` with `c·f + s·g = r` and
-/// `-s·f + c·g = 0`.
+/// Subdiagonals and superdiagonals the chase's work band stores for an
+/// order-`n` band of bandwidth `b`: `b − 1` below and `2b − 1` above the
+/// diagonal, each capped at `n − 1`. [`band_to_bidiagonal_into`] reduces a
+/// band of at least this geometry in place.
+pub fn work_band_geometry(n: usize, b: usize) -> (usize, usize) {
+    let cap = n.saturating_sub(1);
+    (
+        b.saturating_sub(1).min(cap),
+        (2 * b).saturating_sub(1).min(cap),
+    )
+}
+
+/// Calls `hop(p, c0, c1)` for every hop of the chase of an order-`n` band
+/// of bandwidth `b`, in order. Sweep `i` starts at `p = i`, `c0 = i + 1`,
+/// `c1 = min(i + b, n − 1)` and advances `p ← c0`, `c0 ← c1 + 1`,
+/// `c1 ← min(c1 + b, n − 1)` while `c1 > c0`. The sequence depends only
+/// on `(n, b)`, so the stage-2 log is laid out from it before any data.
+pub(crate) fn for_each_hop(n: usize, b: usize, mut hop: impl FnMut(usize, usize, usize)) {
+    for i in 0..n.saturating_sub(2) {
+        let (mut p, mut c0, mut c1) = (i, i + 1, (i + b).min(n - 1));
+        while c1 > c0 {
+            hop(p, c0, c1);
+            p = c0;
+            c0 = c1 + 1;
+            c1 = (c1 + b).min(n - 1);
+        }
+    }
+}
+
+/// Rows of the right reflector's update held in one stack block: rows are
+/// independent, so the block size does not change any bit.
+const ROW_BLOCK: usize = 64;
+
+/// `Σ x[i]·y[i]` in eight interleaved partial sums, combined pairwise at
+/// the end — a fixed order (the same bits on every run and thread count)
+/// whose independent chains SSE2 runs two or four lanes wide.
 #[inline]
-pub fn givens<R: Real>(f: R, g: R) -> (R, R, R) {
-    if g == R::ZERO {
-        (R::ONE, R::ZERO, f)
-    } else if f == R::ZERO {
-        (R::ZERO, R::ONE, g)
-    } else {
-        let r = f.hypot(g).copysign(f);
-        (f / r, g / r, r)
+fn dot<R: Real>(x: &[R], y: &[R]) -> R {
+    let mut acc = [R::ZERO; 8];
+    let (xs, ys) = (x.chunks_exact(8), y.chunks_exact(8));
+    let (xr, yr) = (xs.remainder(), ys.remainder());
+    for (xc, yc) in xs.zip(ys) {
+        for l in 0..8 {
+            acc[l] += xc[l] * yc[l];
+        }
     }
+    for (l, (&a, &b)) in xr.iter().zip(yr).enumerate() {
+        acc[l] += a * b;
+    }
+    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
 }
 
-/// Annihilates element `(row, row + d)` (distance `d ≥ 2`) and chases the
-/// resulting bulge off the end of the band, each rotation running over
-/// the first `live` superdiagonals. With `log`, every applied rotation is
-/// recorded (tagged by side) for singular-vector replay — rotations
-/// skipped by the exact-zero guards apply the identity and log nothing.
-fn chase_element<R: Real>(
-    b: &mut BandMatrix<R>,
-    row: usize,
-    d: usize,
-    live: usize,
-    mut log: Option<&mut RotLog>,
-) {
-    let n = b.n();
-    let mut target_row = row;
-    let mut jc = row + d; // column of the element being annihilated
-    loop {
-        // Right rotation on columns (jc-1, jc) zeroing (target_row, jc).
-        let f = b.get(target_row, jc - 1);
-        let g = b.get(target_row, jc);
-        if g != R::ZERO {
-            let (c, s, _r) = givens(f, g);
-            b.givens_cols(jc - 1, c, s, target_row, live);
-            if let Some(log) = log.as_deref_mut() {
-                log.push(false, jc - 1, c.to_f64(), s.to_f64());
-            }
-        }
-        // That created a bulge at (jc, jc-1), below the diagonal.
-        if jc >= n {
-            break;
-        }
-        let bulge = b.get(jc, jc - 1);
-        if bulge != R::ZERO {
-            // Left rotation on rows (jc-1, jc) zeroing (jc, jc-1).
-            let f = b.get(jc - 1, jc - 1);
-            let (c, s, _r) = givens(f, bulge);
-            b.givens_rows(jc - 1, c, s, jc - 1, live);
-            if let Some(log) = log.as_deref_mut() {
-                log.push(true, jc - 1, c.to_f64(), s.to_f64());
-            }
-        }
-        // The left rotation created a bulge at (jc-1, jc-1+d+1); the next
-        // right rotation will zero it. Advance the chase by one stride.
-        let next_col = jc + d;
-        if next_col >= n {
-            // Any remaining above-band element at (jc-1, j) with j < n is
-            // inside the band (distance ≤ d) — chase complete.
-            break;
-        }
-        target_row = jc - 1;
-        jc = next_col;
+/// `‖(a[k] for k in idx)‖₂`, scaled by the largest entry so that tiny
+/// entries do not underflow when squared; exactly zero iff every entry is.
+fn norm<R: Real>(a: &[R], idx: impl Iterator<Item = usize> + Clone) -> R {
+    let scale = idx.clone().fold(R::ZERO, |m, k| m.max(a[k].abs()));
+    if scale == R::ZERO {
+        return R::ZERO;
     }
+    let ssq = idx.fold(R::ZERO, |acc, k| {
+        let x = a[k] / scale;
+        acc + x * x
+    });
+    scale * ssq.sqrt()
 }
 
-/// Sweep `d`: annihilates every distance-`d` entry of a band with nothing
-/// beyond distance `d`, rotating over `live` superdiagonals. `live = d + 1`
-/// (the band plus the one-cell bulge) is all a rotation can reach;
-/// `live = band.sup()` rotates the whole stored band to the same bits.
-fn chase_sweep<R: Real>(
-    band: &mut BandMatrix<R>,
-    d: usize,
-    live: usize,
-    mut log: Option<&mut RotLog>,
-) {
-    debug_assert!(
-        band.max_abs_beyond_sup(d) == R::ZERO,
-        "sweep {d} starts with a nonzero beyond distance {d}"
-    );
-    for row in 0..band.n().saturating_sub(d) {
-        chase_element(band, row, d, live, log.as_deref_mut());
+/// LAPACK `xLARFG` in place on `a[h]` (the head `α`) and the tail
+/// `a[h + s·t]`, `t = 1..len`: overwrites the head with `β` and the tail
+/// with the reflector's tail `v`, and returns `τ`, so that
+/// `(I − τ·[1; v]·[1; v]ᵀ)·x = β·e₁` for the original `x`. A tail of exact
+/// zeros returns `τ = 0` (the identity) and changes nothing. As in
+/// LAPACK, an `x` whose norm is below `safmin = MIN_POSITIVE / EPSILON` is
+/// first scaled up by powers of `1 / safmin` (exactly), so that `τ` and `v`
+/// are computed from normal numbers and `H` stays orthogonal.
+fn larfg<R: Real>(a: &mut [R], h: usize, s: usize, len: usize) -> R {
+    let tail = (1..len).map(|t| h + s * t);
+    let xnorm = norm(a, tail.clone());
+    if xnorm == R::ZERO {
+        return R::ZERO;
     }
+    let mut alpha = a[h];
+    let mut beta = -alpha.hypot(xnorm).copysign(alpha);
+    let safmin = R::MIN_POSITIVE / R::EPSILON;
+    let mut knt = 0;
+    while beta.abs() < safmin && knt < 20 {
+        knt += 1;
+        for k in tail.clone() {
+            a[k] /= safmin;
+        }
+        alpha /= safmin;
+        beta /= safmin;
+    }
+    if knt > 0 {
+        beta = -alpha.hypot(norm(a, tail.clone())).copysign(alpha);
+    }
+    let tau = (beta - alpha) / beta;
+    let denom = alpha - beta;
+    for k in tail {
+        a[k] /= denom;
+    }
+    for _ in 0..knt {
+        beta *= safmin;
+    }
+    a[h] = beta;
+    tau
+}
+
+/// The Householder chase on a work band (see the module docs), logging
+/// each reflector into its slot of `log` when one is given.
+fn chase<R: Real>(band: &mut BandMatrix<R>, b: usize, mut log: Option<&mut Stage2Log>) {
+    let (n, sub, sup) = (band.n(), band.sub(), band.sup());
+    let ld = sub + sup;
+    let a = band.storage_mut();
+    let at = |i: usize, j: usize| sup + i + j * ld;
+    let mut slot = 0;
+    let mut w = [R::ZERO; ROW_BLOCK];
+    for_each_hop(n, b, |p, c0, c1| {
+        let len = c1 - c0 + 1;
+        // Right reflector from row p over columns c0..=c1, applied to the
+        // rows below it that reach those columns: p + 1 ..= c1.
+        let h = at(p, c0);
+        let tau = larfg(a, h, ld, len);
+        if tau != R::ZERO {
+            let mut r = p + 1;
+            while r <= c1 {
+                let cnt = (c1 + 1 - r).min(ROW_BLOCK);
+                let w = &mut w[..cnt];
+                w.copy_from_slice(&a[at(r, c0)..at(r, c0) + cnt]);
+                for t in 1..len {
+                    let v = a[h + ld * t];
+                    let col = &a[at(r, c0 + t)..at(r, c0 + t) + cnt];
+                    for (x, &y) in w.iter_mut().zip(col) {
+                        *x += v * y;
+                    }
+                }
+                for x in w.iter_mut() {
+                    *x *= tau;
+                }
+                for t in 0..len {
+                    let v = if t == 0 { R::ONE } else { a[h + ld * t] };
+                    let col = &mut a[at(r, c0 + t)..at(r, c0 + t) + cnt];
+                    for (y, &x) in col.iter_mut().zip(w.iter()) {
+                        *y -= x * v;
+                    }
+                }
+                r += cnt;
+            }
+        }
+        if let Some(log) = log.as_deref_mut() {
+            log.record(slot, tau, (1..len).map(|t| a[h + ld * t]));
+        }
+        slot += 1;
+        for t in 1..len {
+            a[h + ld * t] = R::ZERO;
+        }
+
+        // Left reflector from column c0 over rows c0..=c1, applied to the
+        // columns right of it that reach those rows: c0 + 1 ..= c1 + b.
+        let h = at(c0, c0);
+        let tau = larfg(a, h, 1, len);
+        if tau != R::ZERO {
+            // v (rows c0 + 1 ..= c1 of column c0) is stored before row c0
+            // of column c0 + 1, where the updated columns start.
+            let (vcol, rest) = a.split_at_mut(at(c0, c0 + 1));
+            let v = &vcol[h + 1..h + len];
+            for j in c0 + 1..=(c1 + b).min(n - 1) {
+                let o = at(c0, j) - at(c0, c0 + 1);
+                let col = &mut rest[o..o + len];
+                let s = tau * (col[0] + dot(v, &col[1..]));
+                col[0] -= s;
+                for (y, &vi) in col[1..].iter_mut().zip(v) {
+                    *y -= s * vi;
+                }
+            }
+        }
+        if let Some(log) = log.as_deref_mut() {
+            log.record(slot, tau, a[h + 1..h + len].iter().copied());
+        }
+        slot += 1;
+        a[h + 1..h + len].fill(R::ZERO);
+    });
 }
 
 /// Cost accounting for one bandwidth-reduction sweep (distance `d`), as a
-/// communication-avoiding chase-set kernel batch on the device.
+/// communication-avoiding chase-set kernel batch on the device. The model
+/// describes a sweep-per-superdiagonal Givens chase; the host runs the
+/// Householder chase, and the model is kept so the simulated numbers and
+/// the paper figures stay put.
 fn sweep_spec(n: usize, d: usize, ts: usize, prec: unisvd_scalar::PrecisionKind) -> LaunchSpec {
     let grid = n.div_ceil(ts).max(1);
     let mut s = LaunchSpec::new(
@@ -124,8 +228,8 @@ fn sweep_spec(n: usize, d: usize, ts: usize, prec: unisvd_scalar::PrecisionKind)
     );
     s.precision = prec;
     // Each of ~n annihilations chases ~n/d hops of 2 rotations over the
-    // d + 1 live superdiagonals (~d entries, which is what the host
-    // touches too): ≈ 12·n per element, 12·n·(n−d) per sweep.
+    // d + 1 live superdiagonals (~d entries): ≈ 12·n per element,
+    // 12·n·(n−d) per sweep.
     s.flops = 12.0 * n as f64 * n.saturating_sub(d) as f64;
     // Rotations stream the band region they touch (read + write).
     s.bytes = s.flops / 3.0 * prec.bytes() as f64;
@@ -134,17 +238,12 @@ fn sweep_spec(n: usize, d: usize, ts: usize, prec: unisvd_scalar::PrecisionKind)
     s
 }
 
-/// Reduces an upper band matrix (bandwidth `b = band.sup() - 1`, i.e. the
-/// stored band minus the bulge headroom) to upper bidiagonal form in
-/// place, accounting simulated cost on `dev`. Returns the bidiagonal.
+/// Reduces an upper band matrix of bandwidth `bandwidth` to upper
+/// bidiagonal form in place, accounting simulated cost on `dev`. Returns
+/// the bidiagonal.
 ///
 /// In trace-only mode only the cost stream is emitted and the returned
 /// bidiagonal is empty.
-///
-/// # Panics
-/// In numeric mode, if `band` has no bulge room for `bandwidth`: it
-/// must store `sub >= 1` subdiagonal and `sup >= bandwidth + 1`
-/// superdiagonals. Trace-only mode accepts any placeholder band.
 pub fn band_to_bidiagonal<R: Real>(
     dev: &Device,
     band: &mut BandMatrix<R>,
@@ -158,11 +257,12 @@ pub fn band_to_bidiagonal<R: Real>(
 }
 
 /// [`band_to_bidiagonal`] writing the result into an existing
-/// [`Bidiagonal`] whose vectors are reused — the steady-state path of a
-/// reused plan, which performs stage 2 without any heap allocation.
-///
-/// # Panics
-/// As [`band_to_bidiagonal`].
+/// [`Bidiagonal`] whose vectors are reused. A band that stores the chase's
+/// fill room ([`work_band_geometry`]) is reduced in place without any heap
+/// allocation — the steady-state path of a reused plan. A narrower band,
+/// such as the `(n, 1, bandwidth + 1)` band stage-1 extraction also
+/// accepts, is copied into a local work band, reduced there and the
+/// (bidiagonal) result copied back, with the same bits.
 pub fn band_to_bidiagonal_into<R: Real>(
     dev: &Device,
     band: &mut BandMatrix<R>,
@@ -171,13 +271,27 @@ pub fn band_to_bidiagonal_into<R: Real>(
     ts: usize,
     bi: &mut Bidiagonal<R>,
 ) {
-    band_to_bidiagonal_into_ext(dev, band, bandwidth, prec, ts, bi, None);
+    let n = band.n();
+    let (sub, sup) = work_band_geometry(n, bandwidth);
+    if dev.mode() == ExecMode::Numeric && (band.sub() < sub || band.sup() < sup) {
+        let mut work = BandMatrix::zeros(n, sub, sup);
+        work.refill_from_dense(|i, j| band.get(i, j));
+        band_to_bidiagonal_into_ext(dev, &mut work, bandwidth, prec, ts, bi, None);
+        band.refill_from_dense(|i, j| work.get(i, j));
+    } else {
+        band_to_bidiagonal_into_ext(dev, band, bandwidth, prec, ts, bi, None);
+    }
 }
 
-/// [`band_to_bidiagonal_into`] with an optional rotation log: every
-/// Givens rotation of the chase is recorded for singular-vector replay.
-/// With `log = None` the behaviour (and the produced bidiagonal, bit for
-/// bit) is identical to [`band_to_bidiagonal_into`].
+/// [`band_to_bidiagonal_into`] on a work band, with an optional
+/// reflector log: every reflector of the chase is written to its slot
+/// for singular-vector replay. The log only copies, so the produced
+/// bidiagonal is bit-identical with `log = None`.
+///
+/// # Panics
+/// In numeric mode, if `band` has no fill room for `bandwidth`: it must
+/// store at least the sub- and superdiagonals of
+/// [`work_band_geometry`]. Trace-only mode accepts any placeholder band.
 pub(crate) fn band_to_bidiagonal_into_ext<R: Real>(
     dev: &Device,
     band: &mut BandMatrix<R>,
@@ -185,25 +299,23 @@ pub(crate) fn band_to_bidiagonal_into_ext<R: Real>(
     prec: unisvd_scalar::PrecisionKind,
     ts: usize,
     bi: &mut Bidiagonal<R>,
-    mut log: Option<&mut RotLog>,
+    log: Option<&mut Stage2Log>,
 ) {
     let n = band.n();
     let numeric = dev.mode() == ExecMode::Numeric;
+    let (sub, sup) = work_band_geometry(n, bandwidth);
     assert!(
-        !numeric || (band.sub() >= 1 && band.sup() > bandwidth),
-        "stage 2 needs bulge room: bandwidth {bandwidth} requires sub >= 1 and sup >= {}, \
-         got sub = {}, sup = {}",
-        bandwidth + 1,
+        !numeric || (band.sub() >= sub && band.sup() >= sup),
+        "stage 2 needs fill room: bandwidth {bandwidth} requires sub >= {sub} and \
+         sup >= {sup}, got sub = {}, sup = {}",
         band.sub(),
         band.sup()
     );
     for d in (2..=bandwidth).rev() {
         dev.launch::<R, _>(&sweep_spec(n, d, ts, prec), |_| {});
-        if numeric {
-            chase_sweep(band, d, d + 1, log.as_deref_mut());
-        }
     }
     if numeric {
+        chase(band, bandwidth, log);
         band.to_bidiagonal_into(bi);
     } else {
         bi.d.clear();
@@ -229,13 +341,14 @@ mod tests {
         })
     }
 
-    /// The input families of the live-window check: random, scattered
-    /// exact zeros, rank 1, empty outer diagonal, tiny with zero rows,
-    /// and −0.0 in every stored cell.
+    /// The input families of the chase checks: random, scattered exact
+    /// zeros, rank 1, empty outer diagonal, tiny with zero rows, and −0.0
+    /// in every stored cell. Built in the work-band geometry.
     fn family_band<R: Real>(n: usize, bw: usize, family: usize, seed: u64) -> BandMatrix<R> {
         let mut rng = StdRng::seed_from_u64(seed);
         let u: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        BandMatrix::from_dense(n, 1, bw + 1, |i, j| {
+        let (sub, sup) = work_band_geometry(n, bw);
+        BandMatrix::from_dense(n, sub, sup, |i, j| {
             let x: f64 = rng.gen_range(-1.0..1.0);
             let v = match family {
                 _ if j < i || j - i > bw => 0.0,
@@ -246,7 +359,11 @@ mod tests {
                 4 => x * 1e-30,
                 _ => x,
             };
-            R::from_f64(if family == 5 { -0.0 } else { v })
+            R::from_f64(if family == 5 && j >= i && j - i <= bw {
+                -0.0
+            } else {
+                v
+            })
         })
     }
 
@@ -260,9 +377,82 @@ mod tests {
         out
     }
 
-    /// Every stored cell after a `live = d + 1` chase matches the same
-    /// chase rotating the whole stored band, bit for bit.
-    fn live_window_matches_full_band<R: Real>() {
+    /// `max |QᵀQ − I|` of the `n × n` row-major `q`.
+    fn ortho_err(q: &[f64], n: usize) -> f64 {
+        let mut worst: f64 = 0.0;
+        for a in 0..n {
+            for b in a..n {
+                let dot: f64 = (0..n).map(|i| q[i * n + a] * q[i * n + b]).sum();
+                worst = worst.max((dot - if a == b { 1.0 } else { 0.0 }).abs());
+            }
+        }
+        worst
+    }
+
+    /// Chases `band` with and without a log and checks three things: the
+    /// result is exactly bidiagonal; both runs give the same bits; and the
+    /// log, replayed onto unit seeds, gives orthogonal `Q_L`, `Q_R` with
+    /// `‖Q_Lᵀ·B·Q_R − bidiag‖_max ≤ n·ε·‖B‖_F`.
+    fn check_chase<R: Real>(band: &BandMatrix<R>, bw: usize, what: &str) {
+        let n = band.n();
+        let mut plain = band.clone();
+        chase(&mut plain, bw, None);
+        let mut logged = band.clone();
+        let mut log = Stage2Log::new(n, bw);
+        chase(&mut logged, bw, Some(&mut log));
+        assert_eq!(bits(&plain), bits(&logged), "{what}: logging moved bits");
+        assert!(
+            plain.max_abs_below_diag() == R::ZERO && plain.max_abs_beyond_sup(1) == R::ZERO,
+            "{what}: not bidiagonal"
+        );
+
+        let mut ql = vec![0.0; n * n];
+        for i in 0..n {
+            ql[i * n + i] = 1.0;
+        }
+        let mut qr = ql.clone();
+        log.replay(&mut ql, &mut qr, n, &mut vec![0.0; n]);
+        let eps = R::EPSILON.to_f64();
+        let bound = n as f64 * eps;
+        assert!(ortho_err(&ql, n) <= bound, "{what}: Q_L not orthogonal");
+        assert!(ortho_err(&qr, n) <= bound, "{what}: Q_R not orthogonal");
+
+        // B·Q_R over B's band, then Q_Lᵀ·(B·Q_R).
+        let mut bq = vec![0.0; n * n];
+        for i in 0..n {
+            for j in i..(i + bw + 1).min(n) {
+                let bij = band.get(i, j).to_f64();
+                for c in 0..n {
+                    bq[i * n + c] += bij * qr[j * n + c];
+                }
+            }
+        }
+        let mut err: f64 = 0.0;
+        for r in 0..n {
+            for c in 0..n {
+                let m: f64 = (0..n).map(|i| ql[i * n + r] * bq[i * n + c]).sum();
+                let want = if c == r || c == r + 1 {
+                    plain.get(r, c).to_f64()
+                } else {
+                    0.0
+                };
+                err = err.max((m - want).abs());
+            }
+        }
+        // In f64: the squares of the 1e-30 family underflow in f32.
+        let norm = (0..n)
+            .flat_map(|i| (i..n).map(move |j| (i, j)))
+            .map(|(i, j)| band.get(i, j).to_f64().powi(2))
+            .sum::<f64>()
+            .sqrt();
+        assert!(
+            err <= bound * norm,
+            "{what}: ‖Q_Lᵀ·B·Q_R − bidiag‖ = {err:e} > {:e}",
+            bound * norm
+        );
+    }
+
+    fn chase_checks<R: Real>() {
         let shapes = [
             (256, 64),
             (128, 64),
@@ -277,48 +467,47 @@ mod tests {
         ];
         for (k, &(n, bw)) in shapes.iter().enumerate() {
             for family in 0..6 {
-                let mut live = family_band::<R>(n, bw, family, (10 * k + family) as u64);
-                let mut full = live.clone();
-                let sup = full.sup();
-                for d in (2..=bw).rev() {
-                    chase_sweep(&mut live, d, d + 1, None);
-                    chase_sweep(&mut full, d, sup, None);
-                }
-                assert_eq!(bits(&live), bits(&full), "n={n} bw={bw} family={family}");
+                let band = family_band::<R>(n, bw, family, (10 * k + family) as u64);
+                check_chase(&band, bw, &format!("n={n} bw={bw} family={family}"));
             }
         }
     }
 
     #[test]
-    fn live_window_matches_full_band_f32() {
-        live_window_matches_full_band::<f32>();
+    fn chase_is_orthogonal_and_exactly_bidiagonal_f32() {
+        chase_checks::<f32>();
     }
 
     #[test]
-    fn live_window_matches_full_band_f64() {
-        live_window_matches_full_band::<f64>();
+    fn chase_is_orthogonal_and_exactly_bidiagonal_f64() {
+        chase_checks::<f64>();
     }
 
+    /// The narrow `(n, 1, bw + 1)` band goes through a local work band;
+    /// its bidiagonal has the bits of the in-place work-band chase.
     #[test]
-    #[should_panic(expected = "stage 2 needs bulge room")]
-    fn band_without_bulge_room_panics() {
-        let bw = 4;
-        let band = random_band(24, bw, 1);
-        let mut tight = BandMatrix::from_dense(24, 1, bw, |i, j| band.get(i, j));
+    fn narrow_band_matches_work_band() {
+        let (n, bw) = (96, 16);
+        let narrow0 = random_band(n, bw, 3);
+        let (sub, sup) = work_band_geometry(n, bw);
+        let mut work = BandMatrix::from_dense(n, sub, sup, |i, j| narrow0.get(i, j));
         let dev = Device::numeric(h100());
-        band_to_bidiagonal(&dev, &mut tight, bw, PrecisionKind::Fp64, 8);
+        let mut narrow = narrow0.clone();
+        let a = band_to_bidiagonal(&dev, &mut narrow, bw, PrecisionKind::Fp64, bw);
+        let b = band_to_bidiagonal(&dev, &mut work, bw, PrecisionKind::Fp64, bw);
+        assert_eq!(a, b);
+        assert_eq!(narrow.max_abs_beyond_sup(1), 0.0);
+        assert_eq!(narrow.get(0, 1), b.e[0]);
     }
 
     #[test]
-    fn givens_zeroes_second_component() {
-        let (c, s, r) = givens(3.0f64, 4.0);
-        assert!((c * 3.0 + s * 4.0 - r).abs() < 1e-15);
-        assert!((-s * 3.0 + c * 4.0).abs() < 1e-15);
-        assert!((r.abs() - 5.0).abs() < 1e-15);
-        assert!((c * c + s * s - 1.0).abs() < 1e-15);
-        // Degenerate cases.
-        assert_eq!(givens(2.0f64, 0.0), (1.0, 0.0, 2.0));
-        assert_eq!(givens(0.0f64, 2.0), (0.0, 1.0, 2.0));
+    #[should_panic(expected = "stage 2 needs fill room")]
+    fn band_without_fill_room_panics() {
+        let bw = 4;
+        let mut narrow = random_band(24, bw, 1);
+        let dev = Device::numeric(h100());
+        let mut bi = Bidiagonal::new(Vec::new(), Vec::new());
+        band_to_bidiagonal_into_ext(&dev, &mut narrow, bw, PrecisionKind::Fp64, 8, &mut bi, None);
     }
 
     #[test]

@@ -110,16 +110,16 @@ pub(crate) fn band_diag_ext<T: Scalar>(
 /// Extracts the implied band matrix from the in-place factored storage:
 /// diagonal tiles contribute their upper triangle, first-superdiagonal
 /// tiles their lower triangle (everything else holds parked Householder
-/// vectors or implied zeros). The band is returned in the compute type
-/// with bulge headroom for stage 2, into an existing band matrix of the
-/// same geometry, refilled in place — the steady-state path of a reused
-/// plan, which extracts stage 1's result without allocating. Every
-/// stored cell is overwritten, so state left by a previous solve's chase
-/// is fully replaced.
+/// vectors or implied zeros). The band is written in the compute type
+/// into an existing band matrix of order `n` that stores at least the
+/// `ts` superdiagonals of the band — the `(n, 1, ts + 1)` band, or the
+/// stage-2 work band a plan keeps, which the chase then reduces in place —
+/// refilled without allocating. Every stored cell is overwritten, so
+/// state left by a previous solve's chase is fully replaced.
 ///
 /// # Panics
-/// In trace-only mode, or if `band` was not allocated as
-/// `BandMatrix::zeros(n, 1, ts + 1)`.
+/// In trace-only mode, or if `band` is not of order `n` or stores fewer
+/// than `ts` superdiagonals.
 pub fn extract_band_into<T: Scalar>(
     dev: &Device,
     a_buf: &GlobalBuffer<T>,
@@ -132,11 +132,10 @@ pub fn extract_band_into<T: Scalar>(
         "band extraction requires numeric execution"
     );
     assert!(
-        band.n() == n && band.sub() == 1 && band.sup() == ts + 1,
+        band.n() == n && band.sup() >= ts.min(n.saturating_sub(1)),
         "band workspace geometry must match the planned problem"
     );
     let a = DMat::new(a_buf, n);
-    // sub = 1 and sup = ts + 1 give the stage-2 chase its bulge room.
     band.refill_from_dense(|i, j| {
         if j < i || j > i + ts {
             return <T::Accum as unisvd_scalar::Real>::ZERO;

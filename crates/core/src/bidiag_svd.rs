@@ -15,7 +15,6 @@
 //! accounted on the device trace under [`KernelClass::BidiagonalSvd`],
 //! matching the paper's CPU placement of this stage.
 
-use crate::band2bi::givens;
 use crate::vectors::RotLog;
 use unisvd_gpu::{Device, KernelClass};
 use unisvd_matrix::Bidiagonal;
@@ -23,6 +22,20 @@ use unisvd_scalar::Real;
 
 /// Maximum QR sweeps per singular value before giving up (LAPACK uses 6).
 const MAXITER_PER_SV: usize = 30;
+
+/// Computes a Givens rotation `(c, s, r)` with `c·f + s·g = r` and
+/// `-s·f + c·g = 0`.
+#[inline]
+pub fn givens<R: Real>(f: R, g: R) -> (R, R, R) {
+    if g == R::ZERO {
+        (R::ONE, R::ZERO, f)
+    } else if f == R::ZERO {
+        (R::ZERO, R::ONE, g)
+    } else {
+        let r = f.hypot(g).copysign(f);
+        (f / r, g / r, r)
+    }
+}
 
 /// Error from the iterative solver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -81,73 +94,75 @@ fn zero_shift_sweep<R: Real>(
 }
 
 /// One shifted implicit-QR sweep (Golub–Kahan SVD step, GVL alg. 8.6.1)
-/// on `d[lo..=hi]`, `e[lo..hi]` with shift `mu` (an eigenvalue estimate
-/// of `BᵀB`).
+/// on `d[lo..=hi]`, `e[lo..hi]` with shift `shift` (a singular-value
+/// estimate, not its square). As in `xBDSQR`, the first rotation comes
+/// from `((|d_lo| − shift)·(sign(d_lo) + shift/d_lo), e_lo)`, the
+/// direction of `(d_lo² − shift², d_lo·e_lo)` without forming a square,
+/// so a block of tiny entries does not underflow.
 fn shifted_sweep<R: Real>(
     d: &mut [R],
     e: &mut [R],
     lo: usize,
     hi: usize,
-    mu: R,
+    shift: R,
     mut log: Option<&mut RotLog>,
 ) {
-    // The first rotation is implicit (from the shifted normal equations);
-    // afterwards (y, z) is the (in-band, bulge) pair of row k−1 and the
-    // right rotation restores e[k−1] = r while annihilating the bulge.
-    let mut y = d[lo] * d[lo] - mu;
-    let mut z = d[lo] * e[lo];
+    let mut f = (d[lo].abs() - shift) * (R::ONE.copysign(d[lo]) + shift / d[lo]);
+    let mut g = e[lo];
     for k in lo..hi {
-        // Right rotation on columns (k, k+1): zero z against y.
-        let (c, s, r) = givens(y, z);
+        // Right rotation on columns (k, k+1): zero g against f.
+        let (c, s, r) = givens(f, g);
         if k > lo {
             e[k - 1] = r;
         }
-        // Apply to rows k, k+1 (the 2×2 working window of B).
-        let t00 = c * d[k] + s * e[k];
-        let t01 = -s * d[k] + c * e[k];
-        let t10 = s * d[k + 1];
-        let t11 = c * d[k + 1];
-        // Left rotation on rows (k, k+1): zero the subdiagonal bulge t10.
-        let (c2, s2, r2) = givens(t00, t10);
+        f = c * d[k] + s * e[k];
+        e[k] = c * e[k] - s * d[k];
+        g = s * d[k + 1];
+        d[k + 1] = c * d[k + 1];
+        // Left rotation on rows (k, k+1): zero the subdiagonal bulge g.
+        let (c2, s2, r2) = givens(f, g);
         d[k] = r2;
-        e[k] = c2 * t01 + s2 * t11;
-        d[k + 1] = -s2 * t01 + c2 * t11;
+        f = c2 * e[k] + s2 * d[k + 1];
+        d[k + 1] = c2 * d[k + 1] - s2 * e[k];
         if let Some(log) = log.as_deref_mut() {
             log.push(false, k, c.to_f64(), s.to_f64());
             log.push(true, k, c2.to_f64(), s2.to_f64());
         }
         if k < hi - 1 {
             // The left rotation spilled a bulge into (k, k+2).
-            let ek1 = e[k + 1];
-            y = e[k];
-            z = s2 * ek1;
-            e[k + 1] = c2 * ek1;
+            g = s2 * e[k + 1];
+            e[k + 1] = c2 * e[k + 1];
         }
     }
+    e[hi - 1] = f;
 }
 
-/// Wilkinson-style shift: the eigenvalue of the trailing 2×2 of `BᵀB`
-/// closest to its last entry.
-fn trailing_shift<R: Real>(d: &[R], e: &[R], lo: usize, hi: usize) -> R {
-    let dm = d[hi - 1];
-    let dn = d[hi];
-    let em = e[hi - 1];
-    let el = if hi >= 2 && hi - 1 > lo {
-        e[hi - 2]
+/// The smaller singular value of `[[f, g], [0, h]]`, computed as
+/// LAPACK's `xLAS2` does: from ratios, with no square that could
+/// underflow or overflow.
+fn las2_min<R: Real>(f: R, g: R, h: R) -> R {
+    let (fa, ga, ha) = (f.abs(), g.abs(), h.abs());
+    let (fhmn, fhmx) = (fa.min(ha), fa.max(ha));
+    if fhmn == R::ZERO {
+        return R::ZERO;
+    }
+    let as_ = R::ONE + fhmn / fhmx;
+    let at = (fhmx - fhmn) / fhmx;
+    if ga < fhmx {
+        let au = (ga / fhmx) * (ga / fhmx);
+        let c = (R::ONE + R::ONE) / ((as_ * as_ + au).sqrt() + (at * at + au).sqrt());
+        fhmn * c
     } else {
-        R::ZERO
-    };
-    // Trailing 2×2 of BᵀB: [[dm²+el², dm·em], [dm·em, dn²+em²]].
-    let a = dm * dm + el * el;
-    let b = dm * em;
-    let c = dn * dn + em * em;
-    let delta = (a - c) * R::HALF;
-    let disc = (delta * delta + b * b).sqrt();
-    // Eigenvalue closest to c.
-    if delta >= R::ZERO {
-        c - b * b / (delta + disc).max(R::MIN_POSITIVE)
-    } else {
-        c + b * b / ((-delta) + disc).max(R::MIN_POSITIVE)
+        let au = fhmx / ga;
+        if au == R::ZERO {
+            (fhmn * fhmx) / ga
+        } else {
+            let c = R::ONE
+                / ((R::ONE + (as_ * au) * (as_ * au)).sqrt()
+                    + (R::ONE + (at * au) * (at * au)).sqrt());
+            let m = (fhmn * c) * au;
+            m + m
+        }
     }
 }
 
@@ -223,69 +238,97 @@ pub(crate) fn bdsqr_into_ext<R: Real>(
     ws.e.clear();
     ws.e.extend_from_slice(&bi.e);
     let (d, e) = (&mut ws.d[..], &mut ws.e[..]);
-    let anorm = bi.fro_norm();
-    if anorm == R::ZERO {
+    // An exact test: the Frobenius norm of tiny f32 entries underflows.
+    if d.iter().chain(e.iter()).all(|&x| x == R::ZERO) {
         ws.out.resize(n, R::ZERO);
         return Ok(());
     }
     let tol = R::EPSILON * R::from_f64(8.0);
-    let safmin = R::MIN_POSITIVE / R::EPSILON;
+    // Absolute threshold, as in `xBDSQR`: `tol` times an estimate of the
+    // smallest singular value (the μ-recurrence of Demmel & Kahan over the
+    // whole matrix, divided by √n), but at least a small multiple of the
+    // underflow threshold.
+    let mut mu = d[0].abs();
+    let mut sminoa = mu;
+    for i in 1..n {
+        if sminoa == R::ZERO {
+            break;
+        }
+        mu = d[i].abs() * (mu / (mu + e[i - 1].abs()));
+        sminoa = sminoa.min(mu);
+    }
+    let nr = R::from_usize(n);
+    let thresh =
+        (tol * sminoa / nr.sqrt()).max(R::from_usize(MAXITER_PER_SV * n * n) * R::MIN_POSITIVE);
 
     let mut hi = n - 1;
     let mut iter_budget = MAXITER_PER_SV * n * 2;
-    while hi > 0 {
+    'sweeps: while hi > 0 {
         if iter_budget == 0 {
             return Err(NoConvergence { remaining: hi + 1 });
         }
         iter_budget -= 1;
 
-        // Deflate negligible superdiagonals.
-        let mut deflated = false;
+        // The bottom unreduced block [lo, hi]: split at the lowest
+        // superdiagonal below the absolute threshold.
+        let mut lo = 0;
+        let mut smax = d[hi].abs();
         for i in (0..hi).rev() {
-            if e[i].abs() <= tol * (d[i].abs() + d[i + 1].abs()) + safmin {
+            if e[i].abs() <= thresh {
                 e[i] = R::ZERO;
-                if i == hi - 1 {
-                    hi -= 1;
-                    deflated = true;
-                    break;
-                }
+                lo = i + 1;
+                break;
             }
-        }
-        if deflated {
-            continue;
-        }
-        if hi == 0 {
-            break;
-        }
-
-        // Find the unreduced block [lo, hi] (largest lo with e[lo-1] = 0).
-        let mut lo = hi;
-        while lo > 0 && e[lo - 1] != R::ZERO {
-            lo -= 1;
+            smax = smax.max(d[i].abs()).max(e[i].abs());
         }
         if lo == hi {
-            // Isolated 1×1 block: already converged.
+            // Isolated 1×1 block: converged.
             hi -= 1;
             continue;
         }
 
-        // Zero diagonal inside the block → the Demmel–Kahan zero-shift
-        // sweep handles it with high relative accuracy; also use it when
-        // the shift would underflow relative accuracy.
-        let dmax = (lo..=hi).map(|i| d[i].abs()).fold(R::ZERO, R::max);
-        let dmin = (lo..=hi).map(|i| d[i].abs()).fold(R::MAX, R::min);
-        let use_zero_shift = dmin <= tol * dmax;
-        if use_zero_shift {
+        // Relative convergence tests: the bottom entry against its
+        // diagonal, then the μ-recurrence down the block, whose running
+        // value estimates the block's smallest singular value.
+        if e[hi - 1].abs() <= tol * d[hi].abs() {
+            e[hi - 1] = R::ZERO;
+            hi -= 1;
+            continue;
+        }
+        let mut mu = d[lo].abs();
+        let mut sminl = mu;
+        for i in lo..hi {
+            if e[i].abs() <= tol * mu {
+                e[i] = R::ZERO;
+                continue 'sweeps;
+            }
+            mu = d[i + 1].abs() * (mu / (mu + e[i].abs()));
+            sminl = sminl.min(mu);
+        }
+
+        // A shift would ruin the relative accuracy of the smallest value
+        // when that value is tiny against the block's largest entry: sweep
+        // with zero shift (Demmel & Kahan). Otherwise shift by the smaller
+        // singular value of the trailing 2×2, unless it is negligible
+        // against d_lo.
+        let shift = if nr * tol * (sminl / smax) <= R::EPSILON.max(R::from_f64(0.01) * tol) {
+            R::ZERO
+        } else {
+            let sll = d[lo].abs();
+            let s = las2_min(d[hi - 1], e[hi - 1], d[hi]);
+            if sll > R::ZERO && (s / sll) * (s / sll) < R::EPSILON {
+                R::ZERO
+            } else {
+                s
+            }
+        };
+        if shift == R::ZERO {
             zero_shift_sweep(d, e, lo, hi, log.as_deref_mut());
         } else {
-            let mu = trailing_shift(d, e, lo, hi);
-            // A shift larger than the block norm² means cancellation —
-            // fall back to zero shift.
-            if mu <= R::ZERO {
-                zero_shift_sweep(d, e, lo, hi, log.as_deref_mut());
-            } else {
-                shifted_sweep(d, e, lo, hi, mu, log.as_deref_mut());
-            }
+            shifted_sweep(d, e, lo, hi, shift, log.as_deref_mut());
+        }
+        if e[hi - 1].abs() <= thresh {
+            e[hi - 1] = R::ZERO;
         }
     }
 
@@ -420,6 +463,18 @@ mod tests {
     }
 
     #[test]
+    fn givens_zeroes_second_component() {
+        let (c, s, r) = givens(3.0f64, 4.0);
+        assert!((c * 3.0 + s * 4.0 - r).abs() < 1e-15);
+        assert!((-s * 3.0 + c * 4.0).abs() < 1e-15);
+        assert!((r.abs() - 5.0).abs() < 1e-15);
+        assert!((c * c + s * s - 1.0).abs() < 1e-15);
+        // Degenerate cases.
+        assert_eq!(givens(2.0f64, 0.0), (1.0, 0.0, 2.0));
+        assert_eq!(givens(0.0f64, 2.0), (0.0, 1.0, 2.0));
+    }
+
+    #[test]
     fn two_by_two_known_values() {
         // B = [[1, 1], [0, 1]]: σ = golden ratio and its inverse.
         let b = bi(&[1.0, 1.0], &[1.0]);
@@ -511,6 +566,37 @@ mod tests {
         let sum_sq: f64 = sv.iter().map(|s| s * s).sum();
         let fro2 = b.fro_norm().powi(2);
         assert!(((sum_sq - fro2) / fro2).abs() < 1e-12);
+    }
+
+    /// Graded bidiagonals, `d_i, e_i = ±U(0.5, 2)·10^(−26·i/(n−1))`: in
+    /// f32 the trailing blocks hold entries near 1e-26, whose squares
+    /// underflow. Every f32 solve must converge, and each value must
+    /// agree with the f64 solve of the same (rounded) entries to the
+    /// relative accuracy the zero-shift sweeps guarantee.
+    #[test]
+    fn graded_f32_bidiagonals_converge() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for n in [32usize, 64, 256] {
+            for seed in 0..20 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut draw = |i: usize| {
+                    let m: f64 = rng.gen_range(0.5..2.0);
+                    let s = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+                    (s * m * 10f64.powf(-26.0 * i as f64 / (n - 1) as f64)) as f32
+                };
+                let d: Vec<f32> = (0..n).map(&mut draw).collect();
+                let e: Vec<f32> = (0..n - 1).map(&mut draw).collect();
+                let s32 = bdsqr(&Bidiagonal::new(d.clone(), e.clone()))
+                    .unwrap_or_else(|err| panic!("n={n} seed={seed}: {err}"));
+                let wide = |x: &[f32]| x.iter().map(|&v| v as f64).collect::<Vec<_>>();
+                let s64 = bdsqr(&Bidiagonal::new(wide(&d), wide(&e))).unwrap();
+                let bound = 2.0 * n as f64 * f32::EPSILON as f64;
+                for (i, (&a, &b)) in s32.iter().zip(&s64).enumerate() {
+                    let rel = (a as f64 - b).abs() / b;
+                    assert!(rel <= bound, "n={n} seed={seed} σ[{i}]: rel {rel:e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! The pipeline mirrors §3 of the paper:
 //! 1. [`band_diag()`](band_diag::band_diag) — dense → band via tiled Householder QR/LQ sweeps on
 //!    the (simulated) GPU, using the fused kernels of Fig. 2.
-//! 2. [`band_to_bidiagonal`] — band → bidiagonal Givens bulge chasing.
+//! 2. [`band_to_bidiagonal`] — band → bidiagonal Householder bulge chasing.
 //! 3. [`bdsqr`] / [`bisect`] — bidiagonal → singular values on the CPU.
 
 #![deny(missing_docs)]

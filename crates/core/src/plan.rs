@@ -31,7 +31,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::band2bi::band_to_bidiagonal_into_ext;
+use crate::band2bi::{band_to_bidiagonal_into_ext, work_band_geometry};
 use crate::band_diag::{band_diag_ext, extract_band_into};
 use crate::bidiag_svd::{account_stage3_cost, bdsqr_into_ext, bisect_topk_into, Stage3Workspace};
 use crate::dqds::dqds_into;
@@ -376,11 +376,11 @@ impl PlanCore {
     }
 }
 
-/// Reusable scratch for stages 2–3 of one pipeline run: the extracted
-/// band (with bulge headroom), the bidiagonal it reduces to, and the
-/// stage-3 solver workspace. Owned by a plan's [`Workspace`] so repeated
-/// executes refill instead of reallocate; the one-shot wrappers build a
-/// fresh one per call.
+/// Reusable scratch for stages 2–3 of one pipeline run: the stage-2 work
+/// band (stage 1's band plus the chase's fill room), the bidiagonal it
+/// reduces to, and the stage-3 solver workspace. Owned by a plan's
+/// [`Workspace`] so repeated executes refill instead of reallocate; the
+/// one-shot wrappers build a fresh one per call.
 pub(crate) struct PipelineScratch<A: Real> {
     band: BandMatrix<A>,
     bi: Bidiagonal<A>,
@@ -397,9 +397,9 @@ impl<A: Real> PipelineScratch<A> {
     /// Scratch for a numeric run of padded size `padded`, tile `ts`,
     /// accumulating `vectors.columns(mindim)` singular-vector columns.
     pub(crate) fn for_numeric(padded: usize, ts: usize, vectors: Want, mindim: usize) -> Self {
+        let (sub, sup) = work_band_geometry(padded, ts);
         PipelineScratch {
-            // sub = 1 / sup = ts + 1: the stage-2 bulge room.
-            band: BandMatrix::zeros(padded, 1, ts + 1),
+            band: BandMatrix::zeros(padded, sub, sup),
             bi: Bidiagonal::new(Vec::new(), Vec::new()),
             s3: Stage3Workspace::default(),
             vac: Self::vector_scratch(padded, ts, vectors, mindim, true),

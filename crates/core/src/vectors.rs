@@ -8,7 +8,8 @@
 //! * stage 1 snapshots every factored panel (the parked Householder
 //!   tails plus their τ̂, which later sweeps overwrite) — one
 //!   [`SweepLog`] per `GETSMQRT`;
-//! * stage 2 records every applied Givens rotation of the bulge chase;
+//! * stage 2 fills one preallocated slot per Householder reflector of the
+//!   bulge chase (τ and tail; a skipped reflector keeps τ = 0);
 //! * stage 3 records every QR-sweep rotation pair of the logging
 //!   `bdsqr` run.
 //!
@@ -16,22 +17,22 @@
 //! selected, `k` signed unit columns are seeded into `padded × k`
 //! k-contiguous accumulators (one row of `k` entries per padded row, so
 //! each replayed transform streams whole rows), and the whole log is
-//! replayed **in reverse** through [`unisvd_kernels::rot_mix`] /
-//! [`unisvd_kernels::reflector_apply`].
+//! replayed **in reverse** through [`unisvd_kernels::rot_mix`] (stage 3)
+//! and [`unisvd_kernels::reflector_apply`] (stages 2 and 1).
 //! Every replayed operation costs `O(k)`, so a truncated top-k solve
 //! accumulates at `k/min(m,n)` of the thin cost — the economics the
 //! `fig_truncated` bench gates.
 //!
-//! Why one mix formula suffices: a left rotation `L` (recorded `(c, s)`
-//! acting on rows `(i, i+1)` of the working matrix) enters `U` as
-//! `W ← Lᵀ W`, and a right rotation `R` (recorded from a column
-//! rotation / the `DLASR`-convention right sweep) enters `V` as
-//! `W ← Rᵀ W`; for the `(c, s)` conventions of both recording sites the
-//! two reduce to the identical row mix
-//! `(wᵢ, wᵢ₊₁) ← (c·wᵢ − s·wᵢ₊₁, s·wᵢ + c·wᵢ₊₁)`. Cross-side ordering
-//! is immaterial (left and right factors commute across sides); within
-//! a side, one combined reverse pass over the tagged log preserves the
-//! required order.
+//! Why one mix formula suffices for stage 3: a left rotation `L`
+//! (recorded `(c, s)` acting on rows `(i, i+1)` of the working matrix)
+//! enters `U` as `W ← Lᵀ W`, and a right rotation `R` (recorded in the
+//! `DLASR` convention of the right sweep) enters `V` as `W ← Rᵀ W`; for
+//! the `(c, s)` conventions of both the two reduce to the identical row
+//! mix `(wᵢ, wᵢ₊₁) ← (c·wᵢ − s·wᵢ₊₁, s·wᵢ + c·wᵢ₊₁)`. A reflector is
+//! symmetric, so the stage-2 left and right reflectors enter `U` and `V`
+//! as they are. Cross-side ordering is immaterial (left and right factors
+//! commute across sides); within a side, one combined reverse pass over
+//! the tagged log preserves the required order.
 //!
 //! **Flushing decayed lanes.** `bdsqr`'s final zero-shift sweeps
 //! (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11(5), 1990) rotate by
@@ -48,12 +49,14 @@
 //! rounds as before. Only an output entry that stays below ~2⁻⁹⁰⁰ (or
 //! exactly zero, whose sign may change) to the end of the replay could
 //! differ; on graded 128² and 256² inputs the smallest |entry| of U/Vᵀ is
-//! ~1e-7. Stage-2 and stage-1 replay do not flush: stage-2 rotations hop
-//! across the band, so a flush there covers every row on every pass.
+//! ~1e-7. Stage-2 and stage-1 replay do not flush: they apply a few
+//! reflectors (~n²/b in stage 2) rather than long rotation sweeps, and
+//! a 256² `TopK(32)` stage-2 replay meets no subnormal operand.
 //!
 //! Everything here is sequential host code — accumulated vectors are
 //! bit-identical for any thread count, like the values.
 
+use crate::band2bi::for_each_hop;
 use crate::bidiag_svd::Stage3Workspace;
 use unisvd_gpu::GlobalBuffer;
 use unisvd_kernels::{flush_tiny, reflector_apply, rot_mix, DMat};
@@ -69,7 +72,7 @@ pub(crate) struct Rot {
     pub s: f64,
 }
 
-/// Append-only rotation log (stage 2 or stage 3), reused across solves:
+/// Append-only rotation log of stage 3, reused across solves:
 /// [`clear`](Self::clear) keeps capacity, so warm solves of the same
 /// input re-record without allocating.
 #[derive(Default, Debug)]
@@ -90,6 +93,76 @@ impl RotLog {
 
     pub fn clear(&mut self) {
         self.rots.clear();
+    }
+}
+
+/// One logged stage-2 reflector `H = I − τ·v·vᵀ`, `v = [1, tail]` with
+/// its unit head at row `head` (left, into `U`) or column `head` (right,
+/// into `V`) and its tail on the `len` indices after it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Stage2Refl {
+    pub left: bool,
+    pub head: usize,
+    /// Start of the tail in [`Stage2Log::tails`].
+    pub off: usize,
+    pub len: usize,
+    /// `0` for a reflector the chase skipped (an exact-zero tail).
+    pub tau: f64,
+}
+
+/// The stage-2 reflector record: one slot per reflector of the chase, in
+/// the order it applies them (right then left for each hop of
+/// [`for_each_hop`]). That order and every slot's position depend only
+/// on `(n, b)`, so like [`Stage1Log`] the log is laid out once at
+/// workspace-build time and each solve only refills it.
+#[derive(Debug, Default)]
+pub(crate) struct Stage2Log {
+    pub refl: Vec<Stage2Refl>,
+    /// Every reflector's tail, back to back.
+    pub tails: Vec<f64>,
+}
+
+impl Stage2Log {
+    /// Lays out the log of the chase of an order-`n` band of bandwidth `b`.
+    pub fn new(n: usize, b: usize) -> Self {
+        let mut log = Stage2Log::default();
+        for_each_hop(n, b, |_, c0, c1| {
+            for left in [false, true] {
+                let len = c1 - c0;
+                log.refl.push(Stage2Refl {
+                    left,
+                    head: c0,
+                    off: log.tails.len(),
+                    len,
+                    tau: 0.0,
+                });
+                log.tails.resize(log.tails.len() + len, 0.0);
+            }
+        });
+        log
+    }
+
+    /// Fills slot `idx` with `τ` and the reflector's tail.
+    pub fn record<R: Real>(&mut self, idx: usize, tau: R, tail: impl Iterator<Item = R>) {
+        let r = &mut self.refl[idx];
+        r.tau = tau.to_f64();
+        let dst = &mut self.tails[r.off..r.off + r.len];
+        for (d, x) in dst.iter_mut().zip(tail) {
+            *d = x.to_f64();
+        }
+    }
+
+    /// Replays the reflectors newest first: `U` and `V` collect the left
+    /// and right products in the order the chase applied them.
+    pub fn replay(&self, wu: &mut [f64], wv: &mut [f64], k: usize, dot: &mut [f64]) {
+        for r in self.refl.iter().rev() {
+            if r.tau == 0.0 {
+                continue;
+            }
+            let w = if r.left { &mut *wu } else { &mut *wv };
+            let tail = &self.tails[r.off..r.off + r.len];
+            reflector_apply(w, k, dot, r.head, r.head + 1, tail, r.tau);
+        }
     }
 }
 
@@ -259,7 +332,7 @@ pub(crate) struct VectorScratch<A: Real> {
     /// Whether the values list is truncated to `k` too (`Want::TopK`).
     pub topk: bool,
     pub s1: Stage1Log,
-    pub s2: RotLog,
+    pub s2: Stage2Log,
     pub s3: RotLog,
     /// Workspace for the logging `bdsqr` pass when the configured
     /// stage-3 solver is not `Bdsqr` (whose own run logs in place).
@@ -278,9 +351,9 @@ pub(crate) struct VectorScratch<A: Real> {
 
 impl<A: Real> VectorScratch<A> {
     /// Builds the workspace for `k` columns of a `padded`-edge problem.
-    /// `numeric` sizes the stage-1 log and accumulators; a trace-only
-    /// plan keeps them empty (the scratch then only drives cost
-    /// accounting).
+    /// `numeric` sizes the stage-1 and stage-2 logs and the accumulators;
+    /// a trace-only plan keeps them empty (the scratch then only drives
+    /// cost accounting).
     pub fn new(k: usize, topk: bool, padded: usize, ts: usize, numeric: bool) -> Self {
         VectorScratch {
             k,
@@ -290,7 +363,11 @@ impl<A: Real> VectorScratch<A> {
             } else {
                 Stage1Log::default()
             },
-            s2: RotLog::default(),
+            s2: if numeric {
+                Stage2Log::new(padded, ts)
+            } else {
+                Stage2Log::default()
+            },
             s3: RotLog::default(),
             s3ws: Stage3Workspace::default(),
             order: Vec::new(),
@@ -335,14 +412,11 @@ impl<A: Real> VectorScratch<A> {
             self.wv[idx * k + j] = 1.0;
         }
 
-        // Stage 3 then stage 2, newest rotation first. One pass per log:
+        // Stage 3 then stage 2, newest transform first. One pass per log:
         // within a side the reverse order is exact, across sides the
         // factors commute.
         replay_stage3(&self.s3.rots, &mut self.wu, &mut self.wv, k, padded);
-        for rot in self.s2.rots.iter().rev() {
-            let w = if rot.left { &mut self.wu } else { &mut self.wv };
-            rot_mix(w, k, rot.i as usize, rot.c, rot.s);
-        }
+        self.s2.replay(&mut self.wu, &mut self.wv, k, &mut self.dot);
         // Stage 1: sweeps in reverse chronological order.
         for sweep in self.s1.sweeps.iter().rev() {
             let w = if sweep.left {
@@ -354,9 +428,9 @@ impl<A: Real> VectorScratch<A> {
         }
     }
 
-    /// Clears the per-solve logs (capacity kept) before a new record.
+    /// Clears the stage-3 log (capacity kept) before a new record; the
+    /// stage-1 and stage-2 logs are refilled slot by slot.
     pub fn begin_solve(&mut self) {
-        self.s2.clear();
         self.s3.clear();
     }
 }
@@ -364,7 +438,7 @@ impl<A: Real> VectorScratch<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::band2bi::band_to_bidiagonal_into_ext;
+    use crate::band2bi::{band_to_bidiagonal_into_ext, work_band_geometry};
     use crate::bidiag_svd::bdsqr_into_ext;
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use unisvd_gpu::{hw::h100, Device};
@@ -471,7 +545,8 @@ mod tests {
         let n = 16;
         let ts = 4;
         let mut rng = StdRng::seed_from_u64(7);
-        let mut band = BandMatrix::<f64>::zeros(n, 1, ts + 1);
+        let (sub, sup) = work_band_geometry(n, ts);
+        let mut band = BandMatrix::<f64>::zeros(n, sub, sup);
         band.refill_from_dense(|i, j| {
             if j >= i && j <= i + ts {
                 rng.gen_range(-1.0..1.0)

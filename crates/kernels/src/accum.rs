@@ -130,7 +130,9 @@ pub fn accum_s1_flops(n: usize, k: usize) -> f64 {
 }
 
 /// Modeled flop count for replaying the stage-2 bulge-chase rotations:
-/// ≈ `n²·ln(ts)` rotations at 6 flops per accumulator element pair.
+/// ≈ `n²·ln(ts)` rotations at 6 flops per accumulator element pair. The
+/// host now replays Householder reflectors there; the model is kept so
+/// the simulated numbers do not move.
 pub fn accum_s2_flops(n: usize, k: usize) -> f64 {
     16.0 * (n * n) as f64 * k as f64
 }
@@ -184,7 +186,7 @@ mod tests {
     fn rot_mix_inverts_forward_rotation() {
         let (c, s) = (0.6, 0.8);
         let (f, g) = (1.25, -0.75);
-        // Forward (as BandMatrix::givens_cols applies it).
+        // Forward (as bdsqr's sweeps apply a column rotation).
         let nf = c * f + s * g;
         let ng = -s * f + c * g;
         let mut w = vec![nf, ng];

@@ -3,8 +3,8 @@
 //! Stage 1 of the paper's algorithm reduces the dense matrix to an **upper
 //! triangular band** matrix of bandwidth `TILESIZE`; stage 2 chases that
 //! band down to an upper **bidiagonal**. [`BandMatrix`] stores exactly the
-//! band plus bounded extra room for the transient bulge cells created during
-//! chasing, so stage 2 runs in O(n·b) memory instead of O(n²).
+//! band plus bounded extra room for the fill the chase creates, so stage 2
+//! runs in O(n·b) memory instead of O(n²).
 
 use unisvd_scalar::Real;
 
@@ -186,169 +186,26 @@ impl<R: Real> BandMatrix<R> {
     /// in-matrix cell is overwritten (including with zeros), so any state
     /// left by a previous reduction is fully replaced.
     pub fn refill_from_dense(&mut self, mut get: impl FnMut(usize, usize) -> R) {
-        for j in 0..self.n {
-            let lo = j.saturating_sub(self.sup);
-            let hi = (j + self.sub).min(self.n - 1);
+        let (n, sup) = (self.n, self.sup);
+        let stride = self.stride();
+        for (j, col) in self.data.chunks_exact_mut(stride).enumerate() {
+            let lo = j.saturating_sub(sup);
+            let hi = (j + self.sub).min(n - 1);
             for i in lo..=hi {
-                self.set(i, j, get(i, j));
+                col[i + sup - j] = get(i, j);
             }
         }
     }
 
-    /// Applies a right (column) Givens rotation mixing the **adjacent**
-    /// columns `j1` and `j1 + 1` over the rows of the first `live`
-    /// superdiagonals, then forces the annihilation target `(zi, j1 + 1)`
-    /// to exact zero — the batched stage-2 chase update. Every cell more
-    /// than `live` superdiagonals above the diagonal must be zero: the
-    /// rotation leaves those rows alone, which is exactly what the
-    /// both-zero skip would do to them. With `live = sup` this is the
-    /// full-band rotation, semantically identical to rotating element by
-    /// element through [`get`](Self::get)/[`set`](Self::set) (the unit
-    /// tests pin bit-identity against that reference at every `live`),
-    /// but the interior rows — where both columns are live — walk the
-    /// two contiguous column slices directly, skipping per-element band
-    /// checks and index arithmetic.
-    ///
-    /// # Panics
-    /// If `j1 + 1 >= n` or `live > sup`.
-    pub fn givens_cols(&mut self, j1: usize, c: R, s: R, zi: usize, live: usize) {
-        let n = self.n;
-        let j2 = j1 + 1;
-        assert!(j2 < n, "column rotation out of matrix");
-        assert!(live <= self.sup, "live window wider than the stored band");
-        let (sub, sup) = (self.sub, self.sup);
-        let stride = self.stride();
-        // Row segments: `j1 - live` is live only in column j1,
-        // `j2 + sub` only in column j2, everything between in both.
-        if j1 >= live {
-            let i = j1 - live;
-            let f = self.data[j1 * stride + (i + sup - j1)];
-            let g = R::ZERO;
-            if !(f == R::ZERO && g == R::ZERO) {
-                let nf = c * f + s * g;
-                let ng = -s * f + c * g;
-                self.data[j1 * stride + (i + sup - j1)] = nf;
-                debug_assert!(ng == R::ZERO, "column rotation escaped band at ({i},{j2})");
-            }
-        }
-        let lo = j2.saturating_sub(live);
-        let hi = (j1 + sub).min(n - 1);
-        if lo <= hi {
-            // Column j1 rows [lo, hi] and column j2 rows [lo, hi] are two
-            // contiguous runs in adjacent column blocks; split at the
-            // column boundary to hold both mutably and walk them in
-            // lockstep (no per-element band checks or index arithmetic).
-            let cnt = hi - lo + 1;
-            let (left, right) = self.data.split_at_mut(j2 * stride);
-            let b1 = j1 * stride + (lo + sup - j1);
-            let b2 = lo + sup - j2;
-            let lseg = &mut left[b1..b1 + cnt];
-            let rseg = &mut right[b2..b2 + cnt];
-            for (k, (fp, gp)) in lseg.iter_mut().zip(rseg.iter_mut()).enumerate() {
-                let (f, g) = (*fp, *gp);
-                if f == R::ZERO && g == R::ZERO {
-                    continue;
-                }
-                *fp = c * f + s * g;
-                *gp = if lo + k == zi {
-                    R::ZERO
-                } else {
-                    -s * f + c * g
-                };
-            }
-        }
-        if j2 + sub < n {
-            let i = j2 + sub;
-            let f = R::ZERO;
-            let g = self.data[j2 * stride + (i + sup - j2)];
-            if !(f == R::ZERO && g == R::ZERO) {
-                let nf = c * f + s * g;
-                let ng = -s * f + c * g;
-                self.data[j2 * stride + (i + sup - j2)] = if i == zi { R::ZERO } else { ng };
-                debug_assert!(nf == R::ZERO, "column rotation escaped band at ({i},{j1})");
-            }
-        }
-    }
-
-    /// Applies a left (row) Givens rotation mixing the **adjacent** rows
-    /// `i1` and `i1 + 1` over the columns of the first `live`
-    /// superdiagonals, then forces the annihilation target `(i1 + 1, zj)`
-    /// to exact zero. The row-side twin of
-    /// [`givens_cols`](Self::givens_cols), with the same contract on
-    /// `live`: the two row elements of one column sit next to each other
-    /// in band storage, so the interior loop touches each column's pair
-    /// directly with a constant stride walk.
-    ///
-    /// # Panics
-    /// If `i1 + 1 >= n` or `live > sup`.
-    pub fn givens_rows(&mut self, i1: usize, c: R, s: R, zj: usize, live: usize) {
-        let n = self.n;
-        let i2 = i1 + 1;
-        assert!(i2 < n, "row rotation out of matrix");
-        assert!(live <= self.sup, "live window wider than the stored band");
-        let (sub, sup) = (self.sub, self.sup);
-        let stride = self.stride();
-        if i1 >= sub {
-            let j = i1 - sub;
-            let f = self.data[j * stride + (i1 + sup - j)];
-            let g = R::ZERO;
-            if !(f == R::ZERO && g == R::ZERO) {
-                let nf = c * f + s * g;
-                let ng = -s * f + c * g;
-                self.data[j * stride + (i1 + sup - j)] = nf;
-                debug_assert!(ng == R::ZERO, "row rotation escaped band at ({i2},{j})");
-            }
-        }
-        let lo = i2.saturating_sub(sub);
-        let hi = (i1 + live).min(n - 1);
-        if lo <= hi {
-            // Element (i1, j) sits directly above (i2, j) in column j's
-            // block; consecutive columns advance the pair by `stride - 1`,
-            // so a chunked walk visits each column's pair as the head of
-            // one chunk (every chunk holds ≥ 2 elements by construction).
-            let cnt = hi - lo + 1;
-            let step = stride - 1;
-            let p0 = lo * stride + (i1 + sup - lo);
-            if step >= 2 {
-                let end = p0 + (cnt - 1) * step + 2;
-                for (k, ch) in self.data[p0..end].chunks_mut(step).enumerate() {
-                    let (f, g) = (ch[0], ch[1]);
-                    if f == R::ZERO && g == R::ZERO {
-                        continue;
-                    }
-                    ch[0] = c * f + s * g;
-                    ch[1] = if lo + k == zj {
-                        R::ZERO
-                    } else {
-                        -s * f + c * g
-                    };
-                }
-            } else {
-                // Degenerate one-wide band (sub + sup == 1): the pairs
-                // overlap, so walk them individually.
-                let mut p = p0;
-                for j in lo..=hi {
-                    let f = self.data[p];
-                    let g = self.data[p + 1];
-                    if !(f == R::ZERO && g == R::ZERO) {
-                        self.data[p] = c * f + s * g;
-                        self.data[p + 1] = if j == zj { R::ZERO } else { -s * f + c * g };
-                    }
-                    p += step;
-                }
-            }
-        }
-        if i1 + live + 1 < n {
-            let j = i1 + live + 1;
-            let f = R::ZERO;
-            let g = self.data[j * stride + (i2 + sup - j)];
-            if !(f == R::ZERO && g == R::ZERO) {
-                let nf = c * f + s * g;
-                let ng = -s * f + c * g;
-                self.data[j * stride + (i2 + sup - j)] = if j == zj { R::ZERO } else { ng };
-                debug_assert!(nf == R::ZERO, "row rotation escaped band at ({i1},{j})");
-            }
-        }
+    /// The stored band as one column-major array with leading dimension
+    /// `sub + sup`: cell `(i, j)` of the band is element
+    /// `sup + i + j·(sub + sup)`. Inside the band this is the layout of a
+    /// dense column-major matrix, so a kernel walks a column as one
+    /// contiguous run and a row with stride `sub + sup`. Cells outside
+    /// the band alias cells of neighbouring columns and must not be
+    /// written through this view.
+    pub fn storage_mut(&mut self) -> &mut [R] {
+        &mut self.data
     }
 }
 
@@ -459,160 +316,6 @@ mod tests {
     #[should_panic]
     fn bidiagonal_length_mismatch_panics() {
         let _ = Bidiagonal::new(vec![1.0f64, 2.0], vec![1.0, 2.0]);
-    }
-
-    /// Elementwise reference for the batched rotations: the exact loop the
-    /// stage-2 chase ran before the slice fast path.
-    fn ref_givens_cols(b: &mut BandMatrix<f64>, j1: usize, c: f64, s: f64, zi: usize) {
-        let j2 = j1 + 1;
-        let n = b.n();
-        let lo = j1.saturating_sub(b.sup());
-        let hi = (j2 + b.sub()).min(n - 1);
-        for i in lo..=hi {
-            let (in1, in2) = (b.in_band(i, j1), b.in_band(i, j2));
-            if !in1 && !in2 {
-                continue;
-            }
-            let f = b.get(i, j1);
-            let g = b.get(i, j2);
-            if f == 0.0 && g == 0.0 {
-                continue;
-            }
-            let nf = c * f + s * g;
-            let ng = -s * f + c * g;
-            if in1 {
-                b.set(i, j1, nf);
-            }
-            if in2 {
-                b.set(i, j2, if i == zi { 0.0 } else { ng });
-            }
-        }
-    }
-
-    fn ref_givens_rows(b: &mut BandMatrix<f64>, i1: usize, c: f64, s: f64, zj: usize) {
-        let i2 = i1 + 1;
-        let n = b.n();
-        let lo = i1.saturating_sub(b.sub());
-        let hi = (i2 + b.sup()).min(n - 1);
-        for j in lo..=hi {
-            let (in1, in2) = (b.in_band(i1, j), b.in_band(i2, j));
-            if !in1 && !in2 {
-                continue;
-            }
-            let f = b.get(i1, j);
-            let g = b.get(i2, j);
-            if f == 0.0 && g == 0.0 {
-                continue;
-            }
-            let nf = c * f + s * g;
-            let ng = -s * f + c * g;
-            if in1 {
-                b.set(i1, j, nf);
-            }
-            if in2 {
-                b.set(i2, j, if j == zj { 0.0 } else { ng });
-            }
-        }
-    }
-
-    fn band_bits(b: &BandMatrix<f64>) -> Vec<u64> {
-        let mut out = Vec::new();
-        for j in 0..b.n() {
-            for i in 0..b.n() {
-                if b.in_band(i, j) {
-                    out.push(b.get(i, j).to_bits());
-                }
-            }
-        }
-        out
-    }
-
-    /// `b` with every cell more than `live` superdiagonals up set to zero.
-    fn zeroed_beyond(b: &BandMatrix<f64>, live: usize) -> BandMatrix<f64> {
-        let mut z = b.clone();
-        for j in 0..z.n() {
-            for i in j.saturating_sub(z.sup())..j.saturating_sub(live) {
-                z.set(i, j, 0.0);
-            }
-        }
-        z
-    }
-
-    #[test]
-    fn batched_rotations_bit_identical_to_elementwise() {
-        // Pseudo-random band values via a simple LCG (bit-exact, no rand
-        // dependency in this crate).
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
-        };
-        for (n, sub, sup) in [(12usize, 1usize, 5usize), (9, 2, 3), (7, 0, 2), (5, 1, 1)] {
-            let mut a = BandMatrix::<f64>::zeros(n, sub, sup);
-            a.refill_from_dense(|_, _| next());
-            let mut b = a.clone();
-            // Sweep every adjacent pair with varying rotations and zero
-            // targets, mixing row and column rotations. The chase
-            // invariant (a rotation never pushes a nonzero value out of
-            // the stored band) is established by zeroing the one boundary
-            // cell each rotation could spill from — exactly the cells the
-            // real algorithm keeps zero.
-            for k in 0..n - 1 {
-                let ang = 0.1 + 0.37 * k as f64;
-                let (c, s) = (ang.cos(), ang.sin());
-                for m in [&mut a, &mut b] {
-                    if k >= sup {
-                        m.set(k - sup, k, 0.0);
-                    }
-                    if k + 1 + sub < n {
-                        m.set(k + 1 + sub, k + 1, 0.0);
-                    }
-                }
-                // Every live window, on a band zeroed beyond it (and at
-                // the window's own spill cell), against the full-width
-                // reference.
-                for live in 1..=sup {
-                    let mut x = zeroed_beyond(&a, live);
-                    if k >= live {
-                        x.set(k - live, k, 0.0);
-                    }
-                    let mut y = x.clone();
-                    x.givens_cols(k, c, s, k / 2, live);
-                    ref_givens_cols(&mut y, k, c, s, k / 2);
-                    assert_eq!(band_bits(&x), band_bits(&y), "cols k={k} live={live}");
-                }
-                a.givens_cols(k, c, s, k / 2, sup);
-                ref_givens_cols(&mut b, k, c, s, k / 2);
-                for m in [&mut a, &mut b] {
-                    if k >= sub {
-                        m.set(k, k - sub, 0.0);
-                    }
-                    if k + sup + 1 < n {
-                        m.set(k + 1, k + sup + 1, 0.0);
-                    }
-                }
-                let zj = (k + 1).min(n - 1);
-                for live in 1..=sup {
-                    let mut x = zeroed_beyond(&a, live);
-                    if k + live + 1 < n {
-                        x.set(k + 1, k + live + 1, 0.0);
-                    }
-                    let mut y = x.clone();
-                    x.givens_rows(k, s, c, zj, live);
-                    ref_givens_rows(&mut y, k, s, c, zj);
-                    assert_eq!(band_bits(&x), band_bits(&y), "rows k={k} live={live}");
-                }
-                a.givens_rows(k, s, c, zj, sup);
-                ref_givens_rows(&mut b, k, s, c, zj);
-            }
-            assert_eq!(
-                band_bits(&a),
-                band_bits(&b),
-                "batched rotation diverged from elementwise (n={n}, sub={sub}, sup={sup})"
-            );
-        }
     }
 
     #[test]

@@ -616,7 +616,7 @@ fn vector_bits_match_golden_fingerprint() {
     // the accumulator layout or the replay order that moves a single
     // bit of any factor fails here.
     use unisvd::{Stage3Solver, Want};
-    const GOLDEN: u64 = 0x3de7_bec0_9ec9_61df;
+    const GOLDEN: u64 = 0xa908_3437_674f_bd22;
     let shapes = [
         (40, 40),
         (17, 9),
@@ -674,7 +674,7 @@ fn graded_vector_bits_match_golden_fingerprint() {
     // `Thin` and 256² `TopK(32)`, two seeded inputs each.
     use rand::{rngs::StdRng, SeedableRng};
     use unisvd::Want;
-    const GOLDEN: u64 = 0xaac4_8f76_7282_06b0;
+    const GOLDEN: u64 = 0x5a68_552f_bd7f_6b77;
     let mut words = Vec::new();
     for (n, want) in [(128, Want::Thin), (256, Want::TopK(32))] {
         let mut plan = Svd::on(&hw::h100())
@@ -728,7 +728,7 @@ fn values_bits_match_golden_fingerprint() {
     // order that moves a single bit of any value fails here.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use unisvd::F16;
-    const GOLDEN: u64 = 0xa62f_c930_4feb_1e7f;
+    const GOLDEN: u64 = 0x4a79_64e7_e17f_22b2;
     let mut words = Vec::new();
     for (ts, cpb) in [(64, 32), (32, 32), (16, 8), (8, 4)] {
         let params = HyperParams::new(ts, cpb, 1);
@@ -782,7 +782,7 @@ fn oocore_values_match_golden_fingerprint() {
     // and f32. A change to which R meets which, or in what order a
     // combine rounds, fails here.
     use unisvd::OocMode;
-    const GOLDEN: u64 = 0xbfe8_c319_e447_0499;
+    const GOLDEN: u64 = 0x6ab4_8edf_5eca_7cab;
     let mut tiny = hw::rtx4060();
     tiny.memory_bytes = 24 * 1024; // TSQR panels of 49 rows at n = 24
     let n = 24;

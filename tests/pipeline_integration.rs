@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: the full two-stage pipeline against
 //! independent oracles, across precisions, backends and hyperparameters.
 
-use rand::{rngs::StdRng, SeedableRng};
-use unisvd::reference::sv_relative_error;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use unisvd::reference::{matmul, sv_relative_error};
 use unisvd::{
     hw, jacobi_svdvals, onestage_svdvals, svdvals, svdvals_with, Device, HyperParams, Matrix,
-    SvDistribution, Svd, SvdConfig, F16,
+    Scalar, Stage3Solver, SvDistribution, Svd, SvdConfig, F16,
 };
 
 fn cfg(ts: usize) -> SvdConfig {
@@ -180,4 +180,78 @@ fn fp16_capacity_advantage_is_real_in_trace_mode() {
     let plan = Svd::on(&h100).precision::<F16>().trace_only();
     let s = plan.plan(131072, 131072).unwrap().cost();
     assert!(s.total_seconds() > 0.0);
+}
+
+/// Solves `a` in precision `T` under every stage-3 solver and checks each
+/// value against `reference` within `tol · (1 + σ₁)`.
+fn check_near_singular<T: Scalar>(name: &str, a: &Matrix<f64>, reference: &[f64], tol: f64) {
+    let a = a.cast::<T>();
+    let dev = Device::numeric(hw::h100());
+    for solver in [
+        Stage3Solver::Bdsqr,
+        Stage3Solver::Dqds,
+        Stage3Solver::Bisect,
+    ] {
+        let cfg = SvdConfig {
+            solver,
+            ..SvdConfig::default()
+        };
+        let got = svdvals_with(&a, &dev, &cfg)
+            .unwrap_or_else(|e| panic!("{name} {:?} {solver:?}: {e}", T::KIND))
+            .values;
+        let scale = 1.0 + reference[0];
+        for (i, (g, r)) in got.iter().zip(reference).enumerate() {
+            assert!(
+                (g - r).abs() <= tol * scale,
+                "{name} {:?} {solver:?}: σ[{i}] = {g:e}, bisection {r:e}",
+                T::KIND
+            );
+        }
+    }
+}
+
+#[test]
+fn near_singular_inputs_converge_in_every_precision() {
+    // Rank-deficient products and random upper-triangular matrices, whose
+    // smallest singular values decay geometrically: their bidiagonals are
+    // graded, the case that drives bdsqr's zero-shift sweeps toward
+    // underflow in f32. Every solve must converge, in every precision and
+    // under every solver, to the f64 bisection values within the
+    // per-precision tolerance of the golden-value tests.
+    let dev = Device::numeric(hw::h100());
+    for n in [64usize, 128, 256] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut inputs: Vec<(String, Matrix<f64>)> = [1, 8, n / 2, n - 4]
+            .into_iter()
+            .map(|r| {
+                let x = unisvd::testmat::random_general::<f64, _>(n, r, &mut rng);
+                let y = unisvd::testmat::random_general::<f64, _>(r, n, &mut rng);
+                let mut a = matmul(&x, &y);
+                a.as_mut_slice()
+                    .iter_mut()
+                    .for_each(|v| *v /= (r as f64).sqrt());
+                (format!("n={n} rank {r}"), a)
+            })
+            .collect();
+        inputs.push((
+            format!("n={n} upper triangular"),
+            Matrix::from_fn(n, n, |i, j| {
+                if j >= i {
+                    rng.gen_range(-1.0..1.0)
+                } else {
+                    0.0
+                }
+            }),
+        ));
+        for (name, a) in &inputs {
+            let cfg = SvdConfig {
+                solver: Stage3Solver::Bisect,
+                ..SvdConfig::default()
+            };
+            let reference = svdvals_with(a, &dev, &cfg).unwrap().values;
+            check_near_singular::<f64>(name, a, &reference, 1e-10);
+            check_near_singular::<f32>(name, a, &reference, 2e-4);
+            check_near_singular::<F16>(name, a, &reference, 2e-2);
+        }
+    }
 }
