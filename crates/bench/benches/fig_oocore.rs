@@ -1,14 +1,14 @@
 //! `fig_oocore` — out-of-core execution beyond device memory.
 //!
 //! A device shrunk to 16 KiB faces a square f32 trace ~10x its memory
-//! and a tall-skinny f64 trace that streams through panel QR. Four
-//! gates before any timing datapoint:
+//! and a tall-skinny f64 solve that streams through the in-core plan's
+//! host-QR front-end. Four gates before any timing datapoint:
 //!
 //! * **feasibility** — every oversized request must solve through
 //!   [`OutOfCorePlan`] (the in-core planner provably rejects it);
 //! * **bit-identity** — streaming values must equal a single-upload
 //!   solve on an artificially enlarged clone of the same device, bit
-//!   for bit, for every request in the trace;
+//!   for bit, for every request in the trace and for the tall solve;
 //! * **transfer schedule** — every streamed request charges exactly
 //!   one `Transfer` launch per tile on top of the oracle's, carrying
 //!   exactly the operand's bytes;
@@ -18,7 +18,7 @@
 //!   transfer events, not a different kernel schedule.
 //!
 //! The recorded metrics (oversize ratio, per-solve seconds, transfer
-//! share, TSQR panel count) land in `BENCH_oocore.json` for CI trend
+//! share, tall per-solve seconds) land in `BENCH_oocore.json` for CI trend
 //! tracking.
 
 use criterion::{criterion_group, criterion_main, record_metric, Criterion};
@@ -27,7 +27,7 @@ use unisvd_core::Svd;
 use unisvd_gpu::hw::rtx4060;
 use unisvd_gpu::{KernelClass, TraceSummary};
 use unisvd_matrix::{testmat, Matrix, SvDistribution};
-use unisvd_oocore::{OocMode, OutOfCore};
+use unisvd_oocore::OutOfCore;
 
 fn requests() -> usize {
     if criterion::quick_mode() {
@@ -70,7 +70,6 @@ fn fig_oocore(c: &mut Criterion) {
         .precision::<f32>()
         .plan(n, n)
         .expect("the out-of-core planner accepts the oversized shape");
-    assert_eq!(plan.mode(), OocMode::Streaming);
 
     let mut stream_seconds = 0.0;
     let mut transfer_seconds = 0.0;
@@ -133,29 +132,35 @@ fn fig_oocore(c: &mut Criterion) {
         transfer_seconds / stream_seconds,
     );
 
-    // --- tall-skinny TSQR trace ------------------------------------------
-    // 4096x16 f64 = 512 KiB of operand, 32x the device: the TSQR
-    // front-end sweeps row panels sized from the memory budget and
-    // combines their R factors in a fixed-shape tree.
+    // --- tall-skinny streaming solve -------------------------------------
+    // 4096x16 f64 = 512 KiB of operand, 32x the device: it streams like
+    // the square trace, and the inner plan's host QR reduces it to the
+    // 16x16 R before the two-stage pipeline runs.
     let (m, k) = (4096, 16);
     let tall = Matrix::<f64>::from_fn(m, k, |i, j| {
         (((i * 13 + j * 5) % 89) as f64 - 44.0) / 89.0 + if i % (k + 1) == j { 3.0 } else { 0.0 }
     });
-    let mut tsqr = OutOfCore::on(&tiny)
+    let mut tall_plan = OutOfCore::on(&tiny)
         .precision::<f64>()
-        .mode(OocMode::Tsqr)
         .plan(m, k)
-        .expect("tall-skinny shapes take the TSQR front-end");
-    let sv = tsqr.execute(&tall).expect("panel QR + reduction tree");
-    assert!(tsqr.panels() > 1, "the trace must exercise the tree");
-    assert!(sv.values[0] > 0.0);
+        .expect("the out-of-core planner accepts tall shapes");
+    let sv = tall_plan.execute(&tall).expect("tall request solves");
+    let want = Svd::on(&big)
+        .precision::<f64>()
+        .plan(m, k)
+        .unwrap()
+        .execute(&tall)
+        .unwrap();
+    assert_eq!(
+        sv.values, want.values,
+        "tall streaming values must be bit-identical to the big-device oracle"
+    );
     println!(
-        "  TSQR: {m}x{k} f64 in {} panels, {:.3} ms simulated/solve",
-        tsqr.panels(),
+        "  tall: {m}x{k} f64 in {} tiles, {:.3} ms simulated/solve",
+        tall_plan.panels(),
         sv.summary.total_seconds() * 1e3
     );
-    record_metric("fig_oocore/tsqr_panels", tsqr.panels() as f64);
-    record_metric("fig_oocore/tsqr_per_solve_s", sv.summary.total_seconds());
+    record_metric("fig_oocore/tall_per_solve_s", sv.summary.total_seconds());
 
     // Standard timing-loop datapoint: one warm streaming solve.
     let mut g = c.benchmark_group("fig_oocore");

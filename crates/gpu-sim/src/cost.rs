@@ -28,7 +28,7 @@
 //! the kernels count what they actually do — and are never invented here.
 
 use crate::hw::HardwareDescriptor;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use unisvd_scalar::PrecisionKind;
 
 /// Occupancy at which compute throughput saturates.
@@ -51,7 +51,7 @@ const SPILL_CAP: f64 = 8.0;
 const COALESCE_EXP: f64 = 0.25;
 
 /// Which pipeline stage a launch belongs to — drives the Fig. 6 breakdown.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum KernelClass {
     /// GEQRT / TSQRT panel factorisation (stage 1).
     PanelFactorization,
@@ -166,7 +166,7 @@ impl LaunchSpec {
 }
 
 /// Cost-model output for one launch.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub struct LaunchCost {
     /// Simulated wall time, seconds.
     pub seconds: f64,

@@ -26,7 +26,7 @@
 //! stack detects it via `SvdOutput::verify` and typed errors.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A seeded, declarative fault schedule.
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// the event's channel counter against `seed` — so "5% corruption" means
 /// a deterministic, reproducible 5% subset of upload events, not a coin
 /// flipped at run time. The default plan injects nothing.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Seed for every injection decision. Two devices with the same
     /// plan (same seed) fault at the same event indices.

@@ -7,11 +7,11 @@
 //! estimates, noted inline.
 
 use crate::fault::FaultPlan;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use unisvd_scalar::PrecisionKind;
 
 /// GPU vendor/backend, mirroring the KernelAbstractions.jl backend set.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum BackendKind {
     /// NVIDIA (CUDA.jl in the paper).
     Cuda,
@@ -36,7 +36,7 @@ impl BackendKind {
 }
 
 /// How the backend executes FP16 arithmetic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum Fp16Mode {
     /// Scalar FP16 unsupported on the ALUs; inputs are upcast to FP32 at
     /// load and downcast at store (NVIDIA per §4.3).
@@ -57,7 +57,7 @@ pub enum Fp16Mode {
 /// The derived `PartialEq` compares every field, so two descriptors are
 /// equal exactly when they describe the same configuration of the same
 /// platform.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct HardwareDescriptor {
     /// Marketing name, e.g. "NVIDIA H100".
     pub name: &'static str,

@@ -6,11 +6,11 @@
 //! and the fused-kernel ablation (launch-count scaling).
 
 use crate::cost::KernelClass;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// One recorded launch/transfer/CPU event.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct LaunchRecord {
     /// Stage attribution.
     pub class: KernelClass,
@@ -40,7 +40,7 @@ pub struct LaunchRecord {
 }
 
 /// Aggregated statistics for one kernel class.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct ClassTotals {
     /// Number of events.
     pub launches: usize,
@@ -121,7 +121,7 @@ impl Trace {
 }
 
 /// Immutable aggregation snapshot.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct TraceSummary {
     /// Totals per class, in pipeline order, absent classes omitted.
     pub by_class: Vec<(KernelClass, ClassTotals)>,

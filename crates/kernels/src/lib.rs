@@ -20,6 +20,6 @@ pub mod update;
 
 pub use accum::{account_accum_cost, flush_tiny, reflector_apply, rot_mix};
 pub use layout::{DMat, DVec};
-pub use panel::{ftsqrt, geqrt, pack_row_panel, tsqrt};
+pub use panel::{ftsqrt, geqrt, tsqrt};
 pub use params::HyperParams;
 pub use update::{ftsmqr, tsmqr, unmqr};

@@ -201,38 +201,6 @@ fn tsqrt_inplace<R: Real>(wg: &mut Workgroup<R>, ts: usize, eps10: R, tau_slot: 
     }
 }
 
-/// Host-side row-panel loader for out-of-core execution: packs rows
-/// `r0..r1` of a column-major `m × n` host operand into `dst` as a
-/// contiguous column-major `(r1-r0) × n` panel, upcast to the compute
-/// precision (`f64`) the panel QR runs in — the staging analogue of the
-/// device-side `load_tile` above, operating on a leased staging
-/// buffer instead of per-thread registers. Each column segment is one
-/// contiguous slice of `src`, so the pack is a stride-`m` gather of
-/// `r1-r0`-long runs.
-///
-/// # Panics
-/// If `r0 > r1`, the panel exceeds the operand (`r1 > m`,
-/// `src.len() != m·n`), or `dst` is not exactly `(r1-r0)·n` long.
-pub fn pack_row_panel<T: Scalar>(
-    src: &[T],
-    m: usize,
-    n: usize,
-    r0: usize,
-    r1: usize,
-    dst: &mut [f64],
-) {
-    assert!(r0 <= r1 && r1 <= m, "panel rows {r0}..{r1} outside 0..{m}");
-    assert_eq!(src.len(), m * n, "operand is not m\u{d7}n column-major");
-    let p = r1 - r0;
-    assert_eq!(dst.len(), p * n, "panel buffer is not (r1-r0)\u{d7}n");
-    for j in 0..n {
-        let col = &src[j * m + r0..j * m + r1];
-        for (d, &s) in dst[j * p..(j + 1) * p].iter_mut().zip(col) {
-            *d = s.to_f64();
-        }
-    }
-}
-
 /// `GEQRT`: factor tile `(tr, pc)` (the panel's top tile — the diagonal
 /// tile for the RQ sweep); τ̂ goes to `tau[tr·ts ..]`.
 pub fn geqrt<T: Scalar>(
@@ -500,33 +468,6 @@ mod tests {
                 assert!((got - want).abs() < 1e-10, "Lᵀ[{i},{j}] mismatch");
             }
         }
-    }
-
-    #[test]
-    fn pack_row_panel_gathers_and_upcasts() {
-        // 4×3 column-major f32 operand with distinct entries.
-        let m = 4;
-        let n = 3;
-        let src: Vec<f32> = (0..m * n).map(|k| k as f32).collect();
-        let mut dst = vec![0.0f64; 2 * n];
-        pack_row_panel(&src, m, n, 1, 3, &mut dst);
-        // Column j of the panel is src[j*m + 1 .. j*m + 3].
-        assert_eq!(dst, vec![1.0, 2.0, 5.0, 6.0, 9.0, 10.0]);
-        // Full-height panel is the identity pack.
-        let mut full = vec![0.0f64; m * n];
-        pack_row_panel(&src, m, n, 0, m, &mut full);
-        assert!(full.iter().enumerate().all(|(k, &v)| v == k as f64));
-        // Empty panel is legal and touches nothing.
-        let mut empty: Vec<f64> = Vec::new();
-        pack_row_panel(&src, m, n, 2, 2, &mut empty);
-    }
-
-    #[test]
-    #[should_panic(expected = "panel buffer")]
-    fn pack_row_panel_checks_destination_size() {
-        let src = vec![0.0f32; 12];
-        let mut dst = vec![0.0f64; 5];
-        pack_row_panel(&src, 4, 3, 0, 2, &mut dst);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use unisvd_core::{PlanError, PlanSignature, Svd, SvdConfig, SvdError, SvdOutput, SvdPlan};
 use unisvd_gpu::{DeviceFault, FaultInjector, FaultKind, HardwareDescriptor, MemoryLedger};
 use unisvd_matrix::Matrix;
-use unisvd_oocore::{OocMode, OutOfCore};
+use unisvd_oocore::OutOfCore;
 use unisvd_scalar::{PrecisionKind, Scalar, F16};
 
 /// The service's internal tuning knobs — the values [`ServiceBuilder`]
@@ -1007,7 +1007,6 @@ impl Inner {
         let mut plan = OutOfCore::on(&self.hw)
             .precision::<T>()
             .config(*cfg)
-            .mode(OocMode::Streaming)
             .plan(a.rows(), a.cols())?;
         plan.execute_into(a, out)
     }

@@ -849,7 +849,7 @@ fn device_below_one_element_refuses_oocore_at_plan_time() {
     // the direct out-of-core planner and the service fallback refuse it
     // with a typed, non-transient plan error before any solve runs.
     use unisvd_core::PlanError;
-    use unisvd_oocore::{OocMode, OutOfCore};
+    use unisvd_oocore::OutOfCore;
     let mut hw = h100();
     hw.memory_bytes = 4;
     let refused = |e: &PlanError| {
@@ -861,10 +861,7 @@ fn device_below_one_element_refuses_oocore_at_plan_time() {
             }
         )
     };
-    let direct = OutOfCore::on(&hw)
-        .precision::<f32>()
-        .mode(OocMode::Streaming)
-        .plan(8, 8);
+    let direct = OutOfCore::on(&hw).precision::<f32>().plan(8, 8);
     assert!(matches!(&direct, Err(e) if refused(e)), "direct plan");
 
     let service = SvdService::builder(&hw).oocore_fallback(true).build();

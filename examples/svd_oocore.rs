@@ -10,15 +10,15 @@
 //!   solves through [`OutOfCorePlan`], charging one transfer per
 //!   `budget/4`-byte tile, with values bit-identical to a device large
 //!   enough to hold it in one upload;
-//! * **TSQR** — a tall-skinny operand reduces through panel QR plus a
-//!   fixed-shape R-combine tree whose layout depends only on the panel
-//!   count (never the thread count), then solves the small R in core;
+//! * **tall streaming** — a tall-skinny operand streams the same way and
+//!   takes the in-core plan's host-QR front-end, again bit-identical to
+//!   the big-device solve;
 //! * **serving fallback** — a fleet built with `oocore_fallback(true)`
 //!   absorbs an over-capacity request that would otherwise be an
 //!   unroutable rejection, streaming it on the device that rejected it.
 
 use rand::{rngs::StdRng, SeedableRng};
-use unisvd::{hw, KernelClass, Matrix, OocMode, OutOfCore, SvDistribution, Svd, SvdFleet};
+use unisvd::{hw, KernelClass, Matrix, OutOfCore, SvDistribution, Svd, SvdFleet};
 
 fn main() {
     // A deliberately tiny device: 16 KiB of "HBM". Every operand below
@@ -51,8 +51,7 @@ fn main() {
         .expect("the out-of-core planner accepts it");
     let out = plan.execute(&a).expect("streams tile by tile");
     println!(
-        "streaming ({:?}): σ₁ = {:.4}, {} tiles, {:.3} ms of transfer",
-        plan.mode(),
+        "streaming: σ₁ = {:.4}, {} tiles, {:.3} ms of transfer",
         out.values[0],
         plan.panels(),
         out.summary.seconds_of(KernelClass::Transfer) * 1e3
@@ -76,20 +75,30 @@ fn main() {
     println!("bit-identical to the big-device oracle: {bit_equal}");
     assert!(bit_equal);
 
-    // --- TSQR on a tall-skinny operand -----------------------------------
+    // --- tall streaming ---------------------------------------------------
     let (m, k) = (4096, 16);
     let t = Matrix::<f64>::from_fn(m, k, |i, j| {
         (((i * 13 + j * 5) % 89) as f64 - 44.0) / 89.0 + if i % (k + 1) == j { 3.0 } else { 0.0 }
     });
-    let mut tsqr = OutOfCore::on(&tiny)
+    let mut tall = OutOfCore::on(&tiny)
         .precision::<f64>()
-        .mode(OocMode::Tsqr)
         .plan(m, k)
-        .expect("tall-skinny shapes take the TSQR front-end");
-    let sv = tsqr.execute(&t).expect("panel QR + R-reduction tree");
+        .expect("the out-of-core planner accepts tall shapes");
+    let sv = tall.execute(&t).expect("streams tile by tile");
+    let tall_oracle = Svd::on(&big)
+        .precision::<f64>()
+        .plan(m, k)
+        .unwrap()
+        .execute(&t)
+        .unwrap();
+    assert_eq!(
+        sv.values, tall_oracle.values,
+        "tall streaming must be bit-identical to the big-device oracle"
+    );
     println!(
-        "\nTSQR: {m}x{k} f64 through {} row panels, σ₁ = {:.4}, σ_min = {:.4}",
-        tsqr.panels(),
+        "\ntall streaming: {m}x{k} f64 in {} tiles, σ₁ = {:.4}, σ_min = {:.4} \
+         (bit-identical to the oracle)",
+        tall.panels(),
         sv.values[0],
         sv.values[k - 1]
     );

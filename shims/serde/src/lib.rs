@@ -3,11 +3,10 @@
 //! self-describing [`Value`] tree that `serde_json` renders. The derive
 //! macros are re-exported from the sibling `serde_derive` shim, exactly
 //! like the real crate's `derive` feature; `#[derive(Serialize)]` emits a
-//! real field-by-field `to_value` impl, while `#[derive(Deserialize)]` is
-//! accepted and satisfied by a blanket impl (nothing in this workspace
-//! deserialises).
+//! real field-by-field `to_value` impl. Nothing in this workspace
+//! deserialises, so the shim has no `Deserialize`.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// Self-describing serialized tree (the subset of the JSON data model
 /// this workspace produces).
@@ -28,11 +27,6 @@ pub enum Value {
 pub trait Serialize {
     fn to_value(&self) -> Value;
 }
-
-/// Marker satisfied by every type: derives compile, bounds are met, and
-/// nothing in this workspace ever deserialises.
-pub trait Deserialize {}
-impl<T: ?Sized> Deserialize for T {}
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {

@@ -1,10 +1,10 @@
-//! Hand-rolled `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the
-//! vendored serde shim. No `syn`/`quote` (the build is offline), so the
-//! item is parsed directly from the token stream. Supported shapes cover
-//! everything this workspace derives: non-generic structs with named
-//! fields, tuple structs, and enums (unit variants serialize as their
-//! name; payload variants are matched with `..` and serialize as the
-//! variant name only).
+//! Hand-rolled `#[derive(Serialize)]` for the vendored serde shim. No
+//! `syn`/`quote` (the build is offline), so the item is parsed directly
+//! from the token stream. Supported shapes cover everything this
+//! workspace derives: non-generic structs with named fields, tuple
+//! structs, and enums (unit variants serialize as their name; payload
+//! variants are matched with `..` and serialize as the variant name
+//! only).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -73,12 +73,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     };
     code.parse()
         .expect("serde_derive shim generated invalid Rust")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    // The shim's Deserialize trait has a blanket impl; nothing to emit.
-    TokenStream::new()
 }
 
 enum Shape {

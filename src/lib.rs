@@ -33,12 +33,10 @@
 //!   output verification, per-ticket deadlines, per-backend circuit
 //!   breakers ([`DeviceHealth`]), and `revive_device`.
 //! * [`OutOfCore`] / [`OutOfCorePlan`] — out-of-core execution for
-//!   operands beyond device memory: a TSQR front-end for tall-skinny
-//!   shapes (panel QR + fixed-shape R-reduction tree, bit-identical for
-//!   any thread count) and a panel-streaming path for general shapes
-//!   (one simulated transfer charged per tile, straight from the
-//!   operand's slice), the streaming path bit-identical to a
-//!   large-enough device. Services and fleets opt in with
+//!   operands beyond device memory: the operand streams in tiles (one
+//!   simulated transfer charged per tile, straight from the operand's
+//!   slice) through the in-core plan of a large-enough device, whose
+//!   values it matches bit for bit. Services and fleets opt in with
 //!   `oocore_fallback(true)` to stream requests their device rejects as
 //!   over-capacity.
 //! * [`Device`] / [`hw`] — the bulk-synchronous GPU simulator and the
@@ -74,7 +72,7 @@ pub use unisvd_kernels::HyperParams;
 pub use unisvd_matrix::{
     reference, testmat, BandMatrix, Bidiagonal, Matrix, MatrixRef, SvDistribution,
 };
-pub use unisvd_oocore::{OocMode, OutOfCore, OutOfCorePlan};
+pub use unisvd_oocore::{OutOfCore, OutOfCorePlan};
 pub use unisvd_scalar::{PrecisionKind, Real, Scalar, F16};
 pub use unisvd_service::{
     CacheStats, DeviceHealth, DeviceStats, FailoverReport, FleetBuildError, FleetBuilder,
@@ -85,12 +83,12 @@ pub use unisvd_service::{
 /// Host threading controls, re-exported from the vendored work-stealing
 /// pool (`shims/rayon`).
 ///
-/// Everything parallel in this workspace — [`SvdPlan::execute_batch`], gpu-sim
-/// workgroup launches, buffer fills, the out-of-core TSQR tree — runs on
-/// this pool, as one chunked batch per parallel loop. The global pool
-/// sizes itself from `RAYON_NUM_THREADS` (1 = guaranteed-sequential
-/// fallback, no worker threads at all); an explicitly sized pool can be
-/// installed around any call:
+/// Everything parallel in this workspace — [`SvdPlan::execute_batch`],
+/// gpu-sim workgroup launches, buffer fills — runs on this pool, as one
+/// chunked batch per parallel loop. The global pool sizes itself from
+/// `RAYON_NUM_THREADS` (1 = guaranteed-sequential fallback, no worker
+/// threads at all); an explicitly sized pool can be installed around any
+/// call:
 ///
 /// ```
 /// use unisvd::threading::ThreadPoolBuilder;

@@ -371,33 +371,40 @@ fn steady_state_allocates_zero_bytes() {
     // The streaming phase charges one transfer per tile straight from
     // the operand's slice: after one warmup solve the inner plan's
     // workspaces and the output shell are at steady state — every
-    // further oversized solve is allocation-free end to end.
+    // further oversized solve is allocation-free end to end. Tall
+    // operands stream too, through the inner plan's host QR.
     {
-        use unisvd::{OocMode, OutOfCore};
+        use unisvd::OutOfCore;
         let mut tiny = h100();
-        tiny.memory_bytes = 4 * 1024; // the 32x32 operand no longer fits
-        let mut plan = OutOfCore::on(&tiny)
-            .precision::<f32>()
-            .mode(OocMode::Streaming)
-            .plan(N, N)
-            .unwrap();
-        let mut out = SvdOutput::empty();
-        for a in inputs.iter().take(2) {
-            plan.execute_into(a, &mut out).unwrap();
-        }
-        let (allocs, bytes) = measure(|| {
-            for a in &inputs {
+        tiny.memory_bytes = 4 * 1024; // neither operand fits any more
+        let mut rng = StdRng::seed_from_u64(0xA1110);
+        let tall: Vec<Matrix<f32>> = (0..3)
+            .map(|_| Matrix::from_fn(8 * N, N, |_, _| rng.gen_range(-1.0f32..1.0)))
+            .collect();
+        for shaped in [&inputs, &tall] {
+            let (rows, cols) = (shaped[0].rows(), shaped[0].cols());
+            let mut plan = OutOfCore::on(&tiny)
+                .precision::<f32>()
+                .plan(rows, cols)
+                .unwrap();
+            let mut out = SvdOutput::empty();
+            for a in shaped.iter().take(2) {
                 plan.execute_into(a, &mut out).unwrap();
             }
-        });
-        assert_eq!(
-            (allocs, bytes),
-            (0, 0),
-            "warm out-of-core streaming execute_into must not allocate: \
-             {allocs} allocations / {bytes} bytes over {} solves",
-            inputs.len()
-        );
-        assert!(!out.values.is_empty(), "the measured solves ran for real");
+            let (allocs, bytes) = measure(|| {
+                for a in shaped {
+                    plan.execute_into(a, &mut out).unwrap();
+                }
+            });
+            assert_eq!(
+                (allocs, bytes),
+                (0, 0),
+                "warm {rows}x{cols} out-of-core streaming execute_into must not \
+                 allocate: {allocs} allocations / {bytes} bytes over {} solves",
+                shaped.len()
+            );
+            assert!(!out.values.is_empty(), "the measured solves ran for real");
+        }
     }
 
     // ---- warm SvdService::solve_into ---------------------------------

@@ -312,14 +312,48 @@ fn fleet_routed_solves_bit_identical_across_thread_counts() {
     }
 }
 
+/// Streams `a` through an out-of-core plan on `hw` at 1, 4 and 8
+/// threads; each run's values must carry exactly the bits of the plain
+/// in-core plan on a clone of `hw` enlarged to hold `a` in one upload.
+fn assert_streams_to_oracle<T: unisvd::Scalar>(hw: &unisvd::HardwareDescriptor, a: &Matrix<T>) {
+    use unisvd::OutOfCore;
+    let (m, n) = (a.rows(), a.cols());
+    let bits = |values: Vec<f64>| -> Vec<u64> { values.iter().map(|v| v.to_bits()).collect() };
+    let mut big = hw.clone();
+    big.memory_bytes = 1 << 30;
+    let oracle = bits(
+        Svd::on(&big)
+            .precision::<T>()
+            .plan(m, n)
+            .unwrap()
+            .execute(a)
+            .unwrap()
+            .values,
+    );
+    for t in [1, 4, 8] {
+        pool(t).install(|| {
+            let mut plan = OutOfCore::on(hw)
+                .precision::<T>()
+                .plan(m, n)
+                .expect("the out-of-core planner accepts any shape");
+            assert!(plan.panels() > 1, "{m}x{n}: operand must actually be tiled");
+            let got = bits(plan.execute(a).unwrap().values);
+            assert_eq!(
+                got, oracle,
+                "{m}x{n}: streaming changed bits at {t} threads"
+            );
+        });
+    }
+}
+
 #[test]
 fn oocore_streaming_bit_identical_across_thread_counts_and_to_oracle() {
     // The out-of-core acceptance gate: an operand >= 10x the device's
     // memory solves through the streaming OutOfCorePlan, its values are
     // bit-identical at 1, 4, and 8 threads, AND bit-identical to a
     // single-upload solve on an artificially enlarged clone of the same
-    // device (the "big device" oracle).
-    use unisvd::{OocMode, OutOfCore};
+    // device (the "big device" oracle). Square, tall and wide operands
+    // all stream; the tall and wide ones take the inner plan's host QR.
     let mut tiny = hw::rtx4060();
     tiny.memory_bytes = 16 * 1024;
     let n = 208; // 208*208*4 B = 173 KiB, >= 10x the 16 KiB device
@@ -329,75 +363,16 @@ fn oocore_streaming_bit_identical_across_thread_counts_and_to_oracle() {
         let mut rng = StdRng::seed_from_u64(404);
         testmat::test_matrix::<f32, _>(n, SvDistribution::Logarithmic, false, &mut rng).0
     };
-    let cfg = SvdConfig::default();
-    let mut big = tiny.clone();
-    big.memory_bytes = 1 << 30;
-    let oracle: Vec<u64> = Svd::on(&big)
-        .precision::<f32>()
-        .config(cfg)
-        .plan(n, n)
-        .unwrap()
-        .execute(&a)
-        .unwrap()
-        .values
-        .iter()
-        .map(|v| v.to_bits())
-        .collect();
-    for t in [1, 4, 8] {
-        pool(t).install(|| {
-            let mut plan = OutOfCore::on(&tiny)
-                .precision::<f32>()
-                .config(cfg)
-                .plan(n, n)
-                .expect("streaming accepts what the device rejects");
-            assert_eq!(plan.mode(), OocMode::Streaming);
-            let got: Vec<u64> = plan
-                .execute(&a)
-                .unwrap()
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(got, oracle, "streaming changed bits at {t} threads");
-        });
-    }
-}
+    assert_streams_to_oracle(&tiny, &a);
 
-#[test]
-fn oocore_tsqr_bit_identical_across_thread_counts() {
-    // The TSQR reduction tree's shape depends only on the panel count,
-    // never on the thread count — so the combine order (and therefore
-    // every rounding decision) is pinned, and a tall-skinny solve is
-    // bit-identical at 1, 4, and 8 threads even though tree levels fan
-    // out on the pool.
-    use unisvd::{OocMode, OutOfCore};
-    let mut tiny = hw::rtx4060();
     tiny.memory_bytes = 24 * 1024;
     let (m, n) = (2048, 24);
-    let a = Matrix::<f64>::from_fn(m, n, |i, j| {
+    let tall = Matrix::<f64>::from_fn(m, n, |i, j| {
         (((i * 31 + j * 17) % 101) as f64 - 50.0) / 101.0 + if i == j { 2.0 } else { 0.0 }
     });
-    let cfg = SvdConfig::default();
-    let run = |t: usize| -> Vec<u64> {
-        pool(t).install(|| {
-            let mut plan = OutOfCore::on(&tiny)
-                .precision::<f64>()
-                .config(cfg)
-                .mode(OocMode::Tsqr)
-                .plan(m, n)
-                .unwrap();
-            assert!(plan.panels() > 1, "test must exercise the reduction tree");
-            plan.execute(&a)
-                .unwrap()
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        })
-    };
-    let sequential = run(1);
-    for t in [4, 8] {
-        assert_eq!(run(t), sequential, "TSQR changed bits at {t} threads");
+    let wide = tall.transposed();
+    for a in [tall, wide] {
+        assert_streams_to_oracle(&tiny, &a);
     }
 }
 
@@ -752,20 +727,17 @@ fn values_bits_match_golden_fingerprint() {
 }
 
 /// Values of an out-of-core solve of `a` in precision `T` as 64-bit
-/// words: the panel count, the value count, then each value's bits.
+/// words: the tile count, the value count, then each value's bits.
 fn oocore_words<T: unisvd::Scalar>(
     hw: &unisvd::HardwareDescriptor,
-    mode: unisvd::OocMode,
     a: &Matrix<f64>,
     panels: usize,
 ) -> Vec<u64> {
     let mut plan = unisvd::OutOfCore::on(hw)
         .precision::<T>()
-        .mode(mode)
         .plan(a.rows(), a.cols())
         .unwrap();
-    assert_eq!(plan.mode(), mode);
-    assert_eq!(plan.panels(), panels, "{mode:?} {}x{}", a.rows(), a.cols());
+    assert_eq!(plan.panels(), panels, "{}x{}", a.rows(), a.cols());
     let values = plan.execute(&a.cast::<T>()).unwrap().values;
     [panels as u64, values.len() as u64]
         .into_iter()
@@ -775,31 +747,17 @@ fn oocore_words<T: unisvd::Scalar>(
 
 #[test]
 fn oocore_values_match_golden_fingerprint() {
-    // Pins out-of-core value bits across commits, where the TSQR and
-    // streaming tests above compare thread counts within one build:
-    // TSQR solves over 3, 5 and 7 panels (each tree has a level that
-    // promotes an odd tail unchanged) and one streaming solve, in f64
-    // and f32. A change to which R meets which, or in what order a
-    // combine rounds, fails here.
-    use unisvd::OocMode;
-    const GOLDEN: u64 = 0x6ab4_8edf_5eca_7cab;
+    // Pins out-of-core value bits across commits, where the streaming
+    // test above compares thread counts within one build: one streaming
+    // solve in f64 (24 tiles) and f32 (12 tiles) on a 16 KiB device.
+    const GOLDEN: u64 = 0xceaa_5333_3bb8_0fb9;
     let mut tiny = hw::rtx4060();
-    tiny.memory_bytes = 24 * 1024; // TSQR panels of 49 rows at n = 24
-    let n = 24;
-    let mut words = Vec::new();
-    for (m, panels) in [(147, 3), (235, 5), (323, 7)] {
-        let a = Matrix::<f64>::from_fn(m, n, |i, j| {
-            (((i * 31 + j * 17 + m) % 101) as f64 - 50.0) / 101.0 + if i == j { 2.0 } else { 0.0 }
-        });
-        words.extend(oocore_words::<f64>(&tiny, OocMode::Tsqr, &a, panels));
-        words.extend(oocore_words::<f32>(&tiny, OocMode::Tsqr, &a, panels));
-    }
     tiny.memory_bytes = 16 * 1024;
     let a = Matrix::<f64>::from_fn(96, 96, |i, j| {
         (((i * 13 + j * 29) % 97) as f64 - 48.0) / 97.0 + if i == j { 1.5 } else { 0.0 }
     });
-    words.extend(oocore_words::<f64>(&tiny, OocMode::Streaming, &a, 24));
-    words.extend(oocore_words::<f32>(&tiny, OocMode::Streaming, &a, 12));
+    let mut words = oocore_words::<f64>(&tiny, &a, 24);
+    words.extend(oocore_words::<f32>(&tiny, &a, 12));
     let got = fnv1a(words);
     assert_eq!(
         got, GOLDEN,

@@ -96,40 +96,36 @@ fn kahan_graded_matrix() {
     check_all_precisions("kahan", &a, &truth);
 }
 
-/// Runs a tall-skinny f64 operand through the out-of-core plan in both
-/// modes — the TSQR front-end and panel streaming — on a device shrunk
-/// so neither the full operand nor a single-panel shortcut fits, and
-/// compares against `truth` at f64 tolerance.
+/// Streams a tall-skinny f64 operand through the out-of-core plan on a
+/// device shrunk so the full operand does not fit, and compares against
+/// `truth` at f64 tolerance.
 fn check_out_of_core(name: &str, a: &Matrix<f64>, truth: &[f64]) {
-    use unisvd::{OocMode, OutOfCore};
+    use unisvd::OutOfCore;
     let mut tiny = hw::rtx4060();
     tiny.memory_bytes = 24 * 1024;
     let tol = tolerance(unisvd_scalar::PrecisionKind::Fp64);
     let scale = 1.0 + truth.first().copied().unwrap_or(0.0);
-    for mode in [OocMode::Tsqr, OocMode::Streaming] {
-        let mut plan = OutOfCore::on(&tiny)
-            .precision::<f64>()
-            .mode(mode)
-            .plan(a.rows(), a.cols())
-            .unwrap_or_else(|e| panic!("{name}/{mode:?}: planning failed: {e}"));
-        let out = plan
-            .execute(a)
-            .unwrap_or_else(|e| panic!("{name}/{mode:?} failed: {e}"));
-        assert_eq!(out.values.len(), truth.len(), "{name}/{mode:?}: length");
-        for (i, (got, want)) in out.values.iter().zip(truth).enumerate() {
-            assert!(
-                (got - want).abs() <= tol * scale,
-                "{name} {mode:?}: σ[{i}] = {got:.8e}, want {want:.8e} (tol {tol:.1e})"
-            );
-        }
+    let mut plan = OutOfCore::on(&tiny)
+        .precision::<f64>()
+        .plan(a.rows(), a.cols())
+        .unwrap_or_else(|e| panic!("{name}: planning failed: {e}"));
+    let out = plan
+        .execute(a)
+        .unwrap_or_else(|e| panic!("{name} failed: {e}"));
+    assert_eq!(out.values.len(), truth.len(), "{name}: length");
+    for (i, (got, want)) in out.values.iter().zip(truth).enumerate() {
+        assert!(
+            (got - want).abs() <= tol * scale,
+            "{name}: σ[{i}] = {got:.8e}, want {want:.8e} (tol {tol:.1e})"
+        );
     }
 }
 
 #[test]
 fn tall_skinny_rank_one_out_of_core() {
     // A = u vᵀ with a 2048-row u: exactly one nonzero singular value
-    // ‖u‖₂·‖v‖₂, recovered through panel QR + the R-reduction tree and
-    // through streaming alike.
+    // ‖u‖₂·‖v‖₂, recovered through streaming and the inner plan's host
+    // QR.
     let (m, n) = (2048, 12);
     let u: Vec<f64> = (0..m).map(|i| 1.0 + ((i * 7) % 13) as f64 / 13.0).collect();
     let v: Vec<f64> = (0..n).map(|j| 1.0 - 0.3 * (j as f64 / n as f64)).collect();
@@ -145,8 +141,8 @@ fn tall_skinny_rank_one_out_of_core() {
 fn tall_skinny_kahan_out_of_core() {
     // Kahan's graded matrix embedded as the leading block of a tall
     // operand (zero rows below): the spectrum is exactly the block's, so
-    // the graded, far-from-normal structure must survive many panel QRs
-    // and the reduction tree. Truth from the f64 Jacobi oracle.
+    // the graded, far-from-normal structure must survive streaming and
+    // the inner plan's host QR. Truth from the f64 Jacobi oracle.
     let k = unisvd::testmat::kahan(16, 0.285);
     let truth = jacobi_svdvals(&k);
     let (m, n) = (1600, 16);
