@@ -222,7 +222,7 @@ fn fig_fleet(c: &mut Criterion) {
     for (submitted, ticket) in tickets {
         // Every ticket resolves — pre-kill ones with results, re-routed
         // ones with results from a survivor. A hang fails the bench via
-        // timeout; an abandoned resolver panics the wait.
+        // timeout; an abandoned resolver fails the wait.
         let out = ticket.wait().expect("every trace request still resolves");
         latencies.push(submitted.elapsed().as_secs_f64());
         assert!(!out.values.is_empty());

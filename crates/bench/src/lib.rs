@@ -17,8 +17,8 @@ use unisvd_kernels::HyperParams;
 use unisvd_matrix::Matrix;
 use unisvd_scalar::{PrecisionKind, Scalar, F16};
 
-/// Simulated runtime of the unified implementation at size `n` via the
-/// trace-only launch stream.
+/// Simulated runtime of the unified implementation at size `n`, from
+/// [`Svd::cost`].
 pub fn unified_seconds(
     hw: &HardwareDescriptor,
     n: usize,
@@ -30,8 +30,8 @@ pub fn unified_seconds(
 }
 
 /// Per-stage summary of the unified implementation: the per-execute
-/// [`cost`](unisvd_core::SvdPlan::cost) of a trace-only plan, `None`
-/// outside the Table 2 support matrix.
+/// [`Svd::cost`] of an `n × n` plan, `None` outside the Table 2 support
+/// matrix.
 pub fn unified_summary(
     hw: &HardwareDescriptor,
     n: usize,
@@ -40,8 +40,7 @@ pub fn unified_summary(
     fused: bool,
 ) -> Option<TraceSummary> {
     fn cost<T: Scalar>(hw: &HardwareDescriptor, cfg: SvdConfig, n: usize) -> Option<TraceSummary> {
-        let builder = Svd::on(hw).precision::<T>().config(cfg).trace_only();
-        builder.plan(n, n).ok().map(|p| p.cost())
+        Svd::on(hw).precision::<T>().config(cfg).cost(n, n).ok()
     }
     let cfg = SvdConfig {
         params,

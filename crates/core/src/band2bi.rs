@@ -572,7 +572,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_only_emits_cost_without_data() {
+    fn trace_device_emits_cost_without_data() {
         let dev = Device::trace_only(h100());
         let mut band = BandMatrix::<f64>::zeros(1, 0, 0); // placeholder
         let bi = band_to_bidiagonal(&dev, &mut band, 32, PrecisionKind::Fp32, 32);

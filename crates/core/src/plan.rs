@@ -135,16 +135,14 @@ pub struct PlanSignature {
     /// The full solve configuration (solver, fusion, rescaling, and any
     /// explicit hyperparameter override).
     pub config: SvdConfig,
-    /// Whether the plan is trace-only (cost accounting without data).
-    pub trace_only: bool,
 }
 
 impl PlanSignature {
     /// The signature this request would carry on a *different* device:
-    /// identical shape, precision, configuration, and trace mode, but
-    /// keyed to `hw`. This is the re-routing primitive of fleet serving —
-    /// a signature resident on a failed device is retargeted to a
-    /// survivor before re-planning there.
+    /// identical shape, precision and configuration, but keyed to `hw`.
+    /// This is the re-routing primitive of fleet serving — a signature
+    /// resident on a failed device is retargeted to a survivor before
+    /// re-planning there.
     pub fn for_device(mut self, hw: &HardwareDescriptor) -> PlanSignature {
         self.device = hw.name;
         self.backend = hw.backend;
@@ -161,30 +159,21 @@ impl PlanSignature {
     /// `hw` succeeds, and vice versa; [`Svd::probe`] is this check on the
     /// builder's own device.
     pub fn probe(&self, hw: &HardwareDescriptor) -> Result<PlanProbe, PlanError> {
-        let (dev, core, device_bytes) = self.admit(hw)?;
+        let (_, core, device_bytes) = self.admit(hw)?;
         Ok(PlanProbe {
             padded: core.padded,
             device_bytes,
-            oocore_eligible: core.oocore_eligible(&dev),
+            oocore_eligible: core.oocore_eligible(),
         })
     }
 
     /// The one admission implementation behind [`probe`](Self::probe)
     /// and [`Svd::plan`]: the device handle, the resolved plan core, and
     /// the device bytes a built plan would pin (its `device_bytes()`
-    /// with lane 0 alone; 0 for trace-only plans, which allocate no
-    /// data).
+    /// with lane 0 alone).
     fn admit(&self, hw: &HardwareDescriptor) -> Result<(Device, PlanCore, u64), PlanError> {
-        let mode = if self.trace_only {
-            ExecMode::TraceOnly
-        } else {
-            ExecMode::Numeric
-        };
-        let dev = Device::new(hw.clone(), mode);
+        let dev = Device::numeric(hw.clone());
         let core = PlanCore::new(&dev, self.precision, &self.config, self.rows, self.cols)?;
-        if mode != ExecMode::Numeric {
-            return Ok((dev, core, 0));
-        }
         // Everything the plan will hold on the device: the padded matrix
         // plus the τ-factor vector. Matching device_bytes() exactly
         // means a plan that passes this check can always be admitted by
@@ -196,7 +185,7 @@ impl PlanSignature {
                 device: hw.name,
                 padded: core.padded,
                 bytes,
-                oocore_eligible: core.oocore_eligible(&dev),
+                oocore_eligible: core.oocore_eligible(),
             });
         }
         Ok((dev, core, bytes))
@@ -207,13 +196,8 @@ impl std::fmt::Display for PlanSignature {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}x{} {} on {}{} [{}]",
-            self.rows,
-            self.cols,
-            self.precision,
-            self.device,
-            if self.trace_only { " (trace)" } else { "" },
-            self.config
+            "{}x{} {} on {} [{}]",
+            self.rows, self.cols, self.precision, self.device, self.config
         )
     }
 }
@@ -226,7 +210,7 @@ pub struct PlanProbe {
     /// shapes).
     pub padded: usize,
     /// Device bytes a built plan would pin (its `device_bytes()` with
-    /// lane 0 alone; 0 for trace-only or empty plans).
+    /// lane 0 alone; 0 for empty plans).
     pub device_bytes: u64,
     /// Whether the out-of-core subsystem (`unisvd_oocore`) accepts this
     /// request: true for every nonempty numeric shape, whether or not it
@@ -262,9 +246,9 @@ enum PlanKind {
     Empty,
     /// Square-ish: zero-pad to the next tile multiple of `max(m, n)`.
     Direct,
-    /// Tall (`m ≥ 2n`, numeric): host QR first, device solves `R` (n×n).
+    /// Tall (`m ≥ 2n`): host QR first, device solves `R` (n×n).
     TallQr,
-    /// Wide (`n ≥ 2m`, numeric): transpose, then the tall path (m×m).
+    /// Wide (`n ≥ 2m`): transpose, then the tall path (m×m).
     WideQr,
 }
 
@@ -294,14 +278,13 @@ impl PlanCore {
     ) -> Result<Self, UnsupportedPrecision> {
         dev.supports(precision)?;
         let mindim = rows.min(cols);
-        let numeric = dev.mode() == ExecMode::Numeric;
         let (kind, device_n) = if mindim == 0 {
             (PlanKind::Empty, 0)
-        } else if numeric && rows >= 2 * cols {
+        } else if rows >= 2 * cols {
             // Tall-and-skinny fast path (§5): σ(A) = σ(R) with R only
             // n × n, so the device pipeline runs on an n × n problem.
             (PlanKind::TallQr, cols)
-        } else if numeric && cols >= 2 * rows {
+        } else if cols >= 2 * rows {
             (PlanKind::WideQr, rows)
         } else {
             (PlanKind::Direct, rows.max(cols))
@@ -327,28 +310,21 @@ impl PlanCore {
         self.padded
     }
 
-    /// Whether the out-of-core subsystem accepts this request on `dev`:
-    /// any nonempty numeric *values-only* solve can be panel-streamed (or
-    /// TSQR-reduced) regardless of the one-upload capacity rule. Solves
-    /// requesting singular vectors are not eligible — the out-of-core
-    /// pipeline discards the panel factors it streams, so it has nothing
-    /// to replay vectors from.
-    fn oocore_eligible(&self, dev: &Device) -> bool {
-        dev.mode() == ExecMode::Numeric && self.padded > 0 && self.cfg.vectors == Want::None
+    pub(crate) fn params(&self) -> HyperParams {
+        self.params
     }
 
-    /// Host workspace sized for this plan on a device of `mode`
-    /// (trace-only devices carry no data, so no staging is needed).
-    pub(crate) fn host_workspace<T: Scalar>(&self, mode: ExecMode) -> Workspace<T> {
-        if mode != ExecMode::Numeric {
-            return Workspace {
-                staging: Vec::new(),
-                qr: Vec::new(),
-                qr_tau: Vec::new(),
-                qvec: Vec::new(),
-                pipe: PipelineScratch::for_trace(self.padded, self.cfg.vectors, self.mindim),
-            };
-        }
+    /// Whether the out-of-core subsystem accepts this request: any
+    /// nonempty *values-only* solve can be panel-streamed regardless of
+    /// the one-upload capacity rule. Solves requesting singular vectors
+    /// are not eligible — the out-of-core pipeline discards the panel
+    /// factors it streams, so it has nothing to replay vectors from.
+    fn oocore_eligible(&self) -> bool {
+        self.padded > 0 && self.cfg.vectors == Want::None
+    }
+
+    /// Host workspace sized for one numeric solve of this plan.
+    pub(crate) fn host_workspace<T: Scalar>(&self) -> Workspace<T> {
         let qr_len = match self.kind {
             PlanKind::TallQr | PlanKind::WideQr => self.rows * self.cols,
             PlanKind::Empty | PlanKind::Direct => 0,
@@ -374,6 +350,32 @@ impl PlanCore {
             ),
         }
     }
+
+    /// Runs this plan's launch stream on the data-less device `dev`,
+    /// charging `driver`'s host share: the one cost replay behind
+    /// [`Svd::cost`], [`SvdPlan::cost`] and one-shot solves on a
+    /// trace-only device. Empty shapes launch nothing.
+    pub(crate) fn replay<T: Scalar>(&self, dev: &Device, driver: DriverCost) {
+        debug_assert_eq!(dev.mode(), ExecMode::TraceOnly);
+        if self.kind == PlanKind::Empty {
+            return;
+        }
+        let buf = dev.alloc::<T>(0);
+        let tau = dev.alloc::<T>(0);
+        let mut pipe = PipelineScratch::for_trace(self.padded, self.cfg.vectors, self.mindim);
+        let r = run_pipeline::<T>(
+            dev,
+            &buf,
+            &tau,
+            self.padded,
+            &self.params,
+            &self.cfg,
+            driver,
+            &mut pipe,
+            &mut Vec::new(),
+        );
+        debug_assert!(r.is_ok(), "a data-less pipeline cannot fail");
+    }
 }
 
 /// Reusable scratch for stages 2–3 of one pipeline run: the stage-2 work
@@ -387,9 +389,9 @@ pub(crate) struct PipelineScratch<A: Real> {
     s3: Stage3Workspace<A>,
     /// Singular-vector workspace (`Some` iff the configuration requests
     /// vectors and the planned shape is nonempty): transform logs,
-    /// selection scratch and the `padded × k` accumulators. Trace-only
-    /// plans keep an empty-buffered scratch whose `k` still drives the
-    /// accumulation cost models, so `cost()` replays match numeric runs.
+    /// selection scratch and the `padded × k` accumulators. Cost replays
+    /// keep an empty-buffered scratch whose `k` still drives the
+    /// accumulation cost models, so they match numeric runs.
     vac: Option<VectorScratch<A>>,
 }
 
@@ -406,9 +408,9 @@ impl<A: Real> PipelineScratch<A> {
         }
     }
 
-    /// Scratch for a trace-only run: no data, but the stage-2 cost
-    /// stream reads the placeholder's order.
-    pub(crate) fn for_trace(padded: usize, vectors: Want, mindim: usize) -> Self {
+    /// Scratch for a cost replay on a data-less device: no data, but the
+    /// stage-2 cost stream reads the placeholder's order.
+    fn for_trace(padded: usize, vectors: Want, mindim: usize) -> Self {
         PipelineScratch {
             band: BandMatrix::zeros(padded.max(1), 0, 0),
             bi: Bidiagonal::new(Vec::new(), Vec::new()),
@@ -477,18 +479,16 @@ impl<T: Scalar> Workspace<T> {
 pub struct Svd<T: Scalar = f64> {
     hw: HardwareDescriptor,
     cfg: SvdConfig,
-    mode: ExecMode,
     _precision: PhantomData<fn() -> T>,
 }
 
 impl Svd<f64> {
-    /// Starts a builder for hardware `hw` (numeric mode, default `f64`
-    /// precision, default configuration).
+    /// Starts a builder for hardware `hw` (default `f64` precision,
+    /// default configuration).
     pub fn on(hw: &HardwareDescriptor) -> Self {
         Svd {
             hw: hw.clone(),
             cfg: SvdConfig::default(),
-            mode: ExecMode::Numeric,
             _precision: PhantomData,
         }
     }
@@ -500,7 +500,6 @@ impl<T: Scalar> Svd<T> {
         Svd {
             hw: self.hw,
             cfg: self.cfg,
-            mode: self.mode,
             _precision: PhantomData,
         }
     }
@@ -544,13 +543,6 @@ impl<T: Scalar> Svd<T> {
         self
     }
 
-    /// Plans against a trace-only device: executes account simulated cost
-    /// without data (paper-scale size sweeps).
-    pub fn trace_only(mut self) -> Self {
-        self.mode = ExecMode::TraceOnly;
-        self
-    }
-
     /// The signature a plan built from this builder for `rows × cols`
     /// inputs would carry — computable without paying for planning, so
     /// caches can key their lookup before deciding to build.
@@ -562,7 +554,6 @@ impl<T: Scalar> Svd<T> {
             rows,
             cols,
             config: self.cfg,
-            trace_only: self.mode == ExecMode::TraceOnly,
         }
     }
 
@@ -588,6 +579,29 @@ impl<T: Scalar> Svd<T> {
     /// ```
     pub fn probe(&self, rows: usize, cols: usize) -> Result<PlanProbe, PlanError> {
         self.signature(rows, cols).probe(&self.hw)
+    }
+
+    /// Simulated steady per-execute cost of a plan for `rows × cols`
+    /// inputs — what [`SvdPlan::cost`] would report — without building
+    /// one. Only the support matrix is checked, not device capacity: no
+    /// data exists, so paper-scale sizes that no device or host could
+    /// hold (the Fig. 5 sweeps) cost as readily as small ones.
+    ///
+    /// ```
+    /// use unisvd_core::{PlanError, Svd};
+    /// use unisvd_gpu::hw;
+    ///
+    /// // 65536² f32 is too big to plan on an 8 GB RTX 4060, but costs.
+    /// let svd = Svd::on(&hw::rtx4060()).precision::<f32>();
+    /// assert!(matches!(svd.probe(65536, 65536), Err(PlanError::ExceedsDeviceMemory { .. })));
+    /// assert!(svd.cost(65536, 65536)?.total_seconds() > 0.0);
+    /// # Ok::<(), PlanError>(())
+    /// ```
+    pub fn cost(&self, rows: usize, cols: usize) -> Result<TraceSummary, PlanError> {
+        let dev = Device::trace_only(self.hw.clone());
+        let core = PlanCore::new(&dev, T::KIND, &self.cfg, rows, cols)?;
+        core.replay::<T>(&dev, DriverCost::Amortized);
+        Ok(dev.summary())
     }
 
     /// Performs all one-time work — support-matrix check, hyperparameter
@@ -632,7 +646,7 @@ impl<T: Scalar> Lane<T> {
         Lane {
             buf: dev.alloc::<T>(core.padded * core.padded),
             tau: dev.alloc::<T>(core.padded),
-            ws: core.host_workspace::<T>(dev.mode()),
+            ws: core.host_workspace::<T>(),
             dev,
             cold,
         }
@@ -647,7 +661,7 @@ impl<T: Scalar> Lane<T> {
     fn sibling(&self, core: &PlanCore) -> Self {
         let mut hw = self.dev.hw().clone();
         hw.fault = None;
-        Lane::new(Device::new(hw, self.dev.mode()), core, false)
+        Lane::new(Device::numeric(hw), core, false)
     }
 
     /// Runs one solve on this lane; the stream's trace is reset on entry.
@@ -705,8 +719,8 @@ impl<T: Scalar> SvdPlan<T> {
         self.core.padded
     }
 
-    /// The plan's own device stream, lane 0 (hardware description,
-    /// execution mode, and the trace of the most recent solve on it).
+    /// The plan's own (numeric) device stream, lane 0: hardware
+    /// description and the trace of the most recent solve on it.
     pub fn device(&self) -> &Device {
         &self.lanes[0].dev
     }
@@ -722,12 +736,11 @@ impl<T: Scalar> SvdPlan<T> {
             rows: self.core.rows,
             cols: self.core.cols,
             config: self.core.cfg,
-            trace_only: dev.mode() == ExecMode::TraceOnly,
         }
     }
 
     /// Device memory this plan's buffers pin while it is alive, in bytes
-    /// (0 for trace-only plans, which allocate no data): one lane's
+    /// (0 for empty plans, which allocate no data): one lane's
     /// buffers times the lane count, so extra lanes grown by
     /// [`execute_batch_refs_into`](SvdPlan::execute_batch_refs_into)
     /// count too. Serving layers charge this against a
@@ -890,7 +903,7 @@ impl<T: Scalar> SvdPlan<T> {
             .checked_div(self.lane_device_bytes())
         {
             Some(slots) => usize::try_from(slots.max(1)).unwrap_or(usize::MAX),
-            None => usize::MAX, // trace-only: lanes hold no data
+            None => usize::MAX, // empty plan: lanes hold no data
         };
         let nc = len.min(MAX_BATCH_CHUNKS).min(mem_cap);
         while self.lanes.len() < nc {
@@ -922,34 +935,13 @@ impl<T: Scalar> SvdPlan<T> {
 
     /// Simulated steady per-execute cost of this plan: what every execute
     /// after the first costs (the first also pays the one-shot driver
-    /// share). Replays the identical launch stream on a fresh trace-only
-    /// device and returns the per-stage summary. Works from numeric
-    /// plans too; a `trace_only()` plan is the cheap way to cost
-    /// paper-scale sizes.
+    /// share). Replays the identical launch stream on a fresh data-less
+    /// device and returns the per-stage summary. To cost a shape without
+    /// planning it — paper-scale sizes no device could hold — use
+    /// [`Svd::cost`], which runs the same replay.
     pub fn cost(&self) -> TraceSummary {
         let dev = Device::trace_only(self.device().hw().clone());
-        if self.core.kind != PlanKind::Empty {
-            let buf = dev.alloc::<T>(0);
-            let tau = dev.alloc::<T>(0);
-            let mut pipe = PipelineScratch::for_trace(
-                self.core.padded,
-                self.core.cfg.vectors,
-                self.core.mindim,
-            );
-            let mut values = Vec::new();
-            let r = run_pipeline::<T>(
-                &dev,
-                &buf,
-                &tau,
-                self.core.padded,
-                &self.core.params,
-                &self.core.cfg,
-                DriverCost::Amortized,
-                &mut pipe,
-                &mut values,
-            );
-            debug_assert!(r.is_ok(), "trace-only pipeline cannot fail");
-        }
+        self.core.replay::<T>(&dev, DriverCost::Amortized);
         dev.summary()
     }
 }
@@ -980,10 +972,11 @@ impl<T: Scalar> std::fmt::Debug for SvdPlan<T> {
     }
 }
 
-/// One solve against an already-planned core: fill staging (by shape
-/// strategy), upload into the existing device buffers, run the pipeline,
-/// and write every output — values, parameters, summary — into `out`
-/// in place (zero allocation once `out` and the workspace are warm).
+/// One numeric solve against an already-planned core: fill staging (by
+/// shape strategy), upload into the existing device buffers, run the
+/// pipeline, and write every output — values, parameters, summary —
+/// into `out` in place (zero allocation once `out` and the workspace are
+/// warm).
 /// Shared by [`SvdPlan::execute_into`] and the one-shot compatibility
 /// wrappers (which build a fresh core + workspace per call).
 #[allow(clippy::too_many_arguments)] // internal seam shared by plan + one-shot paths
@@ -1022,10 +1015,9 @@ pub(crate) fn execute_core<T: Scalar>(
 
     // One pass over the input serves both the finiteness check and the
     // rescale factor (`max_abs` propagates NaN, so any NaN or ±Inf entry
-    // makes it non-finite). Trace-only inputs carry no data to check.
-    let numeric = dev.mode() == ExecMode::Numeric;
+    // makes it non-finite).
     let max_abs = a.max_abs();
-    if numeric && !max_abs.is_finite() {
+    if !max_abs.is_finite() {
         return Err(SvdError::NonFiniteInput);
     }
     // Rescale so the largest entry is O(1): σ(cA) = c·σ(A), and narrow
@@ -1036,53 +1028,51 @@ pub(crate) fn execute_core<T: Scalar>(
         1.0
     };
 
-    if numeric {
-        let padded = core.padded;
-        // No per-solve re-zero of the staging buffer: it starts zeroed
-        // and every execute writes exactly the same index set (the m×n
-        // block below, or R's upper triangle), so the un-written padding
-        // region is invariantly zero across reuses.
-        match core.kind {
-            PlanKind::Direct => {
-                for j in 0..core.cols {
-                    for i in 0..core.rows {
-                        ws.staging[j * padded + i] = T::from_f64(a[(i, j)].to_f64() / scale);
-                    }
+    let padded = core.padded;
+    // No per-solve re-zero of the staging buffer: it starts zeroed
+    // and every execute writes exactly the same index set (the m×n
+    // block below, or R's upper triangle), so the un-written padding
+    // region is invariantly zero across reuses.
+    match core.kind {
+        PlanKind::Direct => {
+            for j in 0..core.cols {
+                for i in 0..core.rows {
+                    ws.staging[j * padded + i] = T::from_f64(a[(i, j)].to_f64() / scale);
                 }
             }
-            PlanKind::TallQr | PlanKind::WideQr => {
-                // Host-side QR (tall directly, wide on the transpose):
-                // σ(A) = σ(R) with R only device_n × device_n.
-                let (qm, qn) = match core.kind {
-                    PlanKind::TallQr => (core.rows, core.cols),
-                    _ => (core.cols, core.rows),
-                };
-                let mut qr = Matrix::<f64>::from_col_major(qm, qn, std::mem::take(&mut ws.qr));
-                for j in 0..qn {
-                    for i in 0..qm {
-                        let v = match core.kind {
-                            PlanKind::TallQr => a[(i, j)],
-                            _ => a[(j, i)],
-                        };
-                        qr[(i, j)] = v.to_f64() / scale;
-                    }
-                }
-                householder_qr_into(&mut qr, &mut ws.qr_tau);
-                // T::from_f64 ∘ to_f64 is the identity on T's values, so
-                // staging R directly matches the one-shot path (which
-                // materialises R as a Matrix<T> first) bit for bit.
-                for j in 0..qn {
-                    for i in 0..=j {
-                        ws.staging[j * padded + i] = T::from_f64(qr[(i, j)]);
-                    }
-                }
-                ws.qr = qr.into_vec();
-            }
-            PlanKind::Empty => unreachable!("handled above"),
         }
-        dev.upload_into(&ws.staging, buf);
-        tau.fill(T::zero());
+        PlanKind::TallQr | PlanKind::WideQr => {
+            // Host-side QR (tall directly, wide on the transpose):
+            // σ(A) = σ(R) with R only device_n × device_n.
+            let (qm, qn) = match core.kind {
+                PlanKind::TallQr => (core.rows, core.cols),
+                _ => (core.cols, core.rows),
+            };
+            let mut qr = Matrix::<f64>::from_col_major(qm, qn, std::mem::take(&mut ws.qr));
+            for j in 0..qn {
+                for i in 0..qm {
+                    let v = match core.kind {
+                        PlanKind::TallQr => a[(i, j)],
+                        _ => a[(j, i)],
+                    };
+                    qr[(i, j)] = v.to_f64() / scale;
+                }
+            }
+            householder_qr_into(&mut qr, &mut ws.qr_tau);
+            // T::from_f64 ∘ to_f64 is the identity on T's values, so
+            // staging R directly matches the one-shot path (which
+            // materialises R as a Matrix<T> first) bit for bit.
+            for j in 0..qn {
+                for i in 0..=j {
+                    ws.staging[j * padded + i] = T::from_f64(qr[(i, j)]);
+                }
+            }
+            ws.qr = qr.into_vec();
+        }
+        PlanKind::Empty => unreachable!("handled above"),
     }
+    dev.upload_into(&ws.staging, buf);
+    tau.fill(T::zero());
 
     let piped = run_pipeline::<T>(
         dev,
@@ -1119,7 +1109,7 @@ pub(crate) fn execute_core<T: Scalar>(
             *v *= scale;
         }
     }
-    assemble_vectors(core, ws, dev, out);
+    assemble_vectors(core, ws, out);
     out.params = core.params;
     out.padded_n = core.padded;
     dev.summary_into(&mut out.summary);
@@ -1137,15 +1127,8 @@ pub(crate) fn execute_core<T: Scalar>(
 /// the left (resp. right) factor through the retained host QR: for tall
 /// `A = Q_h·R`, `U(A) = Q_h·U(R)`, and for wide
 /// `A = (Q_h·R)ᵀ = V(R)·Σ·(Q_h·U(R))ᵀ`.
-fn assemble_vectors<T: Scalar>(
-    core: &PlanCore,
-    ws: &mut Workspace<T>,
-    dev: &Device,
-    out: &mut SvdOutput,
-) {
-    if core.cfg.vectors == Want::None || dev.mode() != ExecMode::Numeric {
-        // Values-only solves and trace replays (which have no data to
-        // accumulate) carry no factors.
+fn assemble_vectors<T: Scalar>(core: &PlanCore, ws: &mut Workspace<T>, out: &mut SvdOutput) {
+    if core.cfg.vectors == Want::None {
         out.u = None;
         out.vt = None;
         return;
@@ -1393,12 +1376,11 @@ mod tests {
             Err(PlanError::ExceedsDeviceMemory { padded, .. }) => assert_eq!(padded, 65536),
             other => panic!("expected capacity rejection, got {other:?}"),
         }
-        // Trace-only plans skip the capacity check (no data exists) —
-        // that's the Fig. 5 size-sweep use case.
+        // Costing skips the capacity check (no data exists) — that's the
+        // Fig. 5 size-sweep use case.
         assert!(Svd::on(&rtx4060())
             .precision::<f32>()
-            .trace_only()
-            .plan(65536, 65536)
+            .cost(65536, 65536)
             .is_ok());
     }
 
@@ -1643,55 +1625,73 @@ mod tests {
     }
 
     #[test]
-    fn trace_only_plan_accounts_cost_without_data() {
-        let mut plan = Svd::on(&h100())
-            .precision::<f32>()
-            .trace_only()
-            .plan(256, 256)
-            .unwrap();
-        // Trace plans allocate no staging at all.
-        assert!(plan.lanes[0].ws.staging.is_empty());
-        let out = plan.execute(&Matrix::<f32>::zeros(256, 256)).unwrap();
+    fn one_shot_on_a_trace_device_accounts_cost_without_data() {
+        // A trace-only device holds no data: the one-shot call returns no
+        // values but charges exactly what a numeric one-shot solve does.
+        let a = Matrix::<f32>::from_fn(256, 256, |i, j| ((i * 7 + j * 3) % 11) as f32 - 5.0);
+        let cfg = SvdConfig::default();
+        let out = svdvals_with(&a, &Device::trace_only(h100()), &cfg).unwrap();
         assert!(out.values.is_empty());
-        use unisvd_gpu::KernelClass::*;
-        assert!(out.summary.seconds_of(PanelFactorization) > 0.0);
-        assert!(out.summary.seconds_of(BandToBidiagonal) > 0.0);
+        assert!(out.u.is_none() && out.vt.is_none());
+        let numeric = svdvals_with(&a, &Device::numeric(h100()), &cfg).unwrap();
+        assert_eq!(
+            (out.params, out.padded_n),
+            (numeric.params, numeric.padded_n)
+        );
+        assert_eq!(
+            out.summary.total_launches(),
+            numeric.summary.total_launches()
+        );
+        for class in KernelClass::ALL {
+            assert_eq!(
+                out.summary.seconds_of(class).to_bits(),
+                numeric.summary.seconds_of(class).to_bits(),
+                "{class:?}"
+            );
+        }
     }
 
     #[test]
-    fn cost_matches_trace_replay_per_stage() {
-        let plan = Svd::on(&h100()).precision::<f32>().plan(64, 64).unwrap();
-        let s = plan.cost();
-        use unisvd_gpu::KernelClass::*;
-        assert!(s.seconds_of(PanelFactorization) > 0.0);
-        assert!(s.seconds_of(BandToBidiagonal) > 0.0);
-        assert!(s.seconds_of(BidiagonalSvd) > 0.0);
-        // The replay must agree with a trace-only plan's steady (second)
-        // execute on every stage, host driver share included (both
-        // charge the amortized dispatch share).
-        let mut traced = Svd::on(&h100())
-            .precision::<f32>()
-            .trace_only()
-            .plan(64, 64)
-            .unwrap();
-        traced.execute(&Matrix::zeros(64, 64)).unwrap();
-        let run = traced.execute(&Matrix::zeros(64, 64)).unwrap().summary;
-        for class in [
-            PanelFactorization,
-            TrailingUpdate,
-            BandToBidiagonal,
-            BidiagonalSvd,
-            Other,
-        ] {
-            assert_eq!(s.seconds_of(class), run.seconds_of(class));
+    fn cost_matches_numeric_execute_bit_for_bit() {
+        // `SvdPlan::cost` and `Svd::cost` replay the launch stream without
+        // data; both must charge exactly what a numeric plan's steady
+        // (second) execute does, per stage and in launch count, host
+        // driver share and host QR shapes included.
+        fn check<T: Scalar>(rows: usize, cols: usize, want: Want, launches: usize) {
+            let svd = Svd::on(&h100()).precision::<T>().vectors(want);
+            let mut plan = svd.clone().plan(rows, cols).unwrap();
+            let a = Matrix::<f64>::from_fn(rows, cols, |i, j| ((i * 7 + j * 3) % 11) as f64 - 5.0)
+                .cast::<T>();
+            plan.execute(&a).unwrap();
+            let run = plan.execute(&a).unwrap().summary;
+            let shape = format!("{rows}x{cols} {:?} {want}", T::KIND);
+            assert_eq!(run.total_launches(), launches, "{shape}");
+            for cost in [plan.cost(), svd.cost(rows, cols).unwrap()] {
+                assert_eq!(cost.total_launches(), launches, "{shape}");
+                for class in KernelClass::ALL {
+                    assert_eq!(cost.launches_of(class), run.launches_of(class), "{shape}");
+                    assert_eq!(
+                        cost.seconds_of(class).to_bits(),
+                        run.seconds_of(class).to_bits(),
+                        "{shape} {class:?}"
+                    );
+                }
+            }
         }
+        check::<f32>(64, 64, Want::None, 66);
+        check::<f64>(256, 256, Want::None, 78);
+        check::<F16>(256, 256, Want::None, 78);
+        check::<f64>(1024, 64, Want::None, 66);
+        check::<f64>(128, 128, Want::Thin, 73);
+        check::<f64>(256, 256, Want::TopK(32), 81);
     }
 
     #[test]
     fn probe_agrees_with_plan_on_every_table2_cell() {
         // The probe must predict plan()'s admission decision exactly:
         // same Ok/Err, and on Ok the same padded edge and pinned bytes
-        // a built plan reports.
+        // a built plan reports. At this size no cell exceeds capacity, so
+        // the cost query, which checks only the support matrix, agrees too.
         use unisvd_gpu::hw::all_platforms;
         fn check<T: Scalar>(hw: &HardwareDescriptor) {
             let builder = Svd::on(hw).precision::<T>();
@@ -1701,8 +1701,12 @@ mod tests {
                 (Ok(p), Ok(plan)) => {
                     assert_eq!(p.padded, plan.padded_n());
                     assert_eq!(p.device_bytes, plan.device_bytes());
+                    assert!(builder.cost(40, 40).is_ok());
                 }
-                (Err(pe), Err(le)) => assert_eq!(pe, le),
+                (Err(pe), Err(le)) => {
+                    assert_eq!(builder.cost(40, 40).unwrap_err(), le);
+                    assert_eq!(pe, le);
+                }
                 (p, l) => panic!("probe/plan disagree on {}: {p:?} vs {l:?}", hw.name),
             }
         }
@@ -1719,13 +1723,12 @@ mod tests {
             Err(PlanError::ExceedsDeviceMemory { padded, .. }) => assert_eq!(padded, 65536),
             other => panic!("expected capacity rejection, got {other:?}"),
         }
-        // Trace-only probes skip the capacity check, like trace plans.
-        let p = Svd::on(&rtx4060())
+        // Costing the same shape needs no device memory, so it succeeds.
+        let cost = Svd::on(&rtx4060())
             .precision::<f32>()
-            .trace_only()
-            .probe(65536, 65536)
+            .cost(65536, 65536)
             .unwrap();
-        assert_eq!(p.device_bytes, 0, "trace plans pin no device data");
+        assert!(cost.total_seconds() > 0.0);
     }
 
     #[test]
@@ -1736,8 +1739,8 @@ mod tests {
         assert_eq!(moved.backend, BackendKind::Rocm);
         // Everything that is not device identity is preserved.
         assert_eq!(
-            (moved.rows, moved.cols, moved.precision, moved.trace_only),
-            (sig.rows, sig.cols, sig.precision, sig.trace_only)
+            (moved.rows, moved.cols, moved.precision),
+            (sig.rows, sig.cols, sig.precision)
         );
         assert_eq!(moved.config, sig.config);
         // Round-trip restores the original signature exactly.

@@ -8,7 +8,7 @@
 
 use crate::bidiag_svd::NoConvergence;
 use crate::plan::{execute_core, DriverCost, PlanCore, PlanError};
-use unisvd_gpu::{Device, DeviceFault, TraceSummary, UnsupportedPrecision};
+use unisvd_gpu::{Device, DeviceFault, ExecMode, TraceSummary, UnsupportedPrecision};
 use unisvd_kernels::HyperParams;
 use unisvd_matrix::Matrix;
 use unisvd_scalar::{PrecisionKind, Scalar};
@@ -129,9 +129,10 @@ impl std::fmt::Display for SvdConfig {
 /// Everything a singular value computation produces.
 #[derive(Clone, Debug)]
 pub struct SvdOutput {
-    /// Singular values in descending order, in `f64` (empty in trace-only
-    /// mode). Under [`Want::TopK`] this is truncated to the leading `k`
-    /// entries — a bit-for-bit prefix of the full list.
+    /// Singular values in descending order, in `f64` (empty for a
+    /// one-shot call on a trace-only device). Under [`Want::TopK`] this
+    /// is truncated to the leading `k` entries — a bit-for-bit prefix of
+    /// the full list.
     pub values: Vec<f64>,
     /// Left singular vectors, `rows × k` column-major (`k` per
     /// [`Want::columns`]): `Some` iff the configuration requested
@@ -290,6 +291,10 @@ pub enum SvdError {
         /// discarded the request.
         waited: std::time::Duration,
     },
+    /// The serving layer dropped the request without resolving it: its
+    /// drainer died mid-batch. Never transient; the service that held
+    /// the request is gone.
+    Abandoned,
 }
 
 impl SvdError {
@@ -321,6 +326,7 @@ impl std::fmt::Display for SvdError {
             SvdError::Timeout { waited } => {
                 write!(f, "request timed out after {:.1?}", waited)
             }
+            SvdError::Abandoned => write!(f, "request abandoned: its service drainer died"),
         }
     }
 }
@@ -338,7 +344,8 @@ impl std::error::Error for SvdError {
             SvdError::ShapeMismatch { .. }
             | SvdError::NonFiniteInput
             | SvdError::Rejected { .. }
-            | SvdError::Timeout { .. } => None,
+            | SvdError::Timeout { .. }
+            | SvdError::Abandoned => None,
         }
     }
 }
@@ -404,17 +411,28 @@ pub fn svdvals<T: Scalar>(a: &Matrix<T>, dev: &Device) -> Result<Vec<f64>, SvdEr
 /// [`Svd`](crate::Svd) when solving the same shape repeatedly) and
 /// executes once on the caller's device, accumulating into the caller's
 /// trace. On a fresh device its summary equals a fresh plan's first
-/// execute.
+/// execute. A trace-only device holds no data: there the call only
+/// accounts the launch stream, returning no values.
 pub fn svdvals_with<T: Scalar>(
     a: &Matrix<T>,
     dev: &Device,
     cfg: &SvdConfig,
 ) -> Result<SvdOutput, SvdError> {
     let core = PlanCore::new(dev, T::KIND, cfg, a.rows(), a.cols())?;
+    let mut out = SvdOutput::empty();
+    if dev.mode() == ExecMode::TraceOnly {
+        core.replay::<T>(dev, DriverCost::OneShot);
+        if let Some(fault) = dev.take_fault() {
+            return Err(SvdError::DeviceFault(fault));
+        }
+        out.params = core.params();
+        out.padded_n = core.padded();
+        dev.summary_into(&mut out.summary);
+        return Ok(out);
+    }
     let buf = dev.alloc::<T>(core.padded() * core.padded());
     let tau = dev.alloc::<T>(core.padded());
-    let mut ws = core.host_workspace::<T>(dev.mode());
-    let mut out = SvdOutput::empty();
+    let mut ws = core.host_workspace::<T>();
     execute_core(
         &core,
         &mut ws,
@@ -678,13 +696,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_only_solve_produces_stage_breakdown() {
+    fn cost_produces_stage_breakdown() {
         let s = Svd::on(&h100())
             .precision::<f32>()
-            .trace_only()
-            .plan(2048, 2048)
-            .unwrap()
-            .cost();
+            .cost(2048, 2048)
+            .unwrap();
         use unisvd_gpu::KernelClass::*;
         assert!(s.seconds_of(PanelFactorization) > 0.0);
         assert!(s.seconds_of(TrailingUpdate) > 0.0);

@@ -352,7 +352,7 @@ pub(crate) struct VectorScratch<A: Real> {
 impl<A: Real> VectorScratch<A> {
     /// Builds the workspace for `k` columns of a `padded`-edge problem.
     /// `numeric` sizes the stage-1 and stage-2 logs and the accumulators;
-    /// a trace-only plan keeps them empty (the scratch then only drives
+    /// a cost replay keeps them empty (the scratch then only drives
     /// cost accounting).
     pub fn new(k: usize, topk: bool, padded: usize, ts: usize, numeric: bool) -> Self {
         VectorScratch {

@@ -335,7 +335,6 @@ mod tests {
             rows,
             cols: rows,
             config: SvdConfig::default(),
-            trace_only: false,
         }
     }
 

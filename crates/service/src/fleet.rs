@@ -740,9 +740,7 @@ impl SvdFleet {
         // Prewarm the new replica outside the router lock (planning is
         // expensive; routing must not serialize behind it).
         if let Some(r) = warm_replica {
-            if !key.trace_only {
-                self.backends[r].warm(&[key.for_device(self.backends[r].hw())]);
-            }
+            self.backends[r].warm(&[key.for_device(self.backends[r].hw())]);
         }
         decision
     }

@@ -225,7 +225,6 @@ mod tests {
             rows,
             cols: rows,
             config: SvdConfig::default(),
-            trace_only: false,
         }
     }
 

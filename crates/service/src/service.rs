@@ -278,8 +278,8 @@ impl std::fmt::Display for ServiceError {
             ),
             ServiceError::NoDeviceSupports { signature } => write!(
                 f,
-                "no fleet device supports {:?} {}x{} (trace_only: {})",
-                signature.precision, signature.rows, signature.cols, signature.trace_only
+                "no fleet device supports {:?} {}x{}",
+                signature.precision, signature.rows, signature.cols
             ),
             ServiceError::Timeout { waited } => {
                 write!(f, "deadline expired at admission (budget {waited:.1?})")
@@ -1109,11 +1109,7 @@ impl Inner {
     /// device); returns 1 when the plan is resident afterwards, 0 on a
     /// plan-time rejection or a declined publish.
     fn warm_one<T: Scalar>(&self, sig: &PlanSignature) -> usize {
-        let mut builder = self.builder::<T>(&sig.config);
-        if sig.trace_only {
-            builder = builder.trace_only();
-        }
-        match builder.plan(sig.rows, sig.cols) {
+        match self.builder::<T>(&sig.config).plan(sig.rows, sig.cols) {
             Ok(plan) => {
                 self.publish(*sig, Box::new(plan));
                 usize::from(self.cache.contains(sig))

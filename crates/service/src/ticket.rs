@@ -6,34 +6,31 @@
 //! single-consumer slot: the service side holds the matching
 //! [`TicketResolver`], and `resolve` consumes it — so a ticket can never
 //! be resolved twice, and a resolver dropped without resolving (a
-//! drainer panic) marks the slot abandoned instead of leaving waiters
-//! blocked forever.
+//! drainer panic) resolves the slot with [`SvdError::Abandoned`] instead
+//! of leaving waiters blocked forever.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use unisvd_core::{SvdError, SvdOutput};
 
-/// The one-shot slot a ticket and its resolver share.
-enum SlotState {
-    /// Submitted, not yet executed.
-    Pending,
-    /// Executed; the result waits for [`Ticket::wait`].
-    Done(Result<SvdOutput, SvdError>),
-    /// The resolver was dropped without resolving (the service's drainer
-    /// died): waiting would block forever, so `wait` panics instead.
-    Abandoned,
-}
-
+/// The one-shot slot a ticket and its resolver share: `None` while the
+/// request is pending, then its result until [`Ticket::wait`] takes it.
 struct Slot {
-    state: Mutex<SlotState>,
+    state: Mutex<Option<Result<SvdOutput, SvdError>>>,
     done: Condvar,
 }
 
 impl Slot {
     /// The state, robust against poisoning: a panicking waiter must not
     /// wedge the resolver (or vice versa).
-    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Result<SvdOutput, SvdError>>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Stores the result and wakes the waiter.
+    fn fill(&self, result: Result<SvdOutput, SvdError>) {
+        *self.lock() = Some(result);
+        self.done.notify_all();
     }
 }
 
@@ -51,11 +48,9 @@ impl Ticket {
     /// exactly what [`solve`](crate::SvdService::solve) would have
     /// returned for the same matrix and configuration (bit-identical
     /// values; errors included, so one failing request in a coalesced
-    /// batch surfaces only on its own ticket).
-    ///
-    /// # Panics
-    /// If the service's drainer thread died before resolving this ticket
-    /// (the only way a result can never arrive).
+    /// batch surfaces only on its own ticket). If the service dropped
+    /// the request without resolving it (its drainer died), the result
+    /// is [`SvdError::Abandoned`].
     pub fn wait(self) -> Result<SvdOutput, SvdError> {
         self.wait_until(None)
             .expect("a wait without a deadline cannot time out")
@@ -71,9 +66,6 @@ impl Ticket {
     /// silent no-op — never a panic, never a leak. The service still
     /// executes the request (its in-flight accounting completes
     /// normally); only the *caller* stops waiting.
-    ///
-    /// # Panics
-    /// As [`wait`](Ticket::wait): if the drainer died before resolving.
     pub fn wait_timeout(self, timeout: Duration) -> Result<SvdOutput, SvdError> {
         self.wait_until(Some(Instant::now() + timeout))
             .unwrap_or(Err(SvdError::Timeout { waited: timeout }))
@@ -85,46 +77,36 @@ impl Ticket {
     fn wait_until(self, deadline: Option<Instant>) -> Option<Result<SvdOutput, SvdError>> {
         let mut st = self.slot.lock();
         loop {
-            match std::mem::replace(&mut *st, SlotState::Abandoned) {
-                SlotState::Done(r) => return Some(r),
-                SlotState::Abandoned => {
-                    panic!("ticket abandoned: the service drainer died before resolving it")
-                }
-                SlotState::Pending => {
-                    *st = SlotState::Pending;
-                    st = match deadline {
-                        None => self.slot.done.wait(st).unwrap_or_else(|e| e.into_inner()),
-                        Some(deadline) => {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                return None;
-                            }
-                            self.slot
-                                .done
-                                .wait_timeout(st, deadline - now)
-                                .unwrap_or_else(|e| e.into_inner())
-                                .0
-                        }
-                    };
-                }
+            if let Some(r) = st.take() {
+                return Some(r);
             }
+            st = match deadline {
+                None => self.slot.done.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.slot
+                        .done
+                        .wait_timeout(st, deadline - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
         }
     }
 
     /// Whether the result has arrived (a non-blocking probe;
     /// [`wait`](Ticket::wait) will not block once this returns `true`).
     pub fn is_done(&self) -> bool {
-        !matches!(*self.slot.lock(), SlotState::Pending)
+        self.slot.lock().is_some()
     }
 }
 
 impl std::fmt::Debug for Ticket {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match *self.slot.lock() {
-            SlotState::Pending => "pending",
-            SlotState::Done(_) => "done",
-            SlotState::Abandoned => "abandoned",
-        };
+        let state = if self.is_done() { "done" } else { "pending" };
         write!(f, "Ticket({state})")
     }
 }
@@ -141,18 +123,16 @@ impl TicketResolver {
     /// Delivers the request's result and wakes the waiter.
     pub fn resolve(mut self, result: Result<SvdOutput, SvdError>) {
         self.resolved = true;
-        *self.slot.lock() = SlotState::Done(result);
-        self.slot.done.notify_all();
+        self.slot.fill(result);
     }
 }
 
 impl Drop for TicketResolver {
     fn drop(&mut self) {
         if !self.resolved {
-            // Dropped without resolving (drainer panic mid-batch): mark
-            // the slot so the waiter fails fast instead of hanging.
-            *self.slot.lock() = SlotState::Abandoned;
-            self.slot.done.notify_all();
+            // Dropped without resolving (drainer panic mid-batch): fail
+            // the waiter with a typed error instead of leaving it hanging.
+            self.slot.fill(Err(SvdError::Abandoned));
         }
     }
 }
@@ -160,7 +140,7 @@ impl Drop for TicketResolver {
 /// A fresh pending ticket and its resolver.
 pub(crate) fn ticket_pair() -> (Ticket, TicketResolver) {
     let slot = Arc::new(Slot {
-        state: Mutex::new(SlotState::Pending),
+        state: Mutex::new(None),
         done: Condvar::new(),
     });
     (
@@ -217,10 +197,15 @@ mod tests {
     }
 
     #[test]
-    fn dropped_resolver_panics_the_waiter_instead_of_hanging() {
+    fn dropped_resolver_fails_the_waiter_instead_of_hanging() {
         let (ticket, resolver) = ticket_pair();
         drop(resolver);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ticket.wait()));
-        assert!(r.is_err(), "abandoned ticket must fail fast");
+        assert!(ticket.is_done(), "abandoned ticket must fail fast");
+        let err = ticket.wait().unwrap_err();
+        assert_eq!(err, SvdError::Abandoned);
+        assert!(
+            !err.is_transient(),
+            "retrying an abandoned request repeats it"
+        );
     }
 }

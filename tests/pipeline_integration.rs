@@ -5,7 +5,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use unisvd::reference::{matmul, sv_relative_error};
 use unisvd::{
     hw, jacobi_svdvals, onestage_svdvals, svdvals, svdvals_with, Device, HyperParams, Matrix,
-    Scalar, Stage3Solver, SvDistribution, Svd, SvdConfig, F16,
+    PlanError, Scalar, Stage3Solver, SvDistribution, Svd, SvdConfig, F16,
 };
 
 fn cfg(ts: usize) -> SvdConfig {
@@ -172,13 +172,18 @@ fn pathological_inputs() {
 #[test]
 fn fp16_capacity_advantage_is_real_in_trace_mode() {
     // Fig. 5: the FP16 sweep reaches sizes FP32 cannot (memory capacity),
-    // through the actual API (trace mode).
+    // through the actual API (the probe admits, the cost query prices).
     let h100 = hw::h100();
     // 131072² in FP16 = 34 GB: fits; in FP32 = 69 GB + workspace: not.
     assert!(h100.fits((131072u64 * 131072) * 2));
     assert!(!h100.fits((131072u64 * 131072) * 4));
-    let plan = Svd::on(&h100).precision::<F16>().trace_only();
-    let s = plan.plan(131072, 131072).unwrap().cost();
+    let fp16 = Svd::on(&h100).precision::<F16>();
+    assert_eq!(fp16.probe(131072, 131072).unwrap().padded, 131072);
+    assert!(matches!(
+        Svd::on(&h100).precision::<f32>().probe(131072, 131072),
+        Err(PlanError::ExceedsDeviceMemory { .. })
+    ));
+    let s = fp16.cost(131072, 131072).unwrap();
     assert!(s.total_seconds() > 0.0);
 }
 
