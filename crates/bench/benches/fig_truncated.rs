@@ -1,9 +1,10 @@
 //! `fig_truncated` — the cost case for truncated SVD: requesting only the
 //! top-k singular triplets (`Want::TopK(k)`) must be substantially
 //! cheaper than thin vectors (`Want::Thin`), because the accumulation
-//! replay is O(transforms × k) — the stage-1/2/3 transform stream is
+//! replay is O(transforms × k) — the stage-1/2 transform stream is
 //! shared, but each logged transform touches k accumulator columns
-//! instead of min(m, n).
+//! instead of min(m, n), and the bidiagonal's inverse iteration computes
+//! k triplets instead of min(m, n).
 //!
 //! Gate: at k = n/8, the **simulated** per-solve cost of a top-k solve
 //! is ≤ 0.6× the thin-vector solve of the same matrix. (The values-only

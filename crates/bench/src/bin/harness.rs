@@ -141,49 +141,131 @@ fn tune() {
     }
 }
 
+/// Every experiment, in the order a run executes them.
+const EXPERIMENTS: [&str; 11] = [
+    "table2",
+    "table1",
+    "table3",
+    "fig3",
+    "fig4",
+    "table4",
+    "fig5",
+    "fig6",
+    "ablation-fusion",
+    "ablation-splitk",
+    "tune",
+];
+
+const USAGE: &str = "usage: harness [all | EXPERIMENT...] [--full]
+experiments: table1 table2 table3 table4 fig3 fig4 fig5 fig6
+             ablation-fusion ablation-splitk tune";
+
+/// A parsed command line: the experiments to run, in run order, and
+/// whether `--full` was given.
+#[derive(Debug, PartialEq)]
+struct Args {
+    experiments: Vec<&'static str>,
+    full: bool,
+}
+
+/// Parses the arguments after the program name. No experiment (or
+/// `all`) selects every one; an unknown experiment or flag is an error
+/// naming it.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut full = false;
+    let mut all = args.is_empty();
+    let mut named = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "--full" => full = true,
+            "all" => all = true,
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            name => match EXPERIMENTS.iter().find(|&&e| e == name) {
+                Some(&e) => named.push(e),
+                None => return Err(format!("unknown experiment `{name}`")),
+            },
+        }
+    }
+    if named.is_empty() {
+        all = true;
+    }
+    let experiments = EXPERIMENTS
+        .into_iter()
+        .filter(|e| all || named.contains(e))
+        .collect();
+    Ok(Args { experiments, full })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
-    let all = wanted.is_empty() || wanted.contains(&"all");
-    let want = |name: &str| all || wanted.contains(&name);
+    let Args { experiments, full } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("harness: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     println!("unisvd reproduction harness (simulated devices; see README.md / ARCHITECTURE.md)");
-    if want("table2") {
-        table2();
+    for name in experiments {
+        match name {
+            "table2" => table2(),
+            "table1" => table1(full),
+            "table3" => table3(),
+            "fig3" => fig3(full),
+            "fig4" => fig4(),
+            "table4" => table4(full),
+            "fig5" => fig5(full),
+            "fig6" => fig6(full),
+            "ablation-fusion" => ablation_fusion(full),
+            "ablation-splitk" => ablation_splitk(),
+            "tune" => tune(),
+            _ => unreachable!("`parse_args` yields only known experiments"),
+        }
     }
-    if want("table1") {
-        table1(full);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
-    if want("table3") {
-        table3();
+
+    #[test]
+    fn no_experiment_or_all_runs_everything() {
+        for args in [&[][..], &["all"], &["--full"], &["all", "fig5"]] {
+            assert_eq!(
+                parse(args).unwrap().experiments,
+                EXPERIMENTS.to_vec(),
+                "{args:?}"
+            );
+        }
+        assert!(parse(&["--full"]).unwrap().full);
+        assert!(!parse(&[]).unwrap().full);
     }
-    if want("fig3") {
-        fig3(full);
+
+    #[test]
+    fn named_experiments_run_once_in_run_order() {
+        let args = parse(&["fig5", "table2", "fig5", "--full"]).unwrap();
+        assert_eq!(args.experiments, ["table2", "fig5"]);
+        assert!(args.full);
     }
-    if want("fig4") {
-        fig4();
-    }
-    if want("table4") {
-        table4(full);
-    }
-    if want("fig5") {
-        fig5(full);
-    }
-    if want("fig6") {
-        fig6(full);
-    }
-    if want("ablation-fusion") {
-        ablation_fusion(full);
-    }
-    if want("ablation-splitk") {
-        ablation_splitk();
-    }
-    if want("tune") {
-        tune();
+
+    #[test]
+    fn unknown_names_and_flags_are_errors() {
+        assert_eq!(
+            parse(&["fig5x", "table2"]),
+            Err("unknown experiment `fig5x`".to_string())
+        );
+        assert_eq!(
+            parse(&["table2", "tabel2"]),
+            Err("unknown experiment `tabel2`".to_string())
+        );
+        assert_eq!(
+            parse(&["--fast", "table2"]),
+            Err("unknown flag `--fast`".to_string())
+        );
     }
 }

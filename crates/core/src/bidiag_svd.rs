@@ -15,7 +15,6 @@
 //! accounted on the device trace under [`KernelClass::BidiagonalSvd`],
 //! matching the paper's CPU placement of this stage.
 
-use crate::vectors::RotLog;
 use unisvd_gpu::{Device, KernelClass};
 use unisvd_matrix::Bidiagonal;
 use unisvd_scalar::Real;
@@ -57,18 +56,8 @@ impl std::fmt::Display for NoConvergence {
 impl std::error::Error for NoConvergence {}
 
 /// One Demmel–Kahan zero-shift QR sweep on `d[lo..=hi]`, `e[lo..hi]`.
-/// Preserves high relative accuracy of small singular values. With `log`,
-/// records the `(CS, SN)` right and `(OLDCS, OLDSN)` left rotation of
-/// each step — the pairing `xBDSQR` hands to `DLASR` for its vector
-/// update; the logging adds no arithmetic, so the value iteration is
-/// bit-identical with or without it.
-fn zero_shift_sweep<R: Real>(
-    d: &mut [R],
-    e: &mut [R],
-    lo: usize,
-    hi: usize,
-    mut log: Option<&mut RotLog>,
-) {
+/// Preserves high relative accuracy of small singular values.
+fn zero_shift_sweep<R: Real>(d: &mut [R], e: &mut [R], lo: usize, hi: usize) {
     let mut cs = R::ONE;
     let mut oldcs = R::ONE;
     let mut oldsn = R::ZERO;
@@ -83,10 +72,6 @@ fn zero_shift_sweep<R: Real>(
         oldcs = oc;
         oldsn = os;
         d[i] = dr;
-        if let Some(log) = log.as_deref_mut() {
-            log.push(false, i, c.to_f64(), s.to_f64());
-            log.push(true, i, oc.to_f64(), os.to_f64());
-        }
     }
     let h = d[hi] * cs;
     e[hi - 1] = h * oldsn;
@@ -99,14 +84,7 @@ fn zero_shift_sweep<R: Real>(
 /// from `((|d_lo| − shift)·(sign(d_lo) + shift/d_lo), e_lo)`, the
 /// direction of `(d_lo² − shift², d_lo·e_lo)` without forming a square,
 /// so a block of tiny entries does not underflow.
-fn shifted_sweep<R: Real>(
-    d: &mut [R],
-    e: &mut [R],
-    lo: usize,
-    hi: usize,
-    shift: R,
-    mut log: Option<&mut RotLog>,
-) {
+fn shifted_sweep<R: Real>(d: &mut [R], e: &mut [R], lo: usize, hi: usize, shift: R) {
     let mut f = (d[lo].abs() - shift) * (R::ONE.copysign(d[lo]) + shift / d[lo]);
     let mut g = e[lo];
     for k in lo..hi {
@@ -124,10 +102,6 @@ fn shifted_sweep<R: Real>(
         d[k] = r2;
         f = c2 * e[k] + s2 * d[k + 1];
         d[k + 1] = c2 * d[k + 1] - s2 * e[k];
-        if let Some(log) = log.as_deref_mut() {
-            log.push(false, k, c.to_f64(), s.to_f64());
-            log.push(true, k, c2.to_f64(), s2.to_f64());
-        }
         if k < hi - 1 {
             // The left rotation spilled a bulge into (k, k+2).
             g = s2 * e[k + 1];
@@ -214,19 +188,6 @@ pub fn bdsqr<R: Real>(bi: &Bidiagonal<R>) -> Result<Vec<R>, NoConvergence> {
 pub fn bdsqr_into<R: Real>(
     bi: &Bidiagonal<R>,
     ws: &mut Stage3Workspace<R>,
-) -> Result<(), NoConvergence> {
-    bdsqr_into_ext(bi, ws, None)
-}
-
-/// [`bdsqr_into`] with an optional rotation log for singular-vector
-/// replay. Logging records each sweep's rotations as they are generated
-/// and adds no arithmetic to the iteration, so the computed values (and
-/// the final signed diagonal left in `ws.d`, whose signs seed the `U`
-/// accumulator) are bit-identical with `log = None`.
-pub(crate) fn bdsqr_into_ext<R: Real>(
-    bi: &Bidiagonal<R>,
-    ws: &mut Stage3Workspace<R>,
-    mut log: Option<&mut RotLog>,
 ) -> Result<(), NoConvergence> {
     let n = bi.n();
     ws.out.clear();
@@ -323,9 +284,9 @@ pub(crate) fn bdsqr_into_ext<R: Real>(
             }
         };
         if shift == R::ZERO {
-            zero_shift_sweep(d, e, lo, hi, log.as_deref_mut());
+            zero_shift_sweep(d, e, lo, hi);
         } else {
-            shifted_sweep(d, e, lo, hi, shift, log.as_deref_mut());
+            shifted_sweep(d, e, lo, hi, shift);
         }
         if e[hi - 1].abs() <= thresh {
             e[hi - 1] = R::ZERO;

@@ -23,13 +23,10 @@
 //! safeguarded strategy of `dlasq`, simplified); the zero-shift `dqd`
 //! transform is always safe and serves as the fallback.
 //!
-//! **Singular vectors.** dqds operates on squared quantities and applies
-//! no rotations, so it produces no transform stream to accumulate. When a
-//! solve requests vectors with this solver, the pipeline keeps the dqds
-//! values verbatim (they remain the published, bit-identical values) and
-//! runs one additional logged `bdsqr` pass on a private workspace purely
-//! to obtain the rotation log that the vector replay consumes — see the
-//! `vectors` module. The same strategy covers bisection.
+//! **Singular vectors.** A vector solve needs nothing from the solver
+//! but its values: they are the shifts of the inverse iteration that
+//! computes the bidiagonal's singular vectors (the `bidiag_vectors`
+//! module), so dqds, bisection and `bdsqr` each feed in their own.
 
 use unisvd_matrix::Bidiagonal;
 use unisvd_scalar::Real;

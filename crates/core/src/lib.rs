@@ -25,6 +25,7 @@
 pub mod band2bi;
 pub mod band_diag;
 pub mod bidiag_svd;
+mod bidiag_vectors;
 pub mod dqds;
 pub mod plan;
 pub mod svd;

@@ -33,7 +33,7 @@
 
 use crate::band2bi::{band_to_bidiagonal_into_ext, work_band_geometry};
 use crate::band_diag::{band_diag_ext, extract_band_into};
-use crate::bidiag_svd::{account_stage3_cost, bdsqr_into_ext, bisect_topk_into, Stage3Workspace};
+use crate::bidiag_svd::{account_stage3_cost, bdsqr_into, bisect_topk_into, Stage3Workspace};
 use crate::dqds::dqds_into;
 use crate::svd::{resolve_params, Stage3Solver, SvdConfig, SvdError, SvdOutput, Want};
 use crate::vectors::VectorScratch;
@@ -310,6 +310,15 @@ impl PlanCore {
         self.padded
     }
 
+    /// The `rows × cols` block the device solves, top left of the padded
+    /// problem: the input itself, or the host QR's square triangle.
+    fn device_shape(&self) -> (usize, usize) {
+        match self.kind {
+            PlanKind::Direct => (self.rows, self.cols),
+            _ => (self.mindim, self.mindim),
+        }
+    }
+
     pub(crate) fn params(&self) -> HyperParams {
         self.params
     }
@@ -346,7 +355,7 @@ impl PlanCore {
                 self.padded,
                 self.params.tilesize,
                 self.cfg.vectors,
-                self.mindim,
+                self.device_shape(),
             ),
         }
     }
@@ -388,23 +397,31 @@ pub(crate) struct PipelineScratch<A: Real> {
     bi: Bidiagonal<A>,
     s3: Stage3Workspace<A>,
     /// Singular-vector workspace (`Some` iff the configuration requests
-    /// vectors and the planned shape is nonempty): transform logs,
-    /// selection scratch and the `padded × k` accumulators. Cost replays
-    /// keep an empty-buffered scratch whose `k` still drives the
-    /// accumulation cost models, so they match numeric runs.
-    vac: Option<VectorScratch<A>>,
+    /// vectors and the planned shape is nonempty): transform logs, the
+    /// bidiagonal's inverse-iteration workspace and the `padded × k`
+    /// accumulators. Cost replays keep an empty-buffered scratch whose
+    /// `k` still drives the accumulation cost models, so they match
+    /// numeric runs.
+    vac: Option<VectorScratch>,
 }
 
 impl<A: Real> PipelineScratch<A> {
-    /// Scratch for a numeric run of padded size `padded`, tile `ts`,
-    /// accumulating `vectors.columns(mindim)` singular-vector columns.
-    pub(crate) fn for_numeric(padded: usize, ts: usize, vectors: Want, mindim: usize) -> Self {
+    /// Scratch for a numeric run of padded size `padded`, tile `ts`, on a
+    /// device problem of `shape` (rows, cols) at the top left of the
+    /// padding, accumulating `vectors.columns(min(shape))` singular-vector
+    /// columns.
+    pub(crate) fn for_numeric(
+        padded: usize,
+        ts: usize,
+        vectors: Want,
+        shape: (usize, usize),
+    ) -> Self {
         let (sub, sup) = work_band_geometry(padded, ts);
         PipelineScratch {
             band: BandMatrix::zeros(padded, sub, sup),
             bi: Bidiagonal::new(Vec::new(), Vec::new()),
             s3: Stage3Workspace::default(),
-            vac: Self::vector_scratch(padded, ts, vectors, mindim, true),
+            vac: Self::vector_scratch(padded, ts, vectors, shape, true),
         }
     }
 
@@ -415,7 +432,7 @@ impl<A: Real> PipelineScratch<A> {
             band: BandMatrix::zeros(padded.max(1), 0, 0),
             bi: Bidiagonal::new(Vec::new(), Vec::new()),
             s3: Stage3Workspace::default(),
-            vac: Self::vector_scratch(padded, 0, vectors, mindim, false),
+            vac: Self::vector_scratch(padded, 0, vectors, (mindim, mindim), false),
         }
     }
 
@@ -423,15 +440,15 @@ impl<A: Real> PipelineScratch<A> {
         padded: usize,
         ts: usize,
         vectors: Want,
-        mindim: usize,
+        shape: (usize, usize),
         numeric: bool,
-    ) -> Option<VectorScratch<A>> {
-        let k = vectors.columns(mindim);
+    ) -> Option<VectorScratch> {
+        let k = vectors.columns(shape.0.min(shape.1));
         if k == 0 || padded == 0 {
             return None;
         }
         let topk = matches!(vectors, Want::TopK(_));
-        Some(VectorScratch::new(k, topk, padded, ts, numeric))
+        Some(VectorScratch::new(k, topk, padded, ts, shape, numeric))
     }
 }
 
@@ -1244,9 +1261,6 @@ pub(crate) fn run_pipeline<T: Scalar>(
     // Vector accumulation logs only exist in numeric mode; trace replays
     // keep the scratch for cost accounting but record nothing.
     let logging = numeric && vac.is_some();
-    if logging {
-        vac.as_mut().unwrap().begin_solve();
-    }
 
     // Stage 1: dense → band (device kernels). With vectors requested, each
     // sweep's factored panel + τ̂ run are snapshotted for later replay —
@@ -1285,39 +1299,16 @@ pub(crate) fn run_pipeline<T: Scalar>(
     }
     if numeric {
         match cfg.solver {
-            Stage3Solver::Bdsqr => bdsqr_into_ext(bi, s3, vac.as_mut().map(|v| &mut v.s3))
-                .map_err(SvdError::NoConvergence)?,
-            Stage3Solver::Dqds => {
-                dqds_into(bi, s3).map_err(SvdError::NoConvergence)?;
-                if let Some(v) = vac.as_mut() {
-                    // dqds produces no rotations; run a logged bdsqr pass
-                    // on a private workspace purely for the vector trail.
-                    // The published values remain the native dqds ones.
-                    bdsqr_into_ext(bi, &mut v.s3ws, Some(&mut v.s3))
-                        .map_err(SvdError::NoConvergence)?;
-                }
-            }
+            Stage3Solver::Bdsqr => bdsqr_into(bi, s3).map_err(SvdError::NoConvergence)?,
+            Stage3Solver::Dqds => dqds_into(bi, s3).map_err(SvdError::NoConvergence)?,
             Stage3Solver::Bisect => {
-                bisect_topk_into(bi, s3, vac.as_ref().filter(|v| v.topk).map(|v| v.k));
-                if let Some(v) = vac.as_mut() {
-                    // Bisection likewise yields values only; see above.
-                    bdsqr_into_ext(bi, &mut v.s3ws, Some(&mut v.s3))
-                        .map_err(SvdError::NoConvergence)?;
-                }
+                bisect_topk_into(bi, s3, vac.as_ref().filter(|v| v.topk).map(|v| v.k))
             }
         };
         values.extend(s3.values().iter().map(|x| x.to_f64()));
         if let Some(v) = vac.as_mut() {
-            match cfg.solver {
-                // The signed final diagonal (sign pre-absorption) drives
-                // both column selection and the U-side sign seed.
-                Stage3Solver::Bdsqr => v.select_and_replay(padded, &s3.d),
-                _ => {
-                    let d = std::mem::take(&mut v.s3ws.d);
-                    v.select_and_replay(padded, &d);
-                    v.s3ws.d = d;
-                }
-            }
+            // Each solver's own values are the shifts of the vector solve.
+            v.solve_and_replay(bi, s3.values());
         }
     }
     Ok(())

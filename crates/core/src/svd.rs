@@ -21,10 +21,14 @@ pub enum Stage3Solver {
     #[default]
     Bdsqr,
     /// Differential qd with shifts (LAPACK `xLASQ` family) — high relative
-    /// accuracy for tiny singular values.
+    /// accuracy for tiny singular values. A vector solve runs no second
+    /// sweep: the dqds values are the shifts of the bidiagonal's inverse
+    /// iteration.
     Dqds,
     /// Sturm bisection on the Golub–Kahan tridiagonal — slowest,
-    /// failure-proof.
+    /// failure-proof. A vector solve runs no second sweep: the bisected
+    /// values (only the leading `k` under [`Want::TopK`]) are the shifts of
+    /// the bidiagonal's inverse iteration.
     Bisect,
 }
 
@@ -295,6 +299,14 @@ pub enum SvdError {
     /// drainer died mid-batch. Never transient; the service that held
     /// the request is gone.
     Abandoned,
+    /// The solve of this request's group panicked. The serving layer
+    /// contains the panic: it fails every request of the group with
+    /// this error, discards the plan the group ran on and keeps serving.
+    /// Never transient: the same input would panic again.
+    Panicked {
+        /// The panic's message, when it carried one.
+        message: String,
+    },
 }
 
 impl SvdError {
@@ -327,6 +339,7 @@ impl std::fmt::Display for SvdError {
                 write!(f, "request timed out after {:.1?}", waited)
             }
             SvdError::Abandoned => write!(f, "request abandoned: its service drainer died"),
+            SvdError::Panicked { message } => write!(f, "solve panicked: {message}"),
         }
     }
 }
@@ -345,7 +358,8 @@ impl std::error::Error for SvdError {
             | SvdError::NonFiniteInput
             | SvdError::Rejected { .. }
             | SvdError::Timeout { .. }
-            | SvdError::Abandoned => None,
+            | SvdError::Abandoned
+            | SvdError::Panicked { .. } => None,
         }
     }
 }

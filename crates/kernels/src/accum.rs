@@ -1,66 +1,19 @@
-//! Singular-vector accumulator primitives: the host-side apply kernels
+//! Singular-vector accumulator primitive: the host-side apply kernel
 //! the reverse-replay accumulation path (see `unisvd-core`'s `vectors`
 //! module) drives, plus the cost models the simulated device charges for
-//! them.
+//! it.
 //!
-//! All three primitives operate on a **padded × k row-major accumulator**
+//! [`reflector_apply`] operates on a **padded × k row-major accumulator**
 //! `w`: `k` singular-vector columns of the padded device problem, stored
 //! k-contiguous (row `r` is `w[r*k .. (r+1)*k]`) so every replayed
 //! transform streams whole rows, and stored f64 regardless of the
 //! pipeline's storage precision (the transforms being replayed were
 //! *computed* in the accumulation type; replaying in f64 adds no error
-//! of its own). They are deliberately sequential and branch-free per
+//! of its own). It is deliberately sequential and branch-free per
 //! element, so accumulated vectors are bit-identical for any thread
 //! count — the same determinism discipline as the values path.
-//!
-//! [`flush_tiny`], beside the two transforms, zeroes entries below
-//! 2⁻⁹⁶⁰ before they decay into the subnormal range, where x86 takes a
-//! slow assist on every operation. Stage-3 replay calls it on the rows
-//! each batch of `2·padded` rotations touched; the bit argument is on
-//! the function.
 
 use unisvd_gpu::{Device, KernelClass};
-
-/// Applies one Givens rotation to rows `(i, i+1)` of the accumulator:
-///
-/// ```text
-/// w[i,   :] ← c·w[i, :] − s·w[i+1, :]
-/// w[i+1, :] ← s·w[i, :] + c·w[i+1, :]
-/// ```
-///
-/// This single mix rule covers **every** rotation the pipeline replays —
-/// left rotations transposed onto `U` and right rotations un-transposed
-/// onto `V` reduce to the same formula for the `(c, s)` the sweeps
-/// record (the `DLASR`-convention pairing of LAPACK's `xBDSQR`).
-///
-/// # Panics
-/// If row `i + 1` is out of range of the `k`-wide row-major `w`.
-#[inline]
-pub fn rot_mix(w: &mut [f64], k: usize, i: usize, c: f64, s: f64) {
-    let (hi, lo) = w[i * k..(i + 2) * k].split_at_mut(k);
-    for (h, l) in hi.iter_mut().zip(lo) {
-        let (a, b) = (*h, *l);
-        *h = c * a - s * b;
-        *l = s * a + c * b;
-    }
-}
-
-/// Sets every entry of `w` with `|x| < 2⁻⁹⁶⁰` to `+0.0`, in one
-/// branch-free pass; NaN and ±Inf pass through unchanged.
-///
-/// The accumulator's columns keep unit 2-norm under every replayed
-/// transform, so such an entry is below half an ulp of any entry above
-/// ~2⁻⁹⁰⁰ it is later mixed with, and zeroing it leaves that result's
-/// rounding unchanged. What it removes is the decay of those entries
-/// into the subnormal range, where every x86 operation on them takes a
-/// slow microcode assist.
-#[inline]
-pub fn flush_tiny(w: &mut [f64]) {
-    const TINY: f64 = f64::from_bits(63 << 52); // 2⁻⁹⁶⁰
-    for x in w.iter_mut() {
-        *x = if x.abs() < TINY { 0.0 } else { *x };
-    }
-}
 
 /// Applies one Householder reflector `H = I − τ v vᵀ` to the accumulator,
 /// where `v` has an implicit unit head at row `head`, zeros elsewhere,
@@ -137,9 +90,11 @@ pub fn accum_s2_flops(n: usize, k: usize) -> f64 {
     16.0 * (n * n) as f64 * k as f64
 }
 
-/// Modeled flop count for replaying the stage-3 QR-sweep rotations:
-/// O(n) sweeps of O(n) rotation pairs, 6 flops per element pair per
-/// side.
+/// Modeled flop count for the stage-3 vectors, as the replay of O(n)
+/// QR sweeps of O(n) rotation pairs at 6 flops per element pair per
+/// side. The host now computes them by inverse iteration on the
+/// Golub–Kahan tridiagonal; the model is kept so the simulated numbers
+/// do not move.
 pub fn accum_s3_flops(n: usize, k: usize) -> f64 {
     24.0 * (n * n) as f64 * k as f64
 }
@@ -178,39 +133,6 @@ mod tests {
     use super::*;
     use unisvd_gpu::hw::h100;
 
-    /// `rot_mix` with the recorded `(c, s)` must be the exact inverse of
-    /// the forward column rotation convention (`new_f = c·f + s·g`,
-    /// `new_g = −s·f + c·g`) — replaying it on a transformed pair
-    /// restores the original.
-    #[test]
-    fn rot_mix_inverts_forward_rotation() {
-        let (c, s) = (0.6, 0.8);
-        let (f, g) = (1.25, -0.75);
-        // Forward (as bdsqr's sweeps apply a column rotation).
-        let nf = c * f + s * g;
-        let ng = -s * f + c * g;
-        let mut w = vec![nf, ng];
-        rot_mix(&mut w, 1, 0, c, s);
-        assert!((w[0] - f).abs() < 1e-15);
-        assert!((w[1] - g).abs() < 1e-15);
-    }
-
-    #[test]
-    fn rot_mix_touches_only_its_rows() {
-        let (padded, k) = (4, 2);
-        let mut w: Vec<f64> = (0..padded * k).map(|x| x as f64).collect();
-        let before = w.clone();
-        rot_mix(&mut w, k, 1, 0.0, 1.0);
-        let at = |r: usize, col: usize| r * k + col;
-        for col in 0..k {
-            assert_eq!(w[at(0, col)], before[at(0, col)], "row 0 untouched");
-            assert_eq!(w[at(3, col)], before[at(3, col)], "row 3 untouched");
-            // c = 0, s = 1 swaps with a sign: (hi, lo) → (−lo, hi).
-            assert_eq!(w[at(1, col)], -before[at(2, col)]);
-            assert_eq!(w[at(2, col)], before[at(1, col)]);
-        }
-    }
-
     /// Applying the same reflector twice must be the identity
     /// (H² = I for a Householder reflector with τ̂ = 2/‖v̂‖²).
     #[test]
@@ -236,40 +158,6 @@ mod tests {
         assert_eq!(accum_s1_flops(64, 8) * 2.0, accum_s1_flops(64, 16));
         assert_eq!(accum_s2_flops(64, 8) * 2.0, accum_s2_flops(64, 16));
         assert_eq!(accum_s3_flops(64, 8) * 2.0, accum_s3_flops(64, 16));
-    }
-
-    #[test]
-    fn flush_tiny_zeroes_only_below_threshold() {
-        let tiny = 2f64.powi(-960);
-        let kept = [
-            tiny,
-            -tiny,
-            2.0 * tiny,
-            1.0,
-            -3.5,
-            f64::MIN_POSITIVE * 2f64.powi(100),
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        let zeroed = [
-            tiny * (1.0 - f64::EPSILON),
-            -tiny * (1.0 - f64::EPSILON),
-            f64::MIN_POSITIVE,
-            -f64::MIN_POSITIVE,
-            f64::from_bits(1), // smallest subnormal
-            -f64::from_bits(1),
-            0.0,
-            -0.0,
-        ];
-        let mut w: Vec<f64> = kept.iter().chain(&zeroed).copied().collect();
-        flush_tiny(&mut w);
-        for (got, want) in w.iter().zip(&kept) {
-            assert_eq!(got.to_bits(), want.to_bits(), "{want:e} must keep its bits");
-        }
-        for (got, was) in w[kept.len()..].iter().zip(&zeroed) {
-            assert_eq!(got.to_bits(), 0.0f64.to_bits(), "{was:e} must become +0.0");
-        }
     }
 
     #[test]

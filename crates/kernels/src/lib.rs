@@ -18,7 +18,7 @@ pub mod panel;
 pub mod params;
 pub mod update;
 
-pub use accum::{account_accum_cost, flush_tiny, reflector_apply, rot_mix};
+pub use accum::{account_accum_cost, reflector_apply};
 pub use layout::{DMat, DVec};
 pub use panel::{ftsqrt, geqrt, tsqrt};
 pub use params::HyperParams;

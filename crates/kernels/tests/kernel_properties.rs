@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use unisvd_gpu::{hw::h100, Device};
-use unisvd_kernels::{ftsmqr, ftsqrt, geqrt, reflector_apply, rot_mix, DMat, DVec, HyperParams};
+use unisvd_kernels::{ftsmqr, ftsqrt, geqrt, reflector_apply, DMat, DVec, HyperParams};
 use unisvd_matrix::{reference, Matrix};
 
 /// Reconstructs Q·R from the in-place GEQRT format and compares to A.
@@ -58,18 +58,6 @@ fn geqrt_reconstruction_error(ts: usize, seed: u64, scale: f64) -> f64 {
     worst
 }
 
-/// Per-column Givens mix on a `padded × k` column-major accumulator: the
-/// plain reference the k-contiguous `rot_mix` must match bit for bit.
-fn rot_mix_colmajor(w: &mut [f64], padded: usize, k: usize, i: usize, c: f64, s: f64) {
-    for col in 0..k {
-        let base = col * padded;
-        let hi = w[base + i];
-        let lo = w[base + i + 1];
-        w[base + i] = c * hi - s * lo;
-        w[base + i + 1] = s * hi + c * lo;
-    }
-}
-
 /// Per-column Householder apply on a `padded × k` column-major
 /// accumulator: the plain reference for `reflector_apply`.
 fn reflector_apply_colmajor(
@@ -95,9 +83,9 @@ fn reflector_apply_colmajor(
     }
 }
 
-/// The k-contiguous accumulator kernels are a relayout, not a new
-/// algorithm: a random sequence of rotations and reflectors (random
-/// `c`, `s`, `τ`, heads, tail placements and lengths) applied to a
+/// The k-contiguous accumulator kernel is a relayout, not a new
+/// algorithm: a random sequence of reflectors (random `τ`, heads, tail
+/// placements and lengths) applied to a
 /// row-major accumulator leaves exactly the bits the per-column
 /// reference leaves on the column-major twin.
 #[test]
@@ -113,21 +101,14 @@ fn accum_kernels_bit_match_colmajor_reference() {
             }
         }
         let mut dot = vec![0.0; k];
-        for _ in 0..200 {
-            if rng.gen_range(0..2) == 0 {
-                let i = rng.gen_range(0..padded - 1);
-                let (c, s) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
-                rot_mix(&mut rowm, k, i, c, s);
-                rot_mix_colmajor(&mut colm, padded, k, i, c, s);
-            } else {
-                let head = rng.gen_range(0..padded - 1);
-                let tail_start = rng.gen_range(head + 1..padded);
-                let len = rng.gen_range(0..=padded - tail_start);
-                let tail: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let tau = rng.gen_range(0.0..2.0);
-                reflector_apply(&mut rowm, k, &mut dot, head, tail_start, &tail, tau);
-                reflector_apply_colmajor(&mut colm, padded, k, head, tail_start, &tail, tau);
-            }
+        for _ in 0..100 {
+            let head = rng.gen_range(0..padded - 1);
+            let tail_start = rng.gen_range(head + 1..padded);
+            let len = rng.gen_range(0..=padded - tail_start);
+            let tail: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let tau = rng.gen_range(0.0..2.0);
+            reflector_apply(&mut rowm, k, &mut dot, head, tail_start, &tail, tau);
+            reflector_apply_colmajor(&mut colm, padded, k, head, tail_start, &tail, tau);
         }
         for r in 0..padded {
             for c in 0..k {

@@ -3,6 +3,7 @@
 use crate::cache::{CachedPlan, PlanCache};
 use crate::queue::{Pending, SubmitQueue};
 use crate::ticket::{ticket_pair, Ticket};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -215,6 +216,8 @@ impl ServiceBuilder {
                 coalesced: AtomicU64::new(0),
                 in_flight: AtomicU64::new(0),
                 fault_streak: AtomicU64::new(0),
+                #[cfg(test)]
+                panic_next_group: std::sync::atomic::AtomicBool::new(false),
             }),
             drainer: Mutex::new(None),
         }
@@ -444,6 +447,10 @@ pub(crate) struct Inner {
     /// errors (shape, convergence, capacity) say nothing about device
     /// health and leave it untouched.
     fault_streak: AtomicU64,
+    /// Makes the next group attempt panic after its plan checkout: the
+    /// unit tests' way into the panic containment of `execute_group`.
+    #[cfg(test)]
+    panic_next_group: std::sync::atomic::AtomicBool,
 }
 
 /// Decrements the in-flight gauge by a fixed amount on drop, so every
@@ -1033,6 +1040,12 @@ impl Inner {
     /// retried on its own, up to the retry bound, with a fresh checkout
     /// per attempt; then every final outcome feeds the fault streak and
     /// the failure counter.
+    ///
+    /// A panic inside an attempt stays inside it: every request of that
+    /// attempt fails with [`SvdError::Panicked`] (never retried), the
+    /// checked-out plan unwinds with the attempt instead of going back to
+    /// the cache, and the caller — a blocking solve or the drainer —
+    /// carries on.
     fn execute_group<T: Scalar>(
         &self,
         sig: &PlanSignature,
@@ -1040,14 +1053,26 @@ impl Inner {
         outs: &mut [SvdOutput],
         statuses: &mut [Result<(), SvdError>],
     ) {
-        self.attempt_group(sig, mats, outs, statuses);
+        let attempt =
+            |mats: &[&Matrix<T>], outs: &mut [SvdOutput], statuses: &mut [Result<(), SvdError>]| {
+                let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                    self.attempt_group(sig, mats, outs, &mut *statuses)
+                }));
+                if let Err(payload) = run {
+                    let message = payload
+                        .downcast_ref::<&str>()
+                        .map(|m| m.to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_default();
+                    statuses.fill(Err(SvdError::Panicked { message }));
+                }
+            };
+        attempt(mats, outs, statuses);
         for i in 0..statuses.len() {
-            let mut attempt = 0;
-            while matches!(&statuses[i], Err(e) if e.is_transient()) && attempt < self.knobs.retries
-            {
-                attempt += 1;
-                self.attempt_group(
-                    sig,
+            let mut retry = 0;
+            while matches!(&statuses[i], Err(e) if e.is_transient()) && retry < self.knobs.retries {
+                retry += 1;
+                attempt(
                     std::slice::from_ref(&mats[i]),
                     std::slice::from_mut(&mut outs[i]),
                     std::slice::from_mut(&mut statuses[i]),
@@ -1079,6 +1104,10 @@ impl Inner {
     ) {
         match self.checkout_or_plan::<T>(sig) {
             Ok(mut plan) => {
+                #[cfg(test)]
+                if self.panic_next_group.swap(false, Ordering::Relaxed) {
+                    panic!("injected group panic");
+                }
                 plan.execute_batch_refs_into(mats, outs, statuses);
                 // The plan survives a solve-time fault (the *data path*
                 // was hit, not the resident factor layout), so it goes
@@ -1240,5 +1269,64 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.cache.failures, 3 * 3 * 3, "no retry hid a failure");
         assert_eq!(stats.queue.in_flight, 0);
+    }
+
+    #[test]
+    fn a_panicking_group_fails_its_requests_and_serving_continues() {
+        let service = SvdService::new(&h100());
+        let cfg = SvdConfig::default();
+        let a = Matrix::<f64>::from_fn(16, 16, |i, j| {
+            (1 + i + 2 * j) as f64 + (i == j) as u8 as f64
+        });
+        let sig = service.signature::<f64>(16, 16, &cfg);
+        let expected = service.solve(&a, &cfg).expect("a plain solve").values;
+        assert!(
+            service.inner.cache.contains(&sig),
+            "the warm plan is resident"
+        );
+
+        // Blocking group path: every request of the group gets the error,
+        // and the plan it ran on is dropped, not published.
+        service
+            .inner
+            .panic_next_group
+            .store(true, Ordering::Relaxed);
+        let group = service.solve_batch(&[a.clone(), a.clone(), a.clone()], &cfg);
+        for res in &group {
+            assert!(
+                matches!(res, Err(SvdError::Panicked { message }) if message == "injected group panic"),
+                "{res:?}"
+            );
+            assert!(!res.as_ref().unwrap_err().is_transient());
+        }
+        assert!(
+            !service.inner.cache.contains(&sig),
+            "the panicked plan is gone"
+        );
+
+        // Async path: the drainer survives the panic and keeps draining.
+        service
+            .inner
+            .panic_next_group
+            .store(true, Ordering::Relaxed);
+        let failed = service.submit(a.clone(), &cfg).expect("admitted").wait();
+        assert!(
+            matches!(failed, Err(SvdError::Panicked { .. })),
+            "{failed:?}"
+        );
+        let next = service.submit(a.clone(), &cfg).expect("admitted").wait();
+        assert_eq!(next.expect("the next submit succeeds").values, expected);
+        assert!(
+            service.inner.cache.contains(&sig),
+            "a fresh plan is published"
+        );
+
+        let stats = service.stats();
+        assert_eq!(stats.queue.in_flight, 0);
+        assert_eq!(
+            stats.queue.submitted,
+            stats.queue.batches + stats.queue.coalesced
+        );
+        assert_eq!(stats.cache.failures, 4);
     }
 }

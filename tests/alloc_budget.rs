@@ -141,11 +141,10 @@ fn steady_state_allocates_zero_bytes() {
     }
 
     // ---- warm execute_into with singular vectors ---------------------
-    // Vector accumulation logs every stage-2/3 rotation, and the count is
-    // data-dependent — so warmup runs over the SAME matrices the
-    // measurement will replay (one pass grows each log to that matrix's
-    // exact footprint; capacity only ever grows). Thin and top-k both
-    // must be allocation-free once warm, for every solver.
+    // Warmup runs over the SAME matrices the measurement will replay, so
+    // any buffer whose size followed the data would already be grown to
+    // that matrix's footprint (capacity only ever grows). Thin and top-k
+    // both must be allocation-free once warm, for every solver.
     for want in [unisvd::Want::Thin, unisvd::Want::TopK(N / 4)] {
         for solver in [
             Stage3Solver::Bdsqr,

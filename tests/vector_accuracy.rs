@@ -18,8 +18,9 @@ const SOLVERS: [Stage3Solver; 3] = [
 ];
 
 /// Per-precision tolerance. The replay itself runs in f64, but the
-/// reflectors/rotations it replays were produced (and stored) in the
-/// working precision, so the factors inherit that precision's accuracy —
+/// reflectors it replays and the bidiagonal whose vectors seed it were
+/// produced in the working precision, so the factors inherit that
+/// precision's accuracy —
 /// the same scaling as the value tolerances in `golden_values.rs`.
 fn tolerance(kind: unisvd_scalar::PrecisionKind) -> f64 {
     match kind {
