@@ -141,19 +141,22 @@ fn tune() {
     }
 }
 
+/// An experiment's name and how to run it (the argument is `--full`).
+type Experiment = (&'static str, fn(bool));
+
 /// Every experiment, in the order a run executes them.
-const EXPERIMENTS: [&str; 11] = [
-    "table2",
-    "table1",
-    "table3",
-    "fig3",
-    "fig4",
-    "table4",
-    "fig5",
-    "fig6",
-    "ablation-fusion",
-    "ablation-splitk",
-    "tune",
+const EXPERIMENTS: [Experiment; 11] = [
+    ("table2", |_| table2()),
+    ("table1", table1),
+    ("table3", |_| table3()),
+    ("fig3", fig3),
+    ("fig4", |_| fig4()),
+    ("table4", table4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("ablation-fusion", ablation_fusion),
+    ("ablation-splitk", |_| ablation_splitk()),
+    ("tune", |_| tune()),
 ];
 
 const USAGE: &str = "usage: harness [all | EXPERIMENT...] [--full]
@@ -172,25 +175,23 @@ struct Args {
 /// `all`) selects every one; an unknown experiment or flag is an error
 /// naming it.
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut full = false;
-    let mut all = args.is_empty();
+    let (mut full, mut all) = (false, false);
     let mut named = Vec::new();
     for arg in args {
         match arg.as_str() {
             "--full" => full = true,
             "all" => all = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
-            name => match EXPERIMENTS.iter().find(|&&e| e == name) {
-                Some(&e) => named.push(e),
+            name => match EXPERIMENTS.iter().find(|e| e.0 == name) {
+                Some(e) => named.push(e.0),
                 None => return Err(format!("unknown experiment `{name}`")),
             },
         }
     }
-    if named.is_empty() {
-        all = true;
-    }
+    let all = all || named.is_empty();
     let experiments = EXPERIMENTS
-        .into_iter()
+        .iter()
+        .map(|e| e.0)
         .filter(|e| all || named.contains(e))
         .collect();
     Ok(Args { experiments, full })
@@ -207,20 +208,9 @@ fn main() {
     };
 
     println!("unisvd reproduction harness (simulated devices; see README.md / ARCHITECTURE.md)");
-    for name in experiments {
-        match name {
-            "table2" => table2(),
-            "table1" => table1(full),
-            "table3" => table3(),
-            "fig3" => fig3(full),
-            "fig4" => fig4(),
-            "table4" => table4(full),
-            "fig5" => fig5(full),
-            "fig6" => fig6(full),
-            "ablation-fusion" => ablation_fusion(full),
-            "ablation-splitk" => ablation_splitk(),
-            "tune" => tune(),
-            _ => unreachable!("`parse_args` yields only known experiments"),
+    for (name, run) in EXPERIMENTS {
+        if experiments.contains(&name) {
+            run(full);
         }
     }
 }
@@ -236,11 +226,8 @@ mod tests {
     #[test]
     fn no_experiment_or_all_runs_everything() {
         for args in [&[][..], &["all"], &["--full"], &["all", "fig5"]] {
-            assert_eq!(
-                parse(args).unwrap().experiments,
-                EXPERIMENTS.to_vec(),
-                "{args:?}"
-            );
+            let every: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+            assert_eq!(parse(args).unwrap().experiments, every, "{args:?}");
         }
         assert!(parse(&["--full"]).unwrap().full);
         assert!(!parse(&[]).unwrap().full);

@@ -169,10 +169,10 @@ impl BidiagVectors {
                     if !finite {
                         break;
                     }
-                    split(&self.x, nv, out);
                     if ct < j {
                         // The shift cannot tell these members apart:
-                        // orthogonalize before every solve, as `xSTEIN`.
+                        // orthogonalize after every solve, as `xSTEIN`.
+                        split(&self.x, nv, out);
                         for half in [0..nv, nv..len] {
                             for c in done[ct * len..].chunks_exact(len) {
                                 orthogonalize(&mut out[half.clone()], &c[half.clone()]);
@@ -182,6 +182,7 @@ impl BidiagVectors {
                     }
                 }
             }
+            split(&self.x, nv, out);
             for half in [0..nv, nv..len] {
                 let y = &mut out[half.clone()];
                 for c in done[c0 * len..].chunks_exact(len) {

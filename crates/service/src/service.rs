@@ -1053,7 +1053,7 @@ impl Inner {
         outs: &mut [SvdOutput],
         statuses: &mut [Result<(), SvdError>],
     ) {
-        let attempt =
+        let contained =
             |mats: &[&Matrix<T>], outs: &mut [SvdOutput], statuses: &mut [Result<(), SvdError>]| {
                 let run = panic::catch_unwind(AssertUnwindSafe(|| {
                     self.attempt_group(sig, mats, outs, &mut *statuses)
@@ -1067,12 +1067,13 @@ impl Inner {
                     statuses.fill(Err(SvdError::Panicked { message }));
                 }
             };
-        attempt(mats, outs, statuses);
+        contained(mats, outs, statuses);
         for i in 0..statuses.len() {
-            let mut retry = 0;
-            while matches!(&statuses[i], Err(e) if e.is_transient()) && retry < self.knobs.retries {
-                retry += 1;
-                attempt(
+            let mut attempt = 0;
+            while matches!(&statuses[i], Err(e) if e.is_transient()) && attempt < self.knobs.retries
+            {
+                attempt += 1;
+                contained(
                     std::slice::from_ref(&mats[i]),
                     std::slice::from_mut(&mut outs[i]),
                     std::slice::from_mut(&mut statuses[i]),
