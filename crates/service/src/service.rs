@@ -1277,7 +1277,7 @@ mod tests {
         let service = SvdService::new(&h100());
         let cfg = SvdConfig::default();
         let a = Matrix::<f64>::from_fn(16, 16, |i, j| {
-            (1 + i + 2 * j) as f64 + (i == j) as u8 as f64
+            (1 + i + 2 * j + 16 * usize::from(i == j)) as f64
         });
         let sig = service.signature::<f64>(16, 16, &cfg);
         let expected = service.solve(&a, &cfg).expect("a plain solve").values;
