@@ -422,4 +422,81 @@ mod tests {
         let err = recon_err(&get, n, &vac, &values);
         assert!(err < 1e-12, "band − UΣVᵀ max err {err}");
     }
+
+    /// Stage-1 isolation: reduce a random matrix to band form with
+    /// logging, replay the log onto unit seeds — `Q_L` and `Q_R` must be
+    /// orthogonal and `Q_Lᵀ·A·Q_R` must be the extracted band to within
+    /// `n·ε·‖A‖_F`, for the fused and the unfused panel kernels alike.
+    fn check_stage1_replay<T: Scalar>(n: usize, ts: usize, fused: bool, seed: u64) {
+        use crate::band_diag::{band_diag_ext, extract_band_into};
+        use unisvd_kernels::HyperParams;
+        use unisvd_matrix::Matrix;
+
+        let what = format!("{} n={n} ts={ts} fused={fused}", T::KIND.name());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = Matrix::<T>::from_fn(n, n, |_, _| T::from_f64(rng.gen_range(-1.0..1.0)));
+        let dev = Device::numeric(h100());
+        let buf = dev.upload(a.as_slice());
+        let tau = dev.alloc::<T>(n);
+        let p = HyperParams::new(ts, 4, 1);
+        let mut log = Stage1Log::new(n, ts);
+        band_diag_ext(&dev, &buf, &tau, n, &p, fused, Some(&mut log));
+        let mut band = BandMatrix::zeros(n, 1, ts + 1);
+        extract_band_into::<T>(&dev, &buf, n, ts, &mut band);
+
+        let mut ql = vec![0.0; n * n];
+        for i in 0..n {
+            ql[i * n + i] = 1.0;
+        }
+        let mut qr = ql.clone();
+        let mut dot = vec![0.0; n];
+        for sweep in log.sweeps.iter().rev() {
+            let w = if sweep.left { &mut ql } else { &mut qr };
+            Stage1Log::replay_sweep(sweep, ts, w, n, &mut dot);
+        }
+
+        let eps = <T::Accum as Real>::EPSILON.to_f64();
+        let bound = n as f64 * eps;
+        assert!(ortho_err(&ql, n, n) <= bound, "{what}: Q_L not orthogonal");
+        assert!(ortho_err(&qr, n, n) <= bound, "{what}: Q_R not orthogonal");
+
+        // A·Q_R, then Q_Lᵀ·(A·Q_R), against the band.
+        let mut aq = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let aij = a[(i, j)].to_f64();
+                for c in 0..n {
+                    aq[i * n + c] += aij * qr[j * n + c];
+                }
+            }
+        }
+        let norm = a
+            .as_slice()
+            .iter()
+            .map(|x| x.to_f64().powi(2))
+            .sum::<f64>()
+            .sqrt();
+        let mut err: f64 = 0.0;
+        for r in 0..n {
+            for c in 0..n {
+                let m: f64 = (0..n).map(|i| ql[i * n + r] * aq[i * n + c]).sum();
+                err = err.max((m - band.get(r, c).to_f64()).abs());
+            }
+        }
+        assert!(
+            err <= bound * norm,
+            "{what}: ‖Q_Lᵀ·A·Q_R − band‖ = {err:e} > {:e}",
+            bound * norm
+        );
+    }
+
+    #[test]
+    fn stage1_log_replay_reduces_to_band() {
+        for (k, n) in [64, 96].into_iter().enumerate() {
+            for fused in [true, false] {
+                check_stage1_replay::<f64>(n, 16, fused, 11 + k as u64);
+                check_stage1_replay::<f32>(n, 16, fused, 21 + k as u64);
+            }
+        }
+    }
 }
