@@ -25,7 +25,7 @@
 //! extraction fills directly. Annihilated cells are set to exact zero, so
 //! the result is exactly bidiagonal.
 
-use crate::vectors::Stage2Log;
+use crate::vectors::ReflectorLog;
 use unisvd_gpu::{Device, ExecMode, KernelClass, LaunchSpec};
 use unisvd_matrix::{BandMatrix, Bidiagonal};
 use unisvd_scalar::Real;
@@ -46,7 +46,8 @@ pub fn work_band_geometry(n: usize, b: usize) -> (usize, usize) {
 /// of bandwidth `b`, in order. Sweep `i` starts at `p = i`, `c0 = i + 1`,
 /// `c1 = min(i + b, n − 1)` and advances `p ← c0`, `c0 ← c1 + 1`,
 /// `c1 ← min(c1 + b, n − 1)` while `c1 > c0`. The sequence depends only
-/// on `(n, b)`, so the stage-2 log is laid out from it before any data.
+/// on `(n, b)`, so the reflector log's capacity is counted from it before
+/// any data.
 pub(crate) fn for_each_hop(n: usize, b: usize, mut hop: impl FnMut(usize, usize, usize)) {
     for i in 0..n.saturating_sub(2) {
         let (mut p, mut c0, mut c1) = (i, i + 1, (i + b).min(n - 1));
@@ -137,14 +138,13 @@ fn larfg<R: Real>(a: &mut [R], h: usize, s: usize, len: usize) -> R {
     tau
 }
 
-/// The Householder chase on a work band (see the module docs), logging
-/// each reflector into its slot of `log` when one is given.
-fn chase<R: Real>(band: &mut BandMatrix<R>, b: usize, mut log: Option<&mut Stage2Log>) {
+/// The Householder chase on a work band (see the module docs), appending
+/// each hop's right and then left reflector to `log` when one is given.
+fn chase<R: Real>(band: &mut BandMatrix<R>, b: usize, mut log: Option<&mut ReflectorLog>) {
     let (n, sub, sup) = (band.n(), band.sub(), band.sup());
     let ld = sub + sup;
     let a = band.storage_mut();
     let at = |i: usize, j: usize| sup + i + j * ld;
-    let mut slot = 0;
     let mut w = [R::ZERO; ROW_BLOCK];
     for_each_hop(n, b, |p, c0, c1| {
         let len = c1 - c0 + 1;
@@ -179,9 +179,9 @@ fn chase<R: Real>(band: &mut BandMatrix<R>, b: usize, mut log: Option<&mut Stage
             }
         }
         if let Some(log) = log.as_deref_mut() {
-            log.record(slot, tau, (1..len).map(|t| a[h + ld * t]));
+            let tail = (1..len).map(|t| a[h + ld * t].to_f64());
+            log.push(false, c0, c0 + 1, tau.to_f64(), tail);
         }
-        slot += 1;
         for t in 1..len {
             a[h + ld * t] = R::ZERO;
         }
@@ -206,9 +206,9 @@ fn chase<R: Real>(band: &mut BandMatrix<R>, b: usize, mut log: Option<&mut Stage
             }
         }
         if let Some(log) = log.as_deref_mut() {
-            log.record(slot, tau, a[h + 1..h + len].iter().copied());
+            let tail = a[h + 1..h + len].iter().map(|x| x.to_f64());
+            log.push(true, c0, c0 + 1, tau.to_f64(), tail);
         }
-        slot += 1;
         a[h + 1..h + len].fill(R::ZERO);
     });
 }
@@ -257,12 +257,13 @@ pub fn band_to_bidiagonal<R: Real>(
 }
 
 /// [`band_to_bidiagonal`] writing the result into an existing
-/// [`Bidiagonal`] whose vectors are reused. A band that stores the chase's
-/// fill room ([`work_band_geometry`]) is reduced in place without any heap
-/// allocation — the steady-state path of a reused plan. A narrower band,
-/// such as the `(n, 1, bandwidth + 1)` band stage-1 extraction also
-/// accepts, is copied into a local work band, reduced there and the
-/// (bidiagonal) result copied back, with the same bits.
+/// [`Bidiagonal`] whose vectors are reused. The chase needs the fill room
+/// of [`work_band_geometry`]: a narrower band, such as the
+/// `(n, 1, bandwidth + 1)` band stage-1 extraction also accepts, is
+/// **widened in place** to that geometry first (one allocation, with the
+/// same bits). A band that already stores the fill room, including one
+/// widened by an earlier call and refilled since, is reduced in place
+/// without any heap allocation — the steady-state path of a reused plan.
 pub fn band_to_bidiagonal_into<R: Real>(
     dev: &Device,
     band: &mut BandMatrix<R>,
@@ -271,21 +272,16 @@ pub fn band_to_bidiagonal_into<R: Real>(
     ts: usize,
     bi: &mut Bidiagonal<R>,
 ) {
-    let n = band.n();
-    let (sub, sup) = work_band_geometry(n, bandwidth);
-    if dev.mode() == ExecMode::Numeric && (band.sub() < sub || band.sup() < sup) {
-        let mut work = BandMatrix::zeros(n, sub, sup);
-        work.refill_from_dense(|i, j| band.get(i, j));
-        band_to_bidiagonal_into_ext(dev, &mut work, bandwidth, prec, ts, bi, None);
-        band.refill_from_dense(|i, j| work.get(i, j));
-    } else {
-        band_to_bidiagonal_into_ext(dev, band, bandwidth, prec, ts, bi, None);
+    if dev.mode() == ExecMode::Numeric {
+        let (sub, sup) = work_band_geometry(band.n(), bandwidth);
+        band.widen(sub, sup);
     }
+    band_to_bidiagonal_into_ext(dev, band, bandwidth, prec, ts, bi, None);
 }
 
 /// [`band_to_bidiagonal_into`] on a work band, with an optional
-/// reflector log: every reflector of the chase is written to its slot
-/// for singular-vector replay. The log only copies, so the produced
+/// reflector log: every reflector of the chase is appended to it for
+/// singular-vector replay. The log only copies, so the produced
 /// bidiagonal is bit-identical with `log = None`.
 ///
 /// # Panics
@@ -299,7 +295,7 @@ pub(crate) fn band_to_bidiagonal_into_ext<R: Real>(
     prec: unisvd_scalar::PrecisionKind,
     ts: usize,
     bi: &mut Bidiagonal<R>,
-    log: Option<&mut Stage2Log>,
+    log: Option<&mut ReflectorLog>,
 ) {
     let n = band.n();
     let numeric = dev.mode() == ExecMode::Numeric;
@@ -398,7 +394,7 @@ mod tests {
         let mut plain = band.clone();
         chase(&mut plain, bw, None);
         let mut logged = band.clone();
-        let mut log = Stage2Log::new(n, bw);
+        let mut log = ReflectorLog::with_capacity(n, bw);
         chase(&mut logged, bw, Some(&mut log));
         assert_eq!(bits(&plain), bits(&logged), "{what}: logging moved bits");
         assert!(
@@ -483,8 +479,8 @@ mod tests {
         chase_checks::<f64>();
     }
 
-    /// The narrow `(n, 1, bw + 1)` band goes through a local work band;
-    /// its bidiagonal has the bits of the in-place work-band chase.
+    /// The narrow `(n, 1, bw + 1)` band is widened in place to the work
+    /// geometry; its bidiagonal has the bits of the work-band chase.
     #[test]
     fn narrow_band_matches_work_band() {
         let (n, bw) = (96, 16);
@@ -496,6 +492,7 @@ mod tests {
         let a = band_to_bidiagonal(&dev, &mut narrow, bw, PrecisionKind::Fp64, bw);
         let b = band_to_bidiagonal(&dev, &mut work, bw, PrecisionKind::Fp64, bw);
         assert_eq!(a, b);
+        assert_eq!((narrow.sub(), narrow.sup()), (sub, sup));
         assert_eq!(narrow.max_abs_beyond_sup(1), 0.0);
         assert_eq!(narrow.get(0, 1), b.e[0]);
     }

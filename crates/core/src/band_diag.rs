@@ -9,11 +9,11 @@
 //! superdiagonal tiles lower-triangular), with the Householder vectors
 //! parked in the annihilated positions.
 
-use crate::vectors::Stage1Log;
+use crate::vectors::ReflectorLog;
 use unisvd_gpu::{Device, ExecMode, GlobalBuffer};
 use unisvd_kernels::{ftsmqr, ftsqrt, geqrt, tsmqr, tsqrt, unmqr, DMat, DVec, HyperParams};
 use unisvd_matrix::BandMatrix;
-use unisvd_scalar::Scalar;
+use unisvd_scalar::{Real, Scalar};
 
 /// One `GETSMQRT` sweep: panel factorisation of tile column `pc` with top
 /// tile row `tr0`, followed by the trailing submatrix update. `fused`
@@ -65,13 +65,12 @@ pub fn band_diag<T: Scalar>(
     band_diag_ext(dev, a_buf, tau_buf, n, p, fused, None);
 }
 
-/// [`band_diag`] with an optional stage-1 transform log for
-/// singular-vector replay: after each `GETSMQRT` sweep (and the final
-/// diagonal `GEQRT`) the factored panel and its τ̂ run are snapshotted
-/// out of device storage, **before** the next sweep reuses the τ̂ slots.
-/// Logging is read-only with respect to the factorisation — the produced
-/// band is bit-identical with `log = None`. Requires numeric execution
-/// when a log is supplied (there is no data to snapshot in trace mode).
+/// [`band_diag`] that, given a reflector log, appends each sweep's
+/// Householder reflectors with their τ̂ to it right after the sweep
+/// (and the final diagonal `GEQRT`), **before** the next sweep reuses the
+/// τ̂ slots. Logging only reads the factorisation, so the produced band
+/// is bit-identical with `log = None`. Requires numeric execution when a
+/// log is supplied (there is no data to read in trace mode).
 pub(crate) fn band_diag_ext<T: Scalar>(
     dev: &Device,
     a_buf: &GlobalBuffer<T>,
@@ -79,31 +78,50 @@ pub(crate) fn band_diag_ext<T: Scalar>(
     n: usize,
     p: &HyperParams,
     fused: bool,
-    mut log: Option<&mut Stage1Log>,
+    mut log: Option<&mut ReflectorLog>,
 ) {
     let nbt = p.nbtiles(n);
     let a = DMat::new(a_buf, n);
     let tau = DVec::new(tau_buf);
-    let mut cursor = 0;
+    let ts = p.tilesize;
+    // Appends the reflectors of the panel in tile column `pc` from tile
+    // row `tr0` down, read through the sweep's own `view` (so the LQ
+    // side's lazy transpose is the kernels' indexing): the top tile's
+    // GEQRT reflectors, whose tails sit below their heads inside it, then
+    // each TSQRT tile's, whose tails fill the tile.
+    let log_panel = |log: &mut ReflectorLog, left: bool, view: DMat<'_, T>, pc, tr0| {
+        let (r0, c0) = (tr0 * ts, pc * ts);
+        for lt in 0..nbt - tr0 {
+            for kk in 0..ts {
+                let (head, col) = (r0 + kk, c0 + kk);
+                let (start, end) = if lt == 0 {
+                    (head + 1, r0 + ts)
+                } else {
+                    (r0 + lt * ts, r0 + (lt + 1) * ts)
+                };
+                let t = tau_buf.read(r0 + lt * ts + kk).to_f64();
+                let tail = (start..end).map(|r| view.read(r, col).to_f64());
+                log.push(left, head, start, t, tail);
+            }
+        }
+    };
     for k in 0..nbt.saturating_sub(1) {
         // RQ sweep: annihilate the tile column below diagonal tile k.
         getsmqrt(dev, a, tau, p, k, k, nbt, fused);
         if let Some(log) = log.as_deref_mut() {
-            log.snapshot::<T>(cursor, a, tau_buf);
-            cursor += 1;
+            log_panel(log, true, a, k, k);
         }
         // LQ sweep: annihilate the tile row right of tile (k, k+1), via
         // the lazy transpose (Algorithm 2 line 4).
         getsmqrt(dev, a.t(), tau, p, k, k + 1, nbt, fused);
         if let Some(log) = log.as_deref_mut() {
-            log.snapshot::<T>(cursor, a.t(), tau_buf);
-            cursor += 1;
+            log_panel(log, false, a.t(), k, k + 1);
         }
     }
     // Final diagonal tile (Algorithm 2 line 6).
     geqrt(dev, a, tau, p, nbt - 1, nbt - 1);
     if let Some(log) = log {
-        log.snapshot::<T>(cursor, a, tau_buf);
+        log_panel(log, true, a, nbt - 1, nbt - 1);
     }
 }
 

@@ -396,12 +396,13 @@ pub(crate) struct PipelineScratch<A: Real> {
     band: BandMatrix<A>,
     bi: Bidiagonal<A>,
     s3: Stage3Workspace<A>,
-    /// Singular-vector workspace (`Some` iff the configuration requests
-    /// vectors and the planned shape is nonempty): transform logs, the
-    /// bidiagonal's inverse-iteration workspace and the `padded × k`
-    /// accumulators. Cost replays keep an empty-buffered scratch whose
-    /// `k` still drives the accumulation cost models, so they match
-    /// numeric runs.
+    /// Singular-vector columns accumulated per solve (`0` without
+    /// vectors); drives the accumulation cost model in numeric runs and
+    /// cost replays alike.
+    k: usize,
+    /// Singular-vector workspace of a numeric run (`Some` iff `k > 0`):
+    /// the reflector log, the bidiagonal's inverse-iteration workspace
+    /// and the `padded × k` accumulators.
     vac: Option<VectorScratch>,
 }
 
@@ -417,11 +418,14 @@ impl<A: Real> PipelineScratch<A> {
         shape: (usize, usize),
     ) -> Self {
         let (sub, sup) = work_band_geometry(padded, ts);
+        let k = vectors.columns(shape.0.min(shape.1));
+        let topk = matches!(vectors, Want::TopK(_));
         PipelineScratch {
             band: BandMatrix::zeros(padded, sub, sup),
             bi: Bidiagonal::new(Vec::new(), Vec::new()),
             s3: Stage3Workspace::default(),
-            vac: Self::vector_scratch(padded, ts, vectors, shape, true),
+            k,
+            vac: (k > 0).then(|| VectorScratch::new(k, topk, padded, ts, shape)),
         }
     }
 
@@ -432,23 +436,9 @@ impl<A: Real> PipelineScratch<A> {
             band: BandMatrix::zeros(padded.max(1), 0, 0),
             bi: Bidiagonal::new(Vec::new(), Vec::new()),
             s3: Stage3Workspace::default(),
-            vac: Self::vector_scratch(padded, 0, vectors, (mindim, mindim), false),
+            k: vectors.columns(mindim),
+            vac: None,
         }
-    }
-
-    fn vector_scratch(
-        padded: usize,
-        ts: usize,
-        vectors: Want,
-        shape: (usize, usize),
-        numeric: bool,
-    ) -> Option<VectorScratch> {
-        let k = vectors.columns(shape.0.min(shape.1));
-        if k == 0 || padded == 0 {
-            return None;
-        }
-        let topk = matches!(vectors, Want::TopK(_));
-        Some(VectorScratch::new(k, topk, padded, ts, shape, numeric))
     }
 }
 
@@ -1126,6 +1116,11 @@ pub(crate) fn execute_core<T: Scalar>(
             *v *= scale;
         }
     }
+    // The input is finite here, so a non-finite value is an overflow of
+    // the values themselves (σ₁ beyond f64's range once rescaled back).
+    if out.values.iter().any(|v| !v.is_finite()) {
+        return Err(SvdError::ValueOverflow);
+    }
     assemble_vectors(core, ws, out);
     out.params = core.params;
     out.padded_n = core.padded;
@@ -1257,14 +1252,19 @@ pub(crate) fn run_pipeline<T: Scalar>(
     }
 
     let numeric = dev.mode() == ExecMode::Numeric;
-    let PipelineScratch { band, bi, s3, vac } = pipe;
-    // Vector accumulation logs only exist in numeric mode; trace replays
-    // keep the scratch for cost accounting but record nothing.
-    let logging = numeric && vac.is_some();
+    let k = pipe.k;
+    let PipelineScratch {
+        band, bi, s3, vac, ..
+    } = pipe;
+    // Only numeric runs have a vector workspace; this solve's reflectors
+    // replace the previous one's.
+    if let Some(v) = vac.as_mut() {
+        v.log.clear();
+    }
 
     // Stage 1: dense → band (device kernels). With vectors requested, each
-    // sweep's factored panel + τ̂ run are snapshotted for later replay —
-    // snapshots are read-only, so the band stays bit-identical.
+    // sweep's reflectors are appended to the log for later replay — the
+    // log only reads, so the band stays bit-identical.
     band_diag_ext(
         dev,
         buf,
@@ -1272,7 +1272,7 @@ pub(crate) fn run_pipeline<T: Scalar>(
         padded,
         p,
         fused,
-        vac.as_mut().filter(|_| logging).map(|v| &mut v.s1),
+        vac.as_mut().map(|v| &mut v.log),
     );
 
     // Stage 2: band → bidiagonal (bulge chasing; device-accounted).
@@ -1286,17 +1286,15 @@ pub(crate) fn run_pipeline<T: Scalar>(
         T::KIND,
         p.tilesize,
         bi,
-        vac.as_mut().filter(|_| logging).map(|v| &mut v.s2),
+        vac.as_mut().map(|v| &mut v.log),
     );
 
     // Stage 3: bidiagonal → singular values (CPU, like the paper's LAPACK
     // call).
     account_stage3_cost(dev, padded);
-    if let Some(v) = vac.as_ref() {
-        // The accumulation itself is host work; charged in both modes so
-        // a trace replay of a vector plan predicts the same cost model.
-        account_accum_cost(dev, padded, v.k);
-    }
+    // The accumulation itself is host work; charged in both modes so a
+    // trace replay of a vector plan predicts the same cost model.
+    account_accum_cost(dev, padded, k);
     if numeric {
         match cfg.solver {
             Stage3Solver::Bdsqr => bdsqr_into(bi, s3).map_err(SvdError::NoConvergence)?,

@@ -286,6 +286,13 @@ pub enum SvdError {
     /// no solver returns meaningful values for it, and it is the
     /// caller's data, not the device, so it is never retried.
     NonFiniteInput,
+    /// A computed singular value is not finite although the input is:
+    /// σ₁ of the input exceeds the largest finite `f64` (about 1.8e308,
+    /// e.g. a matrix whose entries sit near that limit), or, with
+    /// rescaling off, an intermediate overflowed the compute precision.
+    /// Returned instead of `inf` values. It is the caller's data, not
+    /// the device, so it is never retried.
+    ValueOverflow,
     /// The request missed its deadline: a
     /// `Ticket::wait_timeout` elapsed, or the serving drainer found the
     /// request's submit-time deadline already expired before execution.
@@ -335,6 +342,7 @@ impl std::fmt::Display for SvdError {
             SvdError::Rejected { reason } => write!(f, "request rejected: {reason}"),
             SvdError::DeviceFault(e) => write!(f, "device fault: {e}"),
             SvdError::NonFiniteInput => write!(f, "input has a NaN or infinite entry"),
+            SvdError::ValueOverflow => write!(f, "a singular value overflows f64"),
             SvdError::Timeout { waited } => {
                 write!(f, "request timed out after {:.1?}", waited)
             }
@@ -356,6 +364,7 @@ impl std::error::Error for SvdError {
             SvdError::DeviceFault(e) => Some(e),
             SvdError::ShapeMismatch { .. }
             | SvdError::NonFiniteInput
+            | SvdError::ValueOverflow
             | SvdError::Rejected { .. }
             | SvdError::Timeout { .. }
             | SvdError::Abandoned

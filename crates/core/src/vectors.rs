@@ -2,234 +2,144 @@
 //!
 //! The values pipeline reduces `A → band → bidiagonal → Σ` through three
 //! stages. To produce vectors without touching the values path (whose
-//! results must stay bit-identical), stages 1 and 2 *record* their
-//! orthogonal transforms as they run:
+//! results must stay bit-identical), stages 1 and 2 append every
+//! Householder reflector they apply to one [`ReflectorLog`], in the order
+//! they apply them:
 //!
-//! * stage 1 snapshots every factored panel (the parked Householder
-//!   tails plus their τ̂, which later sweeps overwrite) — one
-//!   [`SweepLog`] per `GETSMQRT`;
-//! * stage 2 fills one preallocated slot per Householder reflector of the
-//!   bulge chase (τ and tail; a skipped reflector keeps τ = 0).
+//! * stage 1, right after each `GETSMQRT` sweep (before the next sweep
+//!   reuses the τ̂ slots), appends the sweep's `GEQRT` reflectors, then
+//!   each `TSQRT` tile's;
+//! * stage 2 appends each bulge-chase hop's right reflector, then its
+//!   left one.
 //!
 //! Stage 3 records nothing. After it has computed the values, the
 //! leading `k` singular triplets of the bidiagonal come from inverse
 //! iteration on its Golub–Kahan tridiagonal ([`BidiagVectors`]), and
 //! their `u` and `v` halves seed `padded × k` k-contiguous accumulators
 //! (one row of `k` entries per padded row, so each replayed transform
-//! streams whole rows). The stage-2 and stage-1 logs are then replayed
-//! **in reverse** through [`unisvd_kernels::reflector_apply`]. Every
-//! replayed operation costs `O(k)`, so a truncated top-k solve
-//! accumulates at `k/min(m,n)` of the thin cost — the economics the
-//! `fig_truncated` bench gates.
+//! streams whole rows). The log is then replayed **newest first** through
+//! [`unisvd_kernels::reflector_apply`]. Every replayed operation costs
+//! `O(k)`, so a truncated top-k solve accumulates at `k/min(m,n)` of the
+//! thin cost — the economics the `fig_truncated` bench gates.
 //!
 //! A reflector is symmetric, so the left and right reflectors enter `U`
 //! and `V` as they are. Cross-side ordering is immaterial (left and right
 //! factors commute across sides); within a side, one reverse pass over
-//! each log preserves the required order.
+//! the log preserves the required order.
 //!
 //! Everything here is sequential host code — accumulated vectors are
 //! bit-identical for any thread count, like the values.
 
 use crate::band2bi::for_each_hop;
 use crate::bidiag_vectors::BidiagVectors;
-use unisvd_gpu::GlobalBuffer;
-use unisvd_kernels::{reflector_apply, DMat};
+use unisvd_kernels::reflector_apply;
 use unisvd_matrix::Bidiagonal;
-use unisvd_scalar::{Real, Scalar};
+use unisvd_scalar::Real;
 
-/// One logged stage-2 reflector `H = I − τ·v·vᵀ`, `v = [1, tail]` with
-/// its unit head at row `head` (left, into `U`) or column `head` (right,
-/// into `V`) and its tail on the `len` indices after it.
+/// One logged reflector `H = I − τ·v·vᵀ`: `v` has a unit head at index
+/// `head`, its tail on the indices from `tail_start` on and zeros
+/// elsewhere. Indices are rows of `U` for a left reflector and rows of
+/// `V` (columns of `A`) for a right one.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Stage2Refl {
-    pub left: bool,
-    pub head: usize,
-    /// Start of the tail in [`Stage2Log::tails`].
-    pub off: usize,
-    pub len: usize,
-    /// `0` for a reflector the chase skipped (an exact-zero tail).
-    pub tau: f64,
+struct Reflector {
+    left: bool,
+    head: usize,
+    tail_start: usize,
+    /// The tail's range in [`ReflectorLog::tails`].
+    off: usize,
+    len: usize,
+    tau: f64,
 }
 
-/// The stage-2 reflector record: one slot per reflector of the chase, in
-/// the order it applies them (right then left for each hop of
-/// [`for_each_hop`]). That order and every slot's position depend only
-/// on `(n, b)`, so like [`Stage1Log`] the log is laid out once at
-/// workspace-build time and each solve only refills it.
+/// The Householder reflectors of stages 1 and 2, in the order they were
+/// applied. Its capacity is reserved for every reflector of both
+/// reductions when the workspace is built, so a warm solve, which
+/// clears and refills it, allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct Stage2Log {
-    pub refl: Vec<Stage2Refl>,
+pub(crate) struct ReflectorLog {
+    refl: Vec<Reflector>,
     /// Every reflector's tail, back to back.
-    pub tails: Vec<f64>,
+    tails: Vec<f64>,
 }
 
-impl Stage2Log {
-    /// Lays out the log of the chase of an order-`n` band of bandwidth `b`.
-    pub fn new(n: usize, b: usize) -> Self {
-        let mut log = Stage2Log::default();
-        for_each_hop(n, b, |_, c0, c1| {
-            for left in [false, true] {
-                let len = c1 - c0;
-                log.refl.push(Stage2Refl {
-                    left,
-                    head: c0,
-                    off: log.tails.len(),
-                    len,
-                    tau: 0.0,
-                });
-                log.tails.resize(log.tails.len() + len, 0.0);
-            }
+impl ReflectorLog {
+    /// An empty log with room for all reflectors of a `padded`-edge
+    /// problem of tile `ts`: `ts` per tile of each stage-1 panel (the
+    /// `GEQRT` tile's tails are shorter than `ts`, the `TSQRT` tiles' are
+    /// `ts`), two per chase hop of [`for_each_hop`].
+    pub fn with_capacity(padded: usize, ts: usize) -> Self {
+        let nbt = padded / ts.max(1);
+        // Panel tiles over all sweeps: RQ(k) has nbt − k, LQ(k) has
+        // nbt − k − 1, and the final GEQRT has one.
+        let tiles: usize = (0..nbt.saturating_sub(1))
+            .map(|k| 2 * (nbt - k) - 1)
+            .sum::<usize>()
+            + usize::from(nbt > 0);
+        let (mut refl, mut tails) = (tiles * ts, tiles * ts * ts);
+        for_each_hop(padded, ts, |_, c0, c1| {
+            refl += 2;
+            tails += 2 * (c1 - c0);
         });
-        log
-    }
-
-    /// Fills slot `idx` with `τ` and the reflector's tail.
-    pub fn record<R: Real>(&mut self, idx: usize, tau: R, tail: impl Iterator<Item = R>) {
-        let r = &mut self.refl[idx];
-        r.tau = tau.to_f64();
-        let dst = &mut self.tails[r.off..r.off + r.len];
-        for (d, x) in dst.iter_mut().zip(tail) {
-            *d = x.to_f64();
+        ReflectorLog {
+            refl: Vec::with_capacity(refl),
+            tails: Vec::with_capacity(tails),
         }
     }
 
-    /// Replays the reflectors newest first: `U` and `V` collect the left
-    /// and right products in the order the chase applied them.
+    /// Forgets every reflector; the capacity stays.
+    pub fn clear(&mut self) {
+        self.refl.clear();
+        self.tails.clear();
+    }
+
+    /// Appends `H = I − τ·v·vᵀ` (see [`Reflector`]). A `τ = 0` reflector
+    /// is the identity and is not recorded.
+    pub fn push(
+        &mut self,
+        left: bool,
+        head: usize,
+        tail_start: usize,
+        tau: f64,
+        tail: impl Iterator<Item = f64>,
+    ) {
+        if tau == 0.0 {
+            return;
+        }
+        let off = self.tails.len();
+        self.tails.extend(tail);
+        self.refl.push(Reflector {
+            left,
+            head,
+            tail_start,
+            off,
+            len: self.tails.len() - off,
+            tau,
+        });
+    }
+
+    /// Replays the reflectors newest first: `wu` and `wv` collect the left
+    /// and right products in the order the reductions applied them.
     pub fn replay(&self, wu: &mut [f64], wv: &mut [f64], k: usize, dot: &mut [f64]) {
         for r in self.refl.iter().rev() {
-            if r.tau == 0.0 {
-                continue;
-            }
             let w = if r.left { &mut *wu } else { &mut *wv };
             let tail = &self.tails[r.off..r.off + r.len];
-            reflector_apply(w, k, dot, r.head, r.head + 1, tail, r.tau);
+            reflector_apply(w, k, dot, r.head, r.tail_start, tail, r.tau);
         }
     }
 }
 
-/// Snapshot of one stage-1 panel sweep: the factored panel (R/L plus
-/// parked normalised Householder tails) and its τ̂ run, copied right
-/// after the sweep's `GETSMQRT` because later sweeps reuse the τ̂
-/// storage. `left` sweeps (the RQ side and the final diagonal `GEQRT`)
-/// replay into `U`; right sweeps (the LQ side, recorded through the
-/// lazy-transposed view) replay into `V`.
-#[derive(Debug)]
-pub(crate) struct SweepLog {
-    pub left: bool,
-    /// Top tile row of the panel in the sweep's view frame.
-    pub tr0: usize,
-    /// Tile column of the panel in the sweep's view frame (`tr0` for RQ
-    /// and the final `GEQRT`, `tr0 − 1` for the LQ sweeps, whose panel
-    /// sits one tile right of the diagonal in the transposed view).
-    pub pc: usize,
-    /// Tiles in the panel (`nbt − tr0`).
-    pub ntiles: usize,
-    /// Column-major `(ntiles·ts) × ts` copy of the factored panel.
-    pub panel: Vec<f64>,
-    /// τ̂ of every reflector in the panel (`ntiles·ts` entries; the
-    /// `GEQRT` tile's last slot is zero by construction).
-    pub taus: Vec<f64>,
-}
-
-/// The full stage-1 transform record. The sweep *structure* depends only
-/// on the padded size and tile size — never on data — so the log is
-/// fully pre-allocated at workspace-build time and merely refilled per
-/// solve: the warm path performs no allocation.
-#[derive(Debug, Default)]
-pub(crate) struct Stage1Log {
-    pub ts: usize,
-    pub sweeps: Vec<SweepLog>,
-}
-
-impl Stage1Log {
-    /// Pre-builds the sweep skeleton for a `padded`-edge problem:
-    /// `[RQ(k), LQ(k)]` for each diagonal tile `k`, then the final
-    /// diagonal `GEQRT` — mirroring `band_diag`'s loop exactly.
-    pub fn new(padded: usize, ts: usize) -> Self {
-        let nbt = padded / ts.max(1);
-        let mut sweeps = Vec::new();
-        let mut push = |left: bool, tr0: usize, pc: usize| {
-            let ntiles = nbt - tr0;
-            sweeps.push(SweepLog {
-                left,
-                tr0,
-                pc,
-                ntiles,
-                panel: vec![0.0; ntiles * ts * ts],
-                taus: vec![0.0; ntiles * ts],
-            });
-        };
-        for k in 0..nbt.saturating_sub(1) {
-            push(true, k, k); // RQ sweep on A
-            push(false, k + 1, k); // LQ sweep on Aᵀ
-        }
-        if nbt > 0 {
-            push(true, nbt - 1, nbt - 1); // final diagonal GEQRT
-        }
-        Stage1Log { ts, sweeps }
-    }
-
-    /// Copies sweep `idx`'s factored panel and τ̂ run out of device
-    /// storage (element reads through the sweep's own view, so the LQ
-    /// side's lazy transpose is handled by the same indexing the kernels
-    /// used).
-    pub fn snapshot<T: Scalar>(&mut self, idx: usize, view: DMat<'_, T>, tau: &GlobalBuffer<T>) {
-        let ts = self.ts;
-        let sweep = &mut self.sweeps[idx];
-        let h = sweep.ntiles * ts;
-        let r0 = sweep.tr0 * ts;
-        let c0 = sweep.pc * ts;
-        for j in 0..ts {
-            for r in 0..h {
-                sweep.panel[j * h + r] = view.read(r0 + r, c0 + j).to_f64();
-            }
-        }
-        for i in 0..h {
-            sweep.taus[i] = tau.read(r0 + i).to_f64();
-        }
-    }
-
-    /// Replays sweep reflectors onto `w` in reverse generation order
-    /// (`TSQRT` tiles bottom-up, each tile's reflectors backwards, then
-    /// the `GEQRT` reflectors backwards) — the order that applies the
-    /// sweep's `Q` (not `Qᵀ`) to the accumulator, pinned by the panel
-    /// kernels' own QR-reconstruction test.
-    fn replay_sweep(sweep: &SweepLog, ts: usize, w: &mut [f64], k: usize, dot: &mut [f64]) {
-        let h = sweep.ntiles * ts;
-        let r0 = sweep.tr0 * ts;
-        for lt in (1..sweep.ntiles).rev() {
-            for kk in (0..ts).rev() {
-                let tau = sweep.taus[lt * ts + kk];
-                if tau == 0.0 {
-                    continue;
-                }
-                let col = &sweep.panel[kk * h + lt * ts..kk * h + (lt + 1) * ts];
-                reflector_apply(w, k, dot, r0 + kk, r0 + lt * ts, col, tau);
-            }
-        }
-        for kk in (0..ts).rev() {
-            let tau = sweep.taus[kk];
-            if tau == 0.0 {
-                continue;
-            }
-            let col = &sweep.panel[kk * h + kk + 1..kk * h + ts];
-            reflector_apply(w, k, dot, r0 + kk, r0 + kk + 1, col, tau);
-        }
-    }
-}
-
-/// Per-plan vector workspace: every log, the inverse-iteration
-/// workspace and the accumulators the vector path touches, owned by
-/// `PipelineScratch` so a warm `execute_into` with vectors allocates
-/// nothing.
+/// Per-plan vector workspace of a numeric plan: the reflector log, the
+/// inverse-iteration workspace and the accumulators the vector path
+/// touches, owned by `PipelineScratch` so a warm `execute_into` with
+/// vectors allocates nothing.
 #[derive(Debug)]
 pub(crate) struct VectorScratch {
     /// Accumulated columns (`Want::columns` of the planned shape).
     pub k: usize,
     /// Whether the values list is truncated to `k` too (`Want::TopK`).
     pub topk: bool,
-    pub s1: Stage1Log,
-    pub s2: Stage2Log,
+    /// Reflectors of stages 1 and 2 of the current solve.
+    pub log: ReflectorLog,
     /// Triplets of the bidiagonal, computed after stage 3.
     pub bv: BidiagVectors,
     /// Left accumulator, `padded × k` row-major: row `r` is
@@ -243,36 +153,14 @@ pub(crate) struct VectorScratch {
 }
 
 impl VectorScratch {
-    /// Builds the workspace for `k` columns of a `padded`-edge problem
-    /// whose real `mr × nr` block sits at the top left (the rest is
-    /// padding). `numeric` sizes the logs, the inverse-iteration
-    /// workspace and the accumulators; a cost replay keeps them empty
-    /// (the scratch then only drives cost accounting).
-    pub fn new(
-        k: usize,
-        topk: bool,
-        padded: usize,
-        ts: usize,
-        (mr, nr): (usize, usize),
-        numeric: bool,
-    ) -> Self {
-        if !numeric {
-            return VectorScratch {
-                k,
-                topk,
-                s1: Stage1Log::default(),
-                s2: Stage2Log::default(),
-                bv: BidiagVectors::new(0, 0, 0),
-                wu: Vec::new(),
-                wv: Vec::new(),
-                dot: Vec::new(),
-            };
-        }
+    /// Builds the workspace for `k` columns of a `padded`-edge problem of
+    /// tile `ts` whose real `mr × nr` block sits at the top left (the rest
+    /// is padding).
+    pub fn new(k: usize, topk: bool, padded: usize, ts: usize, (mr, nr): (usize, usize)) -> Self {
         VectorScratch {
             k,
             topk,
-            s1: Stage1Log::new(padded, ts),
-            s2: Stage2Log::new(padded, ts),
+            log: ReflectorLog::with_capacity(padded, ts),
             bv: BidiagVectors::new(k, mr, nr),
             wu: vec![0.0; padded * k],
             wv: vec![0.0; padded * k],
@@ -282,25 +170,15 @@ impl VectorScratch {
 
     /// Seeds the accumulators with the leading `k` triplets of the
     /// bidiagonal `bi` (`values`: its singular values, descending, at
-    /// least `k` of them) and reverse-replays the stage-2 and stage-1
-    /// logs into them.
+    /// least `k` of them) and replays the reflector log into them.
     pub fn solve_and_replay<A: Real>(&mut self, bi: &Bidiagonal<A>, values: &[A]) {
         let k = self.k;
         self.wu.fill(0.0);
         self.wv.fill(0.0);
         self.bv
             .solve(&bi.d, &bi.e, &values[..k], &mut self.wu, &mut self.wv);
-        // Newest transform first. One pass per log: within a side the
-        // reverse order is exact, across sides the factors commute.
-        self.s2.replay(&mut self.wu, &mut self.wv, k, &mut self.dot);
-        for sweep in self.s1.sweeps.iter().rev() {
-            let w = if sweep.left {
-                &mut self.wu
-            } else {
-                &mut self.wv
-            };
-            Stage1Log::replay_sweep(sweep, self.s1.ts, w, k, &mut self.dot);
-        }
+        self.log
+            .replay(&mut self.wu, &mut self.wv, k, &mut self.dot);
     }
 }
 
@@ -312,6 +190,7 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use unisvd_gpu::{hw::h100, Device};
     use unisvd_matrix::BandMatrix;
+    use unisvd_scalar::Scalar;
 
     /// ‖M − U·diag(σ)·Vᵀ‖_max for `n × n` `get`-addressable M.
     fn recon_err(
@@ -359,9 +238,7 @@ mod tests {
             e: e.clone(),
         };
         let values = bdsqr(&bi).unwrap();
-        let mut vac = VectorScratch::new(n, false, n, 4, (n, n), true);
-        vac.s1 = Stage1Log::default(); // no stage-1/2 transforms here
-        vac.s2 = Stage2Log::default();
+        let mut vac = VectorScratch::new(n, false, n, 4, (n, n)); // log empty
         vac.solve_and_replay(&bi, &values);
         assert!(ortho_err(&vac.wu, n, n) < 1e-13, "U orthogonality");
         assert!(ortho_err(&vac.wv, n, n) < 1e-13, "V orthogonality");
@@ -403,8 +280,7 @@ mod tests {
             d: Vec::new(),
             e: Vec::new(),
         };
-        let mut vac = VectorScratch::new(n, false, n, ts, (n, n), true);
-        vac.s1 = Stage1Log::default();
+        let mut vac = VectorScratch::new(n, false, n, ts, (n, n));
         band_to_bidiagonal_into_ext(
             &dev,
             &mut band,
@@ -412,7 +288,7 @@ mod tests {
             unisvd_scalar::PrecisionKind::Fp64,
             ts,
             &mut bi,
-            Some(&mut vac.s2),
+            Some(&mut vac.log),
         );
         let values = bdsqr(&bi).unwrap();
         vac.solve_and_replay(&bi, &values);
@@ -439,7 +315,7 @@ mod tests {
         let buf = dev.upload(a.as_slice());
         let tau = dev.alloc::<T>(n);
         let p = HyperParams::new(ts, 4, 1);
-        let mut log = Stage1Log::new(n, ts);
+        let mut log = ReflectorLog::with_capacity(n, ts);
         band_diag_ext(&dev, &buf, &tau, n, &p, fused, Some(&mut log));
         let mut band = BandMatrix::zeros(n, 1, ts + 1);
         extract_band_into::<T>(&dev, &buf, n, ts, &mut band);
@@ -450,10 +326,7 @@ mod tests {
         }
         let mut qr = ql.clone();
         let mut dot = vec![0.0; n];
-        for sweep in log.sweeps.iter().rev() {
-            let w = if sweep.left { &mut ql } else { &mut qr };
-            Stage1Log::replay_sweep(sweep, ts, w, n, &mut dot);
-        }
+        log.replay(&mut ql, &mut qr, n, &mut dot);
 
         let eps = <T::Accum as Real>::EPSILON.to_f64();
         let bound = n as f64 * eps;

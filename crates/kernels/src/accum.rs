@@ -17,10 +17,10 @@ use unisvd_gpu::{Device, KernelClass};
 
 /// Applies one Householder reflector `H = I − τ v vᵀ` to the accumulator,
 /// where `v` has an implicit unit head at row `head`, zeros elsewhere,
-/// and the contiguous tail `tail` at rows `tail_start ..`. This is the
-/// stored-factor layout of both panel kernels: `GEQRT` tails live just
-/// below the head inside the diagonal tile, `TSQRT` tails fill a full
-/// tile further down the panel.
+/// and the contiguous tail `tail` at rows `tail_start ..`. This covers
+/// every reflector both reductions log: `GEQRT` tails live just below the
+/// head inside the diagonal tile, `TSQRT` tails fill a full tile further
+/// down the panel, and a bulge-chase hop's tails follow their heads.
 ///
 /// Row by row: `dot` (`k` entries of caller scratch) gathers
 /// `τ·(w[head, :] + Σⱼ tail[j]·w[tail_start + j, :])` as axpys over
@@ -151,6 +151,32 @@ mod tests {
         for (a, b) in w.iter().zip(&orig) {
             assert!((a - b).abs() < 1e-14, "H² = I");
         }
+    }
+
+    /// The row-streamed apply gives the bits of the per-column
+    /// formulation `s = τ·(w[head] + Σ tail[j]·w[tail_start + j])`,
+    /// `w[head] −= s`, `w[tail_start + j] −= s·tail[j]`.
+    #[test]
+    fn reflector_apply_matches_per_column_bits() {
+        let (padded, k) = (9, 5);
+        let tail = [0.3, -1.7, 0.05, 2.2];
+        let (head, tail_start, tau) = (2, 4, 1.37);
+        let mut w: Vec<f64> = (0..padded * k).map(|x| (x as f64 * 0.7).cos()).collect();
+        let mut want = w.clone();
+        for c in 0..k {
+            let mut s = want[head * k + c];
+            for (j, &v) in tail.iter().enumerate() {
+                s += v * want[(tail_start + j) * k + c];
+            }
+            s *= tau;
+            want[head * k + c] -= s;
+            for (j, &v) in tail.iter().enumerate() {
+                want[(tail_start + j) * k + c] -= s * v;
+            }
+        }
+        reflector_apply(&mut w, k, &mut vec![0.0; k], head, tail_start, &tail, tau);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&w), bits(&want));
     }
 
     #[test]

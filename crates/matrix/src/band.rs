@@ -197,6 +197,18 @@ impl<R: Real> BandMatrix<R> {
         }
     }
 
+    /// Grows the storage in place to at least `sub` subdiagonals and
+    /// `sup` superdiagonals, keeping every stored value; the new cells
+    /// are zero. Allocates only when the band actually grows.
+    pub fn widen(&mut self, sub: usize, sup: usize) {
+        if sub <= self.sub && sup <= self.sup {
+            return;
+        }
+        let mut wide = BandMatrix::zeros(self.n, sub.max(self.sub), sup.max(self.sup));
+        wide.refill_from_dense(|i, j| self.get(i, j));
+        *self = wide;
+    }
+
     /// The stored band as one column-major array with leading dimension
     /// `sub + sup`: cell `(i, j)` of the band is element
     /// `sup + i + j·(sub + sup)`. Inside the band this is the layout of a
@@ -316,6 +328,18 @@ mod tests {
     #[should_panic]
     fn bidiagonal_length_mismatch_panics() {
         let _ = Bidiagonal::new(vec![1.0f64, 2.0], vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn widen_keeps_values_and_grows_once() {
+        let mut b = BandMatrix::<f64>::from_dense(6, 1, 2, |i, j| (1 + i + 10 * j) as f64);
+        let before: Vec<f64> = (0..36).map(|x| b.get(x / 6, x % 6)).collect();
+        b.widen(3, 4);
+        assert_eq!((b.sub(), b.sup()), (3, 4));
+        let after: Vec<f64> = (0..36).map(|x| b.get(x / 6, x % 6)).collect();
+        assert_eq!(before, after, "stored values kept, new cells zero");
+        b.widen(2, 4); // already wide enough
+        assert_eq!((b.sub(), b.sup()), (3, 4));
     }
 
     #[test]

@@ -1273,6 +1273,56 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_values_are_a_typed_error_on_every_entry_path() {
+        // A finite input whose σ₁ exceeds f64's range is the caller's data
+        // too: every entry path and stage-3 solver returns the typed error
+        // rather than `inf` values, output verification does not turn it
+        // into a corruption fault, nothing retries it and it never feeds
+        // the fault streak. Just inside the range the values stay finite.
+        use rand::{rngs::StdRng, SeedableRng};
+        let service = SvdService::builder(&h100())
+            .retry(3)
+            .verify_outputs(true)
+            .build();
+        let svs: Vec<f64> = (1..=32).rev().map(f64::from).collect();
+        let base =
+            unisvd_matrix::testmat::with_singular_values(&svs, &mut StdRng::seed_from_u64(5));
+        let scaled = |c: f64| Matrix::<f64>::from_fn(32, 32, |i, j| base[(i, j)] * c);
+        let (over, fits) = (scaled(1e307), scaled(3e306));
+        for solver in [Bdsqr, Dqds, Bisect] {
+            let cfg = SvdConfig {
+                solver,
+                ..SvdConfig::default()
+            };
+            let mut plan = service.inner.builder::<f64>(&cfg).plan(32, 32).unwrap();
+            let dev = Device::numeric(h100());
+            let batched = service
+                .solve_batch(std::slice::from_ref(&over), &cfg)
+                .remove(0);
+            let ticket = service.submit(over.clone(), &cfg).expect("admitted");
+            for (path, res) in [
+                ("plan.execute", plan.execute(&over)),
+                ("svdvals_with", svdvals_with(&over, &dev, &cfg)),
+                ("solve", service.solve(&over, &cfg)),
+                ("solve_batch", batched),
+                ("submit", ticket.wait()),
+            ] {
+                assert!(
+                    matches!(res, Err(SvdError::ValueOverflow)),
+                    "{path}, {solver:?}: {res:?}"
+                );
+            }
+            assert_eq!(service.fault_streak(), 0, "{solver:?}");
+            let ok = plan.execute(&fits).expect("σ₁ = 9.6e307 fits in f64");
+            assert!(ok.values.iter().all(|v| v.is_finite()), "{solver:?}");
+            assert!((ok.values[0] / 9.6e307 - 1.0).abs() < 1e-10, "{solver:?}");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.cache.failures, 3 * 3, "one failure per request");
+        assert_eq!(stats.queue.in_flight, 0);
+    }
+
+    #[test]
     fn a_panicking_group_fails_its_requests_and_serving_continues() {
         let service = SvdService::new(&h100());
         let cfg = SvdConfig::default();

@@ -366,6 +366,42 @@ fn steady_state_allocates_zero_bytes() {
         );
     }
 
+    // ---- stage calls on a narrow extracted band ----------------------
+    // The public stage sequence (upload, band_diag, extract_band_into
+    // into an (n, 1, ts + 1) band, band_to_bidiagonal_into): the first
+    // chase widens the caller's band in place to the work geometry, so
+    // every later extraction refills the wide band and every later chase
+    // runs in place, allocation-free.
+    {
+        use unisvd::{band_to_bidiagonal_into, BandMatrix, Bidiagonal, PrecisionKind};
+        use unisvd_core::{band_diag, extract_band_into};
+        let p = unisvd::HyperParams::new(8, 4, 1);
+        let ts = p.tilesize;
+        let dev = unisvd_gpu::Device::numeric(h100());
+        let buf = dev.alloc::<f32>(N * N);
+        let tau = dev.alloc::<f32>(N);
+        let mut band = BandMatrix::<f32>::zeros(N, 1, ts + 1);
+        let mut bi = Bidiagonal::new(Vec::new(), Vec::new());
+        let mut solve = |a: &Matrix<f32>| {
+            dev.reset();
+            dev.upload_into(a.as_slice(), &buf);
+            tau.fill(0.0);
+            band_diag(&dev, &buf, &tau, N, &p, true);
+            extract_band_into::<f32>(&dev, &buf, N, ts, &mut band);
+            band_to_bidiagonal_into(&dev, &mut band, ts, PrecisionKind::Fp32, ts, &mut bi);
+        };
+        solve(&inputs[0]);
+        let (allocs, bytes) = measure(|| inputs.iter().for_each(&mut solve));
+        assert_eq!(
+            (allocs, bytes),
+            (0, 0),
+            "warm stage calls on a narrow extracted band must not allocate: \
+             {allocs} allocations / {bytes} bytes over {} solves",
+            inputs.len()
+        );
+        assert_eq!(bi.d.len(), N, "the measured solves ran for real");
+    }
+
     // ---- warm out-of-core streaming execute_into ---------------------
     // The streaming phase charges one transfer per tile straight from
     // the operand's slice: after one warmup solve the inner plan's
