@@ -189,6 +189,16 @@ pub fn bdsqr_into<R: Real>(
     bi: &Bidiagonal<R>,
     ws: &mut Stage3Workspace<R>,
 ) -> Result<(), NoConvergence> {
+    qr_sweep_into(bi, ws)
+}
+
+/// The implicit-QR sweep behind [`bdsqr_into`]: Wilkinson-type shifts
+/// from the trailing 2×2, Demmel–Kahan zero-shift sweeps where a shift
+/// would cost the smallest value its relative accuracy.
+pub(crate) fn qr_sweep_into<R: Real>(
+    bi: &Bidiagonal<R>,
+    ws: &mut Stage3Workspace<R>,
+) -> Result<(), NoConvergence> {
     let n = bi.n();
     ws.out.clear();
     if n == 0 {

@@ -223,10 +223,80 @@ pub fn dqds_into<R: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bidiag_svd::{bdsqr, bisect};
+    use crate::bidiag_svd::{bisect, qr_sweep_into};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn bi(d: &[f64], e: &[f64]) -> Bidiagonal<f64> {
         Bidiagonal::new(d.to_vec(), e.to_vec())
+    }
+
+    /// The implicit-QR sweep's values: the oracle of these tests, kept
+    /// independent of the dqds-first route of [`crate::bdsqr`].
+    fn qr_sweep<R: Real>(b: &Bidiagonal<R>) -> Vec<R> {
+        let mut ws = Stage3Workspace::default();
+        qr_sweep_into(b, &mut ws).expect("the QR sweep converges");
+        ws.out
+    }
+
+    /// A graded bidiagonal, `d_i, e_i = ±U(0.5, 2)·10^(−decades·i/(n−1))`:
+    /// the largest entries at the top, the smallest `decades` lower.
+    fn graded(n: usize, decades: f64, seed: u64) -> (Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |i: usize| {
+            let m: f64 = rng.gen_range(0.5..2.0);
+            let s = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+            s * m * 10f64.powf(-decades * i as f64 / (n - 1) as f64)
+        };
+        let d = (0..n).map(&mut draw).collect();
+        let e = (0..n - 1).map(&mut draw).collect();
+        (d, e)
+    }
+
+    /// Worst relative error of `got` against `want`, both descending.
+    fn worst_rel(got: &[f64], want: &[f64]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        got.iter()
+            .zip(want)
+            .map(|(&a, &b)| (a - b).abs() / b)
+            .fold(0.0, f64::max)
+    }
+
+    /// The graded f32 family of the QR sweep's own convergence test
+    /// (26 decades, so squares of the trailing entries fall below f32's
+    /// range): every dqds value within 2n·ε of the f64 QR sweep of the
+    /// same rounded entries.
+    #[test]
+    fn graded_f32_values_within_2n_eps_of_the_qr_sweep() {
+        for n in [32usize, 64, 256] {
+            for seed in 0..20 {
+                let (d, e) = graded(n, 26.0, seed);
+                let narrow = |x: &[f64]| x.iter().map(|&v| v as f32).collect::<Vec<_>>();
+                let (d32, e32) = (narrow(&d), narrow(&e));
+                let s32 = dqds(&Bidiagonal::new(d32.clone(), e32.clone()))
+                    .unwrap_or_else(|err| panic!("n={n} seed={seed}: {err}"));
+                let wide = |x: &[f32]| x.iter().map(|&v| v as f64).collect::<Vec<_>>();
+                let s64 = qr_sweep(&Bidiagonal::new(wide(&d32), wide(&e32)));
+                let rel = worst_rel(&wide(&s32), &s64);
+                let bound = 2.0 * n as f64 * f32::EPSILON as f64;
+                assert!(rel <= bound, "n={n} seed={seed}: rel {rel:e} > {bound:e}");
+            }
+        }
+    }
+
+    /// f64 graded over 250 decades: without scaling before squaring the
+    /// squares of the trailing entries would underflow f64 as well.
+    #[test]
+    fn graded_f64_values_over_250_decades_within_2n_eps_of_the_qr_sweep() {
+        for n in [32usize, 64, 256] {
+            for seed in 0..10 {
+                let (d, e) = graded(n, 250.0, seed);
+                let b = bi(&d, &e);
+                let s = dqds(&b).unwrap_or_else(|err| panic!("n={n} seed={seed}: {err}"));
+                let rel = worst_rel(&s, &qr_sweep(&b));
+                let bound = 2.0 * n as f64 * f64::EPSILON;
+                assert!(rel <= bound, "n={n} seed={seed}: rel {rel:e} > {bound:e}");
+            }
+        }
     }
 
     #[test]
@@ -246,14 +316,13 @@ mod tests {
 
     #[test]
     fn agrees_with_bdsqr_and_bisect_on_random() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
         for n in [2usize, 3, 7, 16, 40, 100] {
             let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let e: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let b = bi(&d, &e);
             let s_dqds = dqds(&b).unwrap();
-            let s_qr = bdsqr(&b).unwrap();
+            let s_qr = qr_sweep(&b);
             let s_bis = bisect(&b);
             for i in 0..n {
                 assert!(
@@ -270,12 +339,12 @@ mod tests {
     #[test]
     fn high_relative_accuracy_on_graded_matrix() {
         // dqds's raison d'être: tiny σ to high *relative* accuracy.
-        // Reference: the Demmel–Kahan zero-shift path of bdsqr, which also
-        // preserves relative accuracy (bisection only gives ~2e-16
-        // *absolute* accuracy, useless as a relative oracle at 1e-10).
+        // Reference: the Demmel–Kahan zero-shift path of the QR sweep,
+        // which also preserves relative accuracy (bisection only gives
+        // ~2e-16 *absolute* accuracy, useless as a relative oracle at 1e-10).
         let b = bi(&[1.0, 1e-5, 1e-10, 1e-15], &[0.5, 0.5e-5, 0.5e-10]);
         let s = dqds(&b).unwrap();
-        let s_ref = bdsqr(&b).unwrap();
+        let s_ref = qr_sweep(&b);
         for i in 0..4 {
             let rel = ((s[i] - s_ref[i]) / s_ref[i].max(1e-300)).abs();
             assert!(
@@ -311,7 +380,6 @@ mod tests {
 
     #[test]
     fn frobenius_identity() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         let n = 64;
         let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
