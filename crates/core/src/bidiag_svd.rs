@@ -1,23 +1,27 @@
 //! Stage 3: bidiagonal → singular values.
 //!
 //! The paper delegates this (cheapest) stage to LAPACK's CPU solvers; we
-//! implement that substrate from scratch with two independent algorithms
+//! implement that substrate from scratch with independent algorithms
 //! that cross-validate each other:
 //!
-//! * [`bdsqr`] — implicit QR iteration on the bidiagonal with Wilkinson
+//! * [`bdsqr`] — values as LAPACK's `xBDSQR` computes them when asked for
+//!   no vectors: dqds ([`mod@crate::dqds`]) first, and only if dqds does not
+//!   converge, implicit QR iteration on the bidiagonal with Wilkinson
 //!   shift, switching to the Demmel–Kahan **zero-shift** sweep when the
-//!   shift would wreck relative accuracy (the `xBDSQR` strategy).
+//!   shift would wreck relative accuracy.
 //! * [`bisect`] — Sturm-count bisection on the Golub–Kahan tridiagonal
 //!   `[0 Bᵀ; B 0]`, slower but essentially failure-proof; used as the
 //!   oracle in tests and available as a public fallback.
 //!
-//! Both return singular values in descending order. Host CPU time is
+//! All return singular values in descending order. Host CPU time is
 //! accounted on the device trace under [`KernelClass::BidiagonalSvd`],
 //! matching the paper's CPU placement of this stage.
 
 use unisvd_gpu::{Device, KernelClass};
 use unisvd_matrix::Bidiagonal;
 use unisvd_scalar::Real;
+
+use crate::dqds::{default_budget, dqds_budgeted};
 
 /// Maximum QR sweeps per singular value before giving up (LAPACK uses 6).
 const MAXITER_PER_SV: usize = 30;
@@ -47,7 +51,7 @@ impl std::fmt::Display for NoConvergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "bidiagonal QR failed to converge ({} rows unreduced)",
+            "bidiagonal solver failed to converge ({} rows unreduced)",
             self.remaining
         )
     }
@@ -142,25 +146,24 @@ fn las2_min<R: Real>(f: R, g: R, h: R) -> R {
 
 /// Reusable scratch for the stage-3 solvers ([`bdsqr_into`],
 /// [`dqds_into`](crate::dqds::dqds_into), `bisect_topk_into`): the working
-/// copies every solve used to clone fresh (`d`/`e`, the dqds hat arrays,
-/// the Golub–Kahan `z` array) plus the output collector. Threaded through
-/// a reused [`SvdPlan`](crate::SvdPlan)'s workspace block so steady-state
-/// execution allocates nothing; a default-constructed workspace warms up
-/// on first use.
+/// copies every solve used to clone fresh (`d`/`e`, the two dqds array
+/// pairs, the Golub–Kahan `z` array) plus the output collector. Threaded
+/// through a reused [`SvdPlan`](crate::SvdPlan)'s workspace block so
+/// steady-state execution allocates nothing; a default-constructed
+/// workspace warms up on first use.
 #[derive(Default, Debug)]
 pub struct Stage3Workspace<R> {
-    /// Diagonal working copy (`d` for bdsqr, `q` for dqds).
+    /// Diagonal working copy (`d` for the QR sweep, `q` of dqds's first
+    /// array pair).
     pub(crate) d: Vec<R>,
-    /// Superdiagonal working copy (`e` for bdsqr, squared `e` for dqds).
+    /// Superdiagonal working copy (`e` for the QR sweep, squared `e` of
+    /// dqds's first array pair).
     pub(crate) e: Vec<R>,
-    /// dqds `q̂` hat array; doubles as bisect's interleaved `z` array.
+    /// `q` of dqds's second array pair; doubles as bisect's interleaved
+    /// `z` array.
     pub(crate) qh: Vec<R>,
-    /// dqds `ê` hat array.
+    /// `e` of dqds's second array pair.
     pub(crate) eh: Vec<R>,
-    /// dqds interior-split continuation stack: `(lo, hi, shift_acc)` of
-    /// the suspended outer window while a decoupled tail block converges
-    /// in place. Empty outside a solve; bounded by `n`.
-    pub(crate) split_stack: Vec<(usize, usize, R)>,
     /// Collected singular values, descending after a successful solve.
     pub(crate) out: Vec<R>,
 }
@@ -173,28 +176,49 @@ impl<R: Real> Stage3Workspace<R> {
     }
 }
 
-/// Singular values of an upper bidiagonal matrix by implicit QR iteration
-/// (`xBDSQR`-style), descending order.
+/// Singular values of an upper bidiagonal matrix, descending, as LAPACK's
+/// `xBDSQR` computes them when asked for no vectors: by dqds
+/// ([`dqds`](crate::dqds::dqds)), and by implicit QR iteration only if
+/// dqds does not converge. A non-finite entry fails at once with
+/// [`NoConvergence`].
 pub fn bdsqr<R: Real>(bi: &Bidiagonal<R>) -> Result<Vec<R>, NoConvergence> {
     let mut ws = Stage3Workspace::default();
     bdsqr_into(bi, &mut ws)?;
     Ok(ws.out)
 }
 
-/// [`bdsqr`] against a reusable [`Stage3Workspace`]: identical iteration,
-/// but the `d`/`e` working copies and the value collector reuse the
-/// workspace vectors instead of allocating. On success the values are in
+/// [`bdsqr`] against a reusable [`Stage3Workspace`]: identical values,
+/// but the working arrays and the value collector reuse the workspace
+/// vectors instead of allocating. On success the values are in
 /// [`Stage3Workspace::values`], descending.
 pub fn bdsqr_into<R: Real>(
     bi: &Bidiagonal<R>,
     ws: &mut Stage3Workspace<R>,
 ) -> Result<(), NoConvergence> {
-    qr_sweep_into(bi, ws)
+    values_into(bi, ws, default_budget(bi.n()))
 }
 
-/// The implicit-QR sweep behind [`bdsqr_into`]: Wilkinson-type shifts
-/// from the trailing 2×2, Demmel–Kahan zero-shift sweeps where a shift
-/// would cost the smallest value its relative accuracy.
+/// [`bdsqr_into`] with dqds's transform budget as a parameter, so tests
+/// can force the fallback.
+fn values_into<R: Real>(
+    bi: &Bidiagonal<R>,
+    ws: &mut Stage3Workspace<R>,
+    dqds_budget: usize,
+) -> Result<(), NoConvergence> {
+    if !all_finite(bi) {
+        return Err(NoConvergence { remaining: bi.n() });
+    }
+    dqds_budgeted(bi, ws, dqds_budget).or_else(|_| qr_sweep_into(bi, ws))
+}
+
+/// True if every entry of `bi` is finite: no solver converges otherwise.
+pub(crate) fn all_finite<R: Real>(bi: &Bidiagonal<R>) -> bool {
+    bi.d.iter().chain(&bi.e).all(|x| x.is_finite())
+}
+
+/// The implicit-QR sweep [`bdsqr_into`] falls back to when dqds does not
+/// converge: shifts from the trailing 2×2, Demmel–Kahan zero-shift sweeps
+/// where a shift would cost the smallest value its relative accuracy.
 pub(crate) fn qr_sweep_into<R: Real>(
     bi: &Bidiagonal<R>,
     ws: &mut Stage3Workspace<R>,
@@ -313,6 +337,15 @@ pub(crate) fn qr_sweep_into<R: Real>(
     Ok(())
 }
 
+/// The QR sweep's values alone: the oracle tests compare the dqds-first
+/// route against.
+#[cfg(test)]
+pub(crate) fn qr_sweep<R: Real>(bi: &Bidiagonal<R>) -> Result<Vec<R>, NoConvergence> {
+    let mut ws = Stage3Workspace::default();
+    qr_sweep_into(bi, &mut ws)?;
+    Ok(ws.out)
+}
+
 /// Sturm count: number of eigenvalues of the Golub–Kahan tridiagonal
 /// (zero diagonal, off-diagonal `z`) strictly below `x`.
 fn tgk_count_below<R: Real>(z: &[R], x: R) -> usize {
@@ -420,6 +453,79 @@ mod tests {
 
     fn bi(d: &[f64], e: &[f64]) -> Bidiagonal<f64> {
         Bidiagonal::new(d.to_vec(), e.to_vec())
+    }
+
+    /// Address and capacity of every workspace buffer: equal before and
+    /// after a solve when the solve allocated nothing (the solvers keep
+    /// all their storage in these vectors).
+    fn buffers(ws: &Stage3Workspace<f64>) -> [(usize, usize); 5] {
+        [&ws.d, &ws.e, &ws.qh, &ws.eh, &ws.out].map(|v| (v.as_ptr() as usize, v.capacity()))
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// When dqds gives up, `bdsqr_into` returns exactly the QR sweep's
+    /// values, and a warm workspace still serves it without allocating.
+    #[test]
+    fn failed_dqds_falls_back_to_the_qr_sweep_bit_for_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        let n = 64;
+        let d: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let e: Vec<f64> = (0..n - 1).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let b = bi(&d, &e);
+        let sweep = bits(&qr_sweep(&b).unwrap());
+        let mut ws = Stage3Workspace::default();
+        // Out of budget at once, and midway through the solve.
+        for budget in [0, n] {
+            assert!(
+                dqds_budgeted(&b, &mut ws, budget).is_err(),
+                "budget {budget}"
+            );
+            values_into(&b, &mut ws, budget).unwrap();
+            assert_eq!(bits(ws.values()), sweep, "budget {budget}");
+            let warm = buffers(&ws);
+            values_into(&b, &mut ws, budget).unwrap();
+            assert_eq!(
+                buffers(&ws),
+                warm,
+                "budget {budget}: warm fallback allocated"
+            );
+            assert_eq!(bits(ws.values()), sweep, "budget {budget}");
+        }
+        // With the default budget dqds converges and the QR sweep never runs.
+        assert!(dqds_budgeted(&b, &mut ws, default_budget(n)).is_ok());
+        let warm = buffers(&ws);
+        bdsqr_into(&b, &mut ws).unwrap();
+        assert_eq!(buffers(&ws), warm, "warm dqds solve allocated");
+    }
+
+    /// A NaN or infinity fails at once: no solver starts, so none spends
+    /// its iteration budget on it (a started one would have copied the
+    /// entries into the workspace).
+    #[test]
+    fn non_finite_entries_fail_at_once() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in ["d[0]", "e[30]", "d[31]"] {
+                let (mut d, mut e) = (vec![1.0; 32], vec![0.5; 31]);
+                match at {
+                    "d[0]" => d[0] = bad,
+                    "e[30]" => e[30] = bad,
+                    _ => d[31] = bad,
+                }
+                let b = bi(&d, &e);
+                let err = Err(NoConvergence { remaining: 32 });
+                let mut ws = Stage3Workspace::default();
+                assert_eq!(bdsqr_into(&b, &mut ws), err, "{bad} at {at}");
+                assert_eq!(crate::dqds_into(&b, &mut ws), err, "{bad} at {at}");
+                assert!(
+                    buffers(&ws).iter().all(|&(_, cap)| cap == 0),
+                    "{bad} at {at}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -541,9 +647,10 @@ mod tests {
 
     /// Graded bidiagonals, `d_i, e_i = ±U(0.5, 2)·10^(−26·i/(n−1))`: in
     /// f32 the trailing blocks hold entries near 1e-26, whose squares
-    /// underflow. Every f32 solve must converge, and each value must
-    /// agree with the f64 solve of the same (rounded) entries to the
-    /// relative accuracy the zero-shift sweeps guarantee.
+    /// underflow. Every f32 solve, by `bdsqr` (dqds first) and by the QR
+    /// sweep alone, must converge, and each value must agree with the f64
+    /// QR sweep of the same (rounded) entries to the relative accuracy the
+    /// zero-shift sweeps guarantee.
     #[test]
     fn graded_f32_bidiagonals_converge() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -557,14 +664,22 @@ mod tests {
                 };
                 let d: Vec<f32> = (0..n).map(&mut draw).collect();
                 let e: Vec<f32> = (0..n - 1).map(&mut draw).collect();
-                let s32 = bdsqr(&Bidiagonal::new(d.clone(), e.clone()))
-                    .unwrap_or_else(|err| panic!("n={n} seed={seed}: {err}"));
+                let b32 = Bidiagonal::new(d.clone(), e.clone());
                 let wide = |x: &[f32]| x.iter().map(|&v| v as f64).collect::<Vec<_>>();
-                let s64 = bdsqr(&Bidiagonal::new(wide(&d), wide(&e))).unwrap();
+                let s64 = qr_sweep(&Bidiagonal::new(wide(&d), wide(&e))).unwrap();
                 let bound = 2.0 * n as f64 * f32::EPSILON as f64;
-                for (i, (&a, &b)) in s32.iter().zip(&s64).enumerate() {
-                    let rel = (a as f64 - b).abs() / b;
-                    assert!(rel <= bound, "n={n} seed={seed} σ[{i}]: rel {rel:e}");
+                type Solve = fn(&Bidiagonal<f32>) -> Result<Vec<f32>, NoConvergence>;
+                let routes: [(&str, Solve); 2] = [("QR sweep", qr_sweep), ("bdsqr", bdsqr)];
+                for (route, solve) in routes {
+                    let s32 = solve(&b32)
+                        .unwrap_or_else(|err| panic!("{route} n={n} seed={seed}: {err}"));
+                    for (i, (&a, &b)) in s32.iter().zip(&s64).enumerate() {
+                        let rel = (a as f64 - b).abs() / b;
+                        assert!(
+                            rel <= bound,
+                            "{route} n={n} seed={seed} σ[{i}]: rel {rel:e}"
+                        );
+                    }
                 }
             }
         }

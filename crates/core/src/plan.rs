@@ -33,7 +33,9 @@
 
 use crate::band2bi::{band_to_bidiagonal_into_ext, work_band_geometry};
 use crate::band_diag::{band_diag_ext, extract_band_into};
-use crate::bidiag_svd::{account_stage3_cost, bdsqr_into, bisect_topk_into, Stage3Workspace};
+use crate::bidiag_svd::{
+    account_stage3_cost, all_finite, bdsqr_into, bisect_topk_into, NoConvergence, Stage3Workspace,
+};
 use crate::dqds::dqds_into;
 use crate::svd::{resolve_params, Stage3Solver, SvdConfig, SvdError, SvdOutput, Want};
 use crate::vectors::VectorScratch;
@@ -1296,6 +1298,11 @@ pub(crate) fn run_pipeline<T: Scalar>(
     // trace replay of a vector plan predicts the same cost model.
     account_accum_cost(dev, padded, k);
     if numeric {
+        // A bidiagonal poisoned by an overflow in stages 1–2 has no values:
+        // bisection would return plausible-looking ones.
+        if !all_finite(bi) {
+            return Err(SvdError::NoConvergence(NoConvergence { remaining: bi.n() }));
+        }
         match cfg.solver {
             Stage3Solver::Bdsqr => bdsqr_into(bi, s3).map_err(SvdError::NoConvergence)?,
             Stage3Solver::Dqds => dqds_into(bi, s3).map_err(SvdError::NoConvergence)?,

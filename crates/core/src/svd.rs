@@ -16,14 +16,18 @@ use unisvd_scalar::{PrecisionKind, Scalar};
 /// Stage-3 bidiagonal solver selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Stage3Solver {
-    /// Implicit QR with Wilkinson shift + Demmel–Kahan zero-shift sweeps
-    /// (LAPACK `xBDSQR` strategy) — the default, as in the paper.
+    /// LAPACK's `xBDSQR` as it runs without vectors — the default, as in
+    /// the paper: dqds (`xLASQ1`) first, and implicit QR with Wilkinson
+    /// shift and Demmel–Kahan zero-shift sweeps only if dqds does not
+    /// converge. Its values are then those of [`Dqds`](Self::Dqds); a
+    /// vector solve uses them as the shifts of the bidiagonal's inverse
+    /// iteration.
     #[default]
     Bdsqr,
     /// Differential qd with shifts (LAPACK `xLASQ` family) — high relative
-    /// accuracy for tiny singular values. A vector solve runs no second
-    /// sweep: the dqds values are the shifts of the bidiagonal's inverse
-    /// iteration.
+    /// accuracy for tiny singular values — without the QR fallback. A
+    /// vector solve runs no second sweep: the dqds values are the shifts
+    /// of the bidiagonal's inverse iteration.
     Dqds,
     /// Sturm bisection on the Golub–Kahan tridiagonal — slowest,
     /// failure-proof. A vector solve runs no second sweep: the bisected

@@ -591,7 +591,7 @@ fn vector_bits_match_golden_fingerprint() {
     // the accumulator layout or the replay order that moves a single
     // bit of any factor fails here.
     use unisvd::{Stage3Solver, Want};
-    const GOLDEN: u64 = 0x1ea4_7be8_fb52_73e8;
+    const GOLDEN: u64 = 0x0613_7f37_ac52_26b6;
     let shapes = [
         (40, 40),
         (17, 9),
@@ -649,7 +649,7 @@ fn graded_vector_bits_match_golden_fingerprint() {
     // each.
     use rand::{rngs::StdRng, SeedableRng};
     use unisvd::Want;
-    const GOLDEN: u64 = 0x9fad_60de_b730_463b;
+    const GOLDEN: u64 = 0xf2b4_4c28_6f27_36b2;
     let mut words = Vec::new();
     for (n, want) in [(128, Want::Thin), (256, Want::TopK(32))] {
         let mut plan = Svd::on(&hw::h100())
@@ -703,7 +703,7 @@ fn values_bits_match_golden_fingerprint() {
     // order that moves a single bit of any value fails here.
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use unisvd::F16;
-    const GOLDEN: u64 = 0x4a79_64e7_e17f_22b2;
+    const GOLDEN: u64 = 0x7bc8_7776_c4ed_3920;
     let mut words = Vec::new();
     for (ts, cpb) in [(64, 32), (32, 32), (16, 8), (8, 4)] {
         let params = HyperParams::new(ts, cpb, 1);
@@ -750,7 +750,7 @@ fn oocore_values_match_golden_fingerprint() {
     // Pins out-of-core value bits across commits, where the streaming
     // test above compares thread counts within one build: one streaming
     // solve in f64 (24 tiles) and f32 (12 tiles) on a 16 KiB device.
-    const GOLDEN: u64 = 0xceaa_5333_3bb8_0fb9;
+    const GOLDEN: u64 = 0x538b_7c7e_95e7_ef6b;
     let mut tiny = hw::rtx4060();
     tiny.memory_bytes = 16 * 1024;
     let a = Matrix::<f64>::from_fn(96, 96, |i, j| {

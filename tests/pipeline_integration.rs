@@ -5,7 +5,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use unisvd::reference::{matmul, sv_relative_error};
 use unisvd::{
     hw, jacobi_svdvals, onestage_svdvals, svdvals, svdvals_with, Device, HyperParams, Matrix,
-    PlanError, Scalar, Stage3Solver, SvDistribution, Svd, SvdConfig, F16,
+    PlanError, Scalar, Stage3Solver, SvDistribution, Svd, SvdConfig, SvdError, F16,
 };
 
 fn cfg(ts: usize) -> SvdConfig {
@@ -212,6 +212,76 @@ fn check_near_singular<T: Scalar>(name: &str, a: &Matrix<f64>, reference: &[f64]
                 T::KIND
             );
         }
+    }
+}
+
+#[test]
+fn wide_range_inputs_meet_the_normwise_contract() {
+    // The 32×32 matrix with σ = 32…1 and entry (0,0) set to 1e200: σ₁ is
+    // about 1e200, the rest about 30. No SVD that bidiagonalizes resolves
+    // those better than ε·σ₁ in absolute terms, LAPACK's included, so the
+    // contract is normwise: every value within n·ε·σ₁ of an f64 one-sided
+    // Jacobi reference. Stage 3 sees a bidiagonal spanning 200 decades,
+    // whose squares leave f64's range, so the contract also asks for no
+    // zero left by an underflowed square and no false ValueOverflow.
+    let n = 32;
+    let svs: Vec<f64> = (1..=n).rev().map(|v| v as f64).collect();
+    let mut base = unisvd::testmat::with_singular_values(&svs, &mut StdRng::seed_from_u64(5));
+    base[(0, 0)] = 1e200;
+    let scaled = |c: f64| Matrix::<f64>::from_fn(n, n, |i, j| base[(i, j)] * c);
+    // Jacobi on a copy scaled by a power of two (exactly) to unit size.
+    let reference = |a: &Matrix<f64>| {
+        let p = 2f64.powi(-(a.max_abs().log2().round() as i32));
+        let unit = Matrix::<f64>::from_fn(n, n, |i, j| a[(i, j)] * p);
+        jacobi_svdvals(&unit)
+            .into_iter()
+            .map(|v| v / p)
+            .collect::<Vec<_>>()
+    };
+    let dev = Device::numeric(hw::h100());
+    let solvers = [
+        Stage3Solver::Bdsqr,
+        Stage3Solver::Dqds,
+        Stage3Solver::Bisect,
+    ];
+    // The matrix itself rescaled by the pipeline, and scaled by 1e-200
+    // with rescaling off: both put σ₂… 200 decades below σ₁ in stage 3.
+    for (name, a, rescale) in [
+        ("(0,0) = 1e200", scaled(1.0), true),
+        ("scaled by 1e-200, rescale(false)", scaled(1e-200), false),
+    ] {
+        let want = reference(&a);
+        let bound = n as f64 * f64::EPSILON * want[0];
+        for solver in solvers {
+            let cfg = SvdConfig {
+                solver,
+                rescale,
+                ..SvdConfig::default()
+            };
+            let got = svdvals_with(&a, &dev, &cfg)
+                .unwrap_or_else(|e| panic!("{name}, {solver:?}: {e}"))
+                .values;
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let err = (g - w).abs();
+                assert!(err <= bound, "{name}, {solver:?}: σ[{i}] off by {err:e}");
+                assert!(*g > 0.0, "{name}, {solver:?}: σ[{i}] = {g}");
+            }
+        }
+    }
+    // Unscaled, stage 1's squared column norms (the paper's Algorithm 3)
+    // overflow at 1e200: every solver reports the typed error, and none
+    // returns values from the poisoned bidiagonal.
+    for solver in solvers {
+        let cfg = SvdConfig {
+            solver,
+            rescale: false,
+            ..SvdConfig::default()
+        };
+        let res = svdvals_with(&base, &dev, &cfg);
+        assert!(
+            matches!(res, Err(SvdError::NoConvergence(_))),
+            "{solver:?}: {res:?}"
+        );
     }
 }
 
