@@ -544,12 +544,16 @@ pub fn dqds_into<R: Real>(
     bi: &Bidiagonal<R>,
     ws: &mut Stage3Workspace<R>,
 ) -> Result<(), NoConvergence> {
+    ws.out.clear();
+    if !all_finite(bi) {
+        return Err(NoConvergence { remaining: bi.n() });
+    }
     dqds_budgeted(bi, ws, default_budget(bi.n()))
 }
 
-/// [`dqds_into`] that gives up after `budget` transforms. `bdsqr_into`
-/// passes the default budget; the tests of its QR fallback pass a small
-/// one to force the failure.
+/// [`dqds_into`] on finite entries, giving up after `budget` transforms.
+/// `bdsqr_into` passes the default budget; the tests of its QR fallback
+/// pass a small one to force the failure.
 pub(crate) fn dqds_budgeted<R: Real>(
     bi: &Bidiagonal<R>,
     ws: &mut Stage3Workspace<R>,
@@ -557,9 +561,6 @@ pub(crate) fn dqds_budgeted<R: Real>(
 ) -> Result<(), NoConvergence> {
     let n = bi.n();
     ws.out.clear();
-    if !all_finite(bi) {
-        return Err(NoConvergence { remaining: n });
-    }
     let sigmx =
         bi.d.iter()
             .chain(&bi.e)
