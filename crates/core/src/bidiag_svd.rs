@@ -367,7 +367,14 @@ fn tgk_count_below<R: Real>(z: &[R], x: R) -> usize {
 
 /// Singular values by bisection on the Golub–Kahan tridiagonal —
 /// failure-proof oracle, descending order.
+///
+/// A bidiagonal with a NaN or infinite entry has no meaningful values:
+/// the result is then `n` NaNs, never a plausible-looking number
+/// ([`bdsqr`] reports the same input as [`NoConvergence`]).
 pub fn bisect<R: Real>(bi: &Bidiagonal<R>) -> Vec<R> {
+    if !all_finite(bi) {
+        return vec![R::from_f64(f64::NAN); bi.n()];
+    }
     let mut ws = Stage3Workspace::default();
     bisect_topk_into(bi, &mut ws, None);
     ws.out
@@ -526,6 +533,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The public `bisect` returns NaN for every value of a non-finite
+    /// bidiagonal rather than values that look like an answer.
+    #[test]
+    fn bisect_returns_nan_for_non_finite_entries() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in ["d[0]", "e[2]", "d[3]"] {
+                let (mut d, mut e) = (vec![1.0; 4], vec![0.5; 3]);
+                match at {
+                    "d[0]" => d[0] = bad,
+                    "e[2]" => e[2] = bad,
+                    _ => d[3] = bad,
+                }
+                let sv = bisect(&bi(&d, &e));
+                assert_eq!(sv.len(), 4, "{bad} at {at}");
+                assert!(sv.iter().all(|x| x.is_nan()), "{bad} at {at}: {sv:?}");
+            }
+        }
+        let sv = bisect(&bi(&[f64::NAN; 4], &[f64::NAN; 3]));
+        assert!(sv.len() == 4 && sv.iter().all(|x| x.is_nan()), "{sv:?}");
+        let sv = bisect(&Bidiagonal::new(vec![1.0f32, f32::INFINITY], vec![0.5]));
+        assert!(sv.len() == 2 && sv.iter().all(|x| x.is_nan()), "{sv:?}");
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl PlanSignature {
     /// `hw` succeeds, and vice versa; [`Svd::probe`] is this check on the
     /// builder's own device.
     pub fn probe(&self, hw: &HardwareDescriptor) -> Result<PlanProbe, PlanError> {
-        let (_, core, device_bytes) = self.admit(hw)?;
+        let (core, device_bytes) = self.admit(hw)?;
         Ok(PlanProbe {
             padded: core.padded,
             device_bytes,
@@ -170,12 +170,11 @@ impl PlanSignature {
     }
 
     /// The one admission implementation behind [`probe`](Self::probe)
-    /// and [`Svd::plan`]: the device handle, the resolved plan core, and
-    /// the device bytes a built plan would pin (its `device_bytes()`
-    /// with lane 0 alone).
-    fn admit(&self, hw: &HardwareDescriptor) -> Result<(Device, PlanCore, u64), PlanError> {
-        let dev = Device::numeric(hw.clone());
-        let core = PlanCore::new(&dev, self.precision, &self.config, self.rows, self.cols)?;
+    /// and [`Svd::plan`]: the resolved plan core and the device bytes a
+    /// built plan would pin (its `device_bytes()` with lane 0 alone).
+    /// Builds no device; only [`Svd::plan`] does, once admitted.
+    fn admit(&self, hw: &HardwareDescriptor) -> Result<(PlanCore, u64), PlanError> {
+        let core = PlanCore::new(hw, self.precision, &self.config, self.rows, self.cols)?;
         // Everything the plan will hold on the device: the padded matrix
         // plus the τ-factor vector. Matching device_bytes() exactly
         // means a plan that passes this check can always be admitted by
@@ -190,7 +189,7 @@ impl PlanSignature {
                 oocore_eligible: core.oocore_eligible(),
             });
         }
-        Ok((dev, core, bytes))
+        Ok((core, bytes))
     }
 }
 
@@ -272,13 +271,13 @@ impl PlanCore {
     /// All one-time planning work: support-matrix check, shape-strategy
     /// selection, hyperparameter resolution, tile padding.
     pub(crate) fn new(
-        dev: &Device,
+        hw: &HardwareDescriptor,
         precision: PrecisionKind,
         cfg: &SvdConfig,
         rows: usize,
         cols: usize,
     ) -> Result<Self, UnsupportedPrecision> {
-        dev.supports(precision)?;
+        hw.supports(precision)?;
         let mindim = rows.min(cols);
         let (kind, device_n) = if mindim == 0 {
             (PlanKind::Empty, 0)
@@ -294,7 +293,7 @@ impl PlanCore {
         let (params, padded) = if device_n == 0 {
             (HyperParams::reference(), 0)
         } else {
-            let p = resolve_params(dev, precision, cfg, device_n);
+            let p = resolve_params(hw, precision, cfg, device_n);
             (p, device_n.div_ceil(p.tilesize) * p.tilesize)
         };
         Ok(PlanCore {
@@ -608,7 +607,7 @@ impl<T: Scalar> Svd<T> {
     /// ```
     pub fn cost(&self, rows: usize, cols: usize) -> Result<TraceSummary, PlanError> {
         let dev = Device::trace_only(self.hw.clone());
-        let core = PlanCore::new(&dev, T::KIND, &self.cfg, rows, cols)?;
+        let core = PlanCore::new(&self.hw, T::KIND, &self.cfg, rows, cols)?;
         core.replay::<T>(&dev, DriverCost::Amortized);
         Ok(dev.summary())
     }
@@ -617,9 +616,9 @@ impl<T: Scalar> Svd<T> {
     /// resolution, tile padding, capacity check, workspace allocation —
     /// and returns the reusable plan for `rows × cols` inputs.
     pub fn plan(self, rows: usize, cols: usize) -> Result<SvdPlan<T>, PlanError> {
-        let (dev, core, _) = self.signature(rows, cols).admit(&self.hw)?;
+        let (core, _) = self.signature(rows, cols).admit(&self.hw)?;
         Ok(SvdPlan {
-            lanes: vec![Lane::new(dev, &core, true)],
+            lanes: vec![Lane::new(Device::numeric(self.hw.clone()), &core, true)],
             core,
         })
     }

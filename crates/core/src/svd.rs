@@ -8,7 +8,9 @@
 
 use crate::bidiag_svd::NoConvergence;
 use crate::plan::{execute_core, DriverCost, PlanCore, PlanError};
-use unisvd_gpu::{Device, DeviceFault, ExecMode, TraceSummary, UnsupportedPrecision};
+use unisvd_gpu::{
+    Device, DeviceFault, ExecMode, HardwareDescriptor, TraceSummary, UnsupportedPrecision,
+};
 use unisvd_kernels::HyperParams;
 use unisvd_matrix::Matrix;
 use unisvd_scalar::{PrecisionKind, Scalar};
@@ -405,14 +407,14 @@ impl From<PlanError> for SvdError {
 /// Resolves the hyperparameters for a device/precision/config, clamping
 /// `TILESIZE` so tiny matrices still factor (at least one tile).
 pub fn resolve_params(
-    dev: &Device,
+    hw: &HardwareDescriptor,
     precision: PrecisionKind,
     cfg: &SvdConfig,
     n: usize,
 ) -> HyperParams {
     let p = cfg
         .params
-        .unwrap_or_else(|| HyperParams::tuned(dev.hw().backend, precision));
+        .unwrap_or_else(|| HyperParams::tuned(hw.backend, precision));
     if n >= p.tilesize {
         p
     } else {
@@ -433,19 +435,29 @@ pub fn svdvals<T: Scalar>(a: &Matrix<T>, dev: &Device) -> Result<Vec<f64>, SvdEr
 
 /// [`svdvals`] with explicit configuration and full output.
 ///
-/// One-shot compatibility wrapper over the plan path: builds a fresh
+/// One-shot compatibility wrapper over the plan core: builds a fresh
 /// plan core + workspaces per call (amortize them with
 /// [`Svd`](crate::Svd) when solving the same shape repeatedly) and
-/// executes once on the caller's device, accumulating into the caller's
-/// trace. On a fresh device its summary equals a fresh plan's first
-/// execute. A trace-only device holds no data: there the call only
-/// accounts the launch stream, returning no values.
+/// executes once. Where [`Svd::plan`](crate::Svd::plan) admits the
+/// shape, values are bit-identical to the plan's and, on a fresh device,
+/// the summary equals a fresh plan's first execute. It differs from the
+/// plan form in two ways:
+///
+/// * it checks only the support matrix, not device capacity, so it
+///   solves shapes that `plan` rejects with
+///   [`PlanError::ExceedsDeviceMemory`];
+/// * it runs on the caller's device `dev` and adds its launches to that
+///   device's trace (the launch-trace fingerprint and the race-detection
+///   suite rely on this), where a plan builds and owns its device.
+///
+/// A trace-only device holds no data: there the call only accounts the
+/// launch stream, returning no values.
 pub fn svdvals_with<T: Scalar>(
     a: &Matrix<T>,
     dev: &Device,
     cfg: &SvdConfig,
 ) -> Result<SvdOutput, SvdError> {
-    let core = PlanCore::new(dev, T::KIND, cfg, a.rows(), a.cols())?;
+    let core = PlanCore::new(dev.hw(), T::KIND, cfg, a.rows(), a.cols())?;
     let mut out = SvdOutput::empty();
     if dev.mode() == ExecMode::TraceOnly {
         core.replay::<T>(dev, DriverCost::OneShot);

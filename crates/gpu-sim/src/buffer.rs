@@ -282,9 +282,11 @@ mod tests {
     fn concurrent_disjoint_writes() {
         use rayon::prelude::*;
         let b = GlobalBuffer::filled(1024, 0usize);
-        (0..1024usize)
-            .into_par_iter()
-            .for_each(|i| b.write(i, i * i));
+        let mut squares: Vec<usize> = (0..1024).map(|i| i * i).collect();
+        squares
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(i, x)| b.write(i, *x));
         let v = b.to_vec();
         assert!(v.iter().enumerate().all(|(i, &x)| x == i * i));
     }

@@ -101,9 +101,10 @@ pub use unisvd_service::{
 /// assert!(sv.iter().all(|r| r.is_ok()));
 /// ```
 ///
-/// Results are **bit-identical** for every thread count: work is split
-/// into chunks that depend only on input sizes, and all collection /
-/// reduction happens in fixed chunk order.
+/// Results are **bit-identical** for every thread count: every parallel
+/// loop is `par_iter_mut` over disjoint borrows, split into chunks that
+/// depend only on input sizes, so each item is written by exactly one
+/// body and nothing is reduced across threads.
 pub mod threading {
     pub use rayon::{current_num_threads, ThreadPool, ThreadPoolBuilder};
 }

@@ -1,10 +1,9 @@
 //! Determinism suite: the work-stealing pool must not change a single
-//! bit of any result. Batched solves, a full launch trace, and parallel
-//! float reductions are compared across thread counts (including the
-//! guaranteed-sequential 1-thread fallback), reusing the golden matrices
-//! of the accuracy suite.
+//! bit of any result. Batched, served and routed solves, fault schedules
+//! and full launch traces are compared across thread counts (including
+//! the guaranteed-sequential 1-thread fallback), reusing the golden
+//! matrices of the accuracy suite.
 
-use rayon::prelude::*;
 use unisvd::threading::ThreadPoolBuilder;
 use unisvd::{
     hw, svdvals_with, testmat, Device, HyperParams, LaunchRecord, Matrix, SvDistribution, Svd,
@@ -494,24 +493,6 @@ fn service_and_fleet_vector_solves_bit_identical() {
                 assert_eq!(&got, want, "async vector solve changed bits at {t} threads");
             }
         });
-    }
-}
-
-#[test]
-fn parallel_reductions_bit_identical_across_thread_counts() {
-    // Non-associative float sum: chunk boundaries (and therefore the
-    // combination tree) must not depend on the thread count.
-    let xs: Vec<f64> = (0..50_000)
-        .map(|i| ((i as f64) * 0.37).sin() / ((i % 97) as f64 + 0.5))
-        .collect();
-    let sum = |t: usize| -> u64 {
-        pool(t)
-            .install(|| xs.par_iter().map(|&x| x * 1.000_000_1).sum::<f64>())
-            .to_bits()
-    };
-    let sequential = sum(1);
-    for t in THREAD_COUNTS {
-        assert_eq!(sum(t), sequential, "par sum changed bits at {t} threads");
     }
 }
 
