@@ -121,13 +121,13 @@ impl Library {
                     sp.flops = 8.0 / 3.0 * (n as f64).powi(3);
                     sp.bytes = 2.0 * (n * n * prec.bytes()) as f64;
                     sp.efficiency = 0.5;
-                    dev.launch::<f32, _>(&sp, |_| {});
+                    dev.charge(&sp);
                     for _ in 0..40 {
                         let mut sw =
                             LaunchSpec::new(KernelClass::BidiagonalSvd, "gpu_bdsqr_sweep", 1, 256);
                         sw.precision = prec;
                         sw.flops = 60.0 * n as f64;
-                        dev.launch::<f32, _>(&sw, |_| {});
+                        dev.charge(&sw);
                     }
                 } else {
                     onestage_gpu(dev, n, prec, 64, 0.85, 1.0, 2);
@@ -206,7 +206,7 @@ fn onestage_gpu(
                     s.bytes = 2.0 * m * elem;
                 }
                 s.efficiency = gemm_eff;
-                dev.launch::<f32, _>(&s, |_| {});
+                dev.charge(&s);
             }
         }
         // BLAS-3 phase: two rank-`nb` trailing updates (absent when
@@ -223,7 +223,7 @@ fn onestage_gpu(
                 s.flops = 2.0 * m * m * width as f64;
                 s.bytes = (2.0 * m * m + 2.0 * m * width as f64) * elem;
                 s.efficiency = gemm_eff;
-                dev.launch::<f32, _>(&s, |_| {});
+                dev.charge(&s);
             }
         }
         k += width;
@@ -241,7 +241,7 @@ fn onestage_gpu(
         s.flops = 60.0 * n as f64;
         s.bytes = 20.0 * n as f64 * elem;
         s.efficiency = 0.5;
-        dev.launch::<f32, _>(&s, |_| {});
+        dev.charge(&s);
     }
 }
 
@@ -276,7 +276,7 @@ fn magma_hybrid(dev: &Device, n: usize, prec: PrecisionKind) {
         s.flops = 4.0 * m * m * width as f64;
         s.bytes = 2.0 * m * m * width as f64 * elem / 0.5;
         s.efficiency = 0.85;
-        dev.launch::<f32, _>(&s, |_| {});
+        dev.charge(&s);
         // BLAS-3 trailing update.
         let mut s = LaunchSpec::new(
             KernelClass::TrailingUpdate,
@@ -288,7 +288,7 @@ fn magma_hybrid(dev: &Device, n: usize, prec: PrecisionKind) {
         s.flops = 4.0 * m * m * width as f64;
         s.bytes = (2.0 * m * m + 4.0 * m * width as f64) * elem;
         s.efficiency = 0.85;
-        dev.launch::<f32, _>(&s, |_| {});
+        dev.charge(&s);
         k += width;
     }
     // Bidiagonal solve on the CPU.
@@ -356,7 +356,7 @@ fn slate_tiled(dev: &Device, n: usize, prec: PrecisionKind) {
     s.flops = 8.0 / 3.0 * (n as f64).powi(3);
     s.bytes = (n as f64).powi(3) / nb as f64 * elem * 2.0;
     s.efficiency = 0.60;
-    dev.launch::<f32, _>(&s, |_| {});
+    dev.charge(&s);
 
     // Stage 2 + 3 on the host.
     dev.cpu_work(

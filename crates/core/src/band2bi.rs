@@ -11,9 +11,11 @@
 //! one hop of up to `b` columns at a time (`for_each_hop`). Each hop
 //! applies one right reflector (from row `p`, over columns `c0..=c1`) and
 //! one left reflector (from column `c0`, over rows `c0..=c1`) to a dense
-//! block of the band. Cost is accounted per bandwidth-reduction sweep
-//! through the device's launch stream so the Fig. 6 stage breakdown
-//! includes it; that model predates the Householder chase and is kept as
+//! block of the band. Both reflectors come from the scale-safe generator
+//! of [`unisvd_matrix::householder`] (LAPACK `xLARFG`), which the host QR
+//! of tall and wide inputs shares. Cost is accounted per
+//! bandwidth-reduction sweep through the device's launch stream so the
+//! Fig. 6 stage breakdown includes it; that model predates the Householder chase and is kept as
 //! it is (see `sweep_spec`), so the simulated numbers do not move.
 //!
 //! Fill: a hop's right reflector fills the `len × len` block below the
@@ -27,6 +29,7 @@
 
 use crate::vectors::ReflectorLog;
 use unisvd_gpu::{Device, ExecMode, KernelClass, LaunchSpec};
+use unisvd_matrix::householder::{dot, larfg};
 use unisvd_matrix::{BandMatrix, Bidiagonal};
 use unisvd_scalar::Real;
 
@@ -63,80 +66,6 @@ pub(crate) fn for_each_hop(n: usize, b: usize, mut hop: impl FnMut(usize, usize,
 /// Rows of the right reflector's update held in one stack block: rows are
 /// independent, so the block size does not change any bit.
 const ROW_BLOCK: usize = 64;
-
-/// `Σ x[i]·y[i]` in eight interleaved partial sums, combined pairwise at
-/// the end — a fixed order (the same bits on every run and thread count)
-/// whose independent chains SSE2 runs two or four lanes wide.
-#[inline]
-fn dot<R: Real>(x: &[R], y: &[R]) -> R {
-    let mut acc = [R::ZERO; 8];
-    let (xs, ys) = (x.chunks_exact(8), y.chunks_exact(8));
-    let (xr, yr) = (xs.remainder(), ys.remainder());
-    for (xc, yc) in xs.zip(ys) {
-        for l in 0..8 {
-            acc[l] += xc[l] * yc[l];
-        }
-    }
-    for (l, (&a, &b)) in xr.iter().zip(yr).enumerate() {
-        acc[l] += a * b;
-    }
-    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
-}
-
-/// `‖(a[k] for k in idx)‖₂`, scaled by the largest entry so that tiny
-/// entries do not underflow when squared; exactly zero iff every entry is.
-fn norm<R: Real>(a: &[R], idx: impl Iterator<Item = usize> + Clone) -> R {
-    let scale = idx.clone().fold(R::ZERO, |m, k| m.max(a[k].abs()));
-    if scale == R::ZERO {
-        return R::ZERO;
-    }
-    let ssq = idx.fold(R::ZERO, |acc, k| {
-        let x = a[k] / scale;
-        acc + x * x
-    });
-    scale * ssq.sqrt()
-}
-
-/// LAPACK `xLARFG` in place on `a[h]` (the head `α`) and the tail
-/// `a[h + s·t]`, `t = 1..len`: overwrites the head with `β` and the tail
-/// with the reflector's tail `v`, and returns `τ`, so that
-/// `(I − τ·[1; v]·[1; v]ᵀ)·x = β·e₁` for the original `x`. A tail of exact
-/// zeros returns `τ = 0` (the identity) and changes nothing. As in
-/// LAPACK, an `x` whose norm is below `safmin = MIN_POSITIVE / EPSILON` is
-/// first scaled up by powers of `1 / safmin` (exactly), so that `τ` and `v`
-/// are computed from normal numbers and `H` stays orthogonal.
-fn larfg<R: Real>(a: &mut [R], h: usize, s: usize, len: usize) -> R {
-    let tail = (1..len).map(|t| h + s * t);
-    let xnorm = norm(a, tail.clone());
-    if xnorm == R::ZERO {
-        return R::ZERO;
-    }
-    let mut alpha = a[h];
-    let mut beta = -alpha.hypot(xnorm).copysign(alpha);
-    let safmin = R::MIN_POSITIVE / R::EPSILON;
-    let mut knt = 0;
-    while beta.abs() < safmin && knt < 20 {
-        knt += 1;
-        for k in tail.clone() {
-            a[k] /= safmin;
-        }
-        alpha /= safmin;
-        beta /= safmin;
-    }
-    if knt > 0 {
-        beta = -alpha.hypot(norm(a, tail.clone())).copysign(alpha);
-    }
-    let tau = (beta - alpha) / beta;
-    let denom = alpha - beta;
-    for k in tail {
-        a[k] /= denom;
-    }
-    for _ in 0..knt {
-        beta *= safmin;
-    }
-    a[h] = beta;
-    tau
-}
 
 /// The Householder chase on a work band (see the module docs), appending
 /// each hop's right and then left reflector to `log` when one is given.
@@ -308,7 +237,7 @@ pub(crate) fn band_to_bidiagonal_into_ext<R: Real>(
         band.sup()
     );
     for d in (2..=bandwidth).rev() {
-        dev.launch::<R, _>(&sweep_spec(n, d, ts, prec), |_| {});
+        dev.charge(&sweep_spec(n, d, ts, prec));
     }
     if numeric {
         chase(band, bandwidth, log);

@@ -148,32 +148,7 @@ impl Device {
         R: Real,
         F: Fn(&mut Workgroup<R>) + Sync,
     {
-        let cost = cost_of_launch(&self.desc, spec);
-        // Injection decision on the issuing thread, *before* the
-        // workgroup fan-out — the fault schedule must not depend on how
-        // the pool interleaves workgroups.
-        let stall = match self.faults.as_ref().and_then(|f| f.on_launch()) {
-            Some(FaultKind::Stall) => self.desc.fault.as_ref().map(|p| p.stall_factor),
-            _ => None,
-        };
-        let mut rec = LaunchRecord {
-            class: spec.class,
-            label: spec.label,
-            grid: spec.grid,
-            block: spec.block,
-            seconds: cost.seconds,
-            flops: spec.flops,
-            bytes: spec.bytes,
-            occupancy: cost.occupancy,
-            spill: cost.spill,
-            wg_steps: Vec::new(),
-        };
-        if let Some(factor) = stall {
-            // A stalled kernel burns wall-clock until the watchdog kills
-            // it; the inflated cost shows up in the trace, and the latch
-            // (drained by `take_fault`) marks the results untrustworthy.
-            rec.seconds *= factor.max(1.0);
-        }
+        let mut rec = self.launch_record(spec);
         let mut contexts = Vec::new();
         if self.mode == ExecMode::Numeric {
             // Numeric geometry may differ from the costed geometry for
@@ -231,6 +206,52 @@ impl Device {
         if self.mode == ExecMode::Numeric {
             *self.slots.lock().of::<R>() = contexts;
         }
+    }
+
+    /// Accounts a launch whose kernel runs no arithmetic on the device —
+    /// a cost-only launch — without fanning empty workgroups out on the
+    /// pool. The record is the one [`launch`](Self::launch) pushes for an
+    /// empty body: the same cost, the same fault decision and stall
+    /// factor (so fault schedules do not move), and, when records are
+    /// kept in numeric mode, `grid` zero superstep counts.
+    pub fn charge(&self, spec: &LaunchSpec) {
+        let mut rec = self.launch_record(spec);
+        let mut trace = self.trace.lock();
+        if trace.keeps_records() && self.mode == ExecMode::Numeric {
+            rec.wg_steps = vec![0; spec.grid];
+        }
+        trace.push(rec);
+    }
+
+    /// The record of one launch of `spec`, without superstep counts: its
+    /// modelled cost and, when a fault plan is active, this launch's
+    /// injection decision, taken on the issuing thread so the fault
+    /// schedule does not depend on how the pool interleaves workgroups.
+    fn launch_record(&self, spec: &LaunchSpec) -> LaunchRecord {
+        let cost = cost_of_launch(&self.desc, spec);
+        let stall = match self.faults.as_ref().and_then(|f| f.on_launch()) {
+            Some(FaultKind::Stall) => self.desc.fault.as_ref().map(|p| p.stall_factor),
+            _ => None,
+        };
+        let mut rec = LaunchRecord {
+            class: spec.class,
+            label: spec.label,
+            grid: spec.grid,
+            block: spec.block,
+            seconds: cost.seconds,
+            flops: spec.flops,
+            bytes: spec.bytes,
+            occupancy: cost.occupancy,
+            spill: cost.spill,
+            wg_steps: Vec::new(),
+        };
+        if let Some(factor) = stall {
+            // A stalled kernel burns wall-clock until the watchdog kills
+            // it; the inflated cost shows up in the trace, and the latch
+            // (drained by `take_fault`) marks the results untrustworthy.
+            rec.seconds *= factor.max(1.0);
+        }
+        rec
     }
 
     /// Accounts a host↔device transfer of `bytes` (hybrid baselines).
@@ -480,6 +501,32 @@ mod tests {
         let tdev = Device::trace_only(h100()).keep_records();
         tdev.launch::<f64, _>(&spec(6, 4), |_| {});
         assert!(tdev.records()[0].wg_steps.is_empty());
+    }
+
+    /// `charge` pushes the record an empty-body `launch` pushes, in both
+    /// modes and under a stalling fault plan: same costs, same stall
+    /// inflation, same fault history, `grid` zero step counts in numeric
+    /// mode and none in trace-only mode.
+    #[test]
+    fn charge_matches_an_empty_launch() {
+        let hw = h100().with_faults(crate::FaultPlan::seeded(3).stall_rate(0.4));
+        for mode in [ExecMode::Numeric, ExecMode::TraceOnly] {
+            let launched = Device::new(hw.clone(), mode).keep_records();
+            let charged = Device::new(hw.clone(), mode).keep_records();
+            for grid in 1..=12 {
+                launched.launch::<f32, _>(&spec(grid, 32), |_| {});
+                charged.charge(&spec(grid, 32));
+            }
+            let recs = charged.records();
+            assert_eq!(format!("{:?}", recs), format!("{:?}", launched.records()));
+            assert_eq!(launched.fault_history(), charged.fault_history());
+            assert!(!charged.fault_history().is_empty(), "no stall injected");
+            let steps = |g: usize| match mode {
+                ExecMode::Numeric => vec![0; g],
+                ExecMode::TraceOnly => Vec::new(),
+            };
+            assert!(recs.iter().all(|r| r.wg_steps == steps(r.grid)));
+        }
     }
 
     /// Launches a kernel whose output depends on every register and

@@ -8,9 +8,14 @@
 //!   kernel implement both the QR and LQ sweeps.
 //! * [`band`] — compact band storage and the bidiagonal pair produced by
 //!   stage 2 of the reduction.
-//! * [`reference`](mod@crate::reference) — straightforward, obviously-correct implementations of
-//!   GEMM, Householder QR, and norms used as test oracles and by the
-//!   test-matrix factory. These are *not* the fast path.
+//! * [`householder`] — LAPACK's scale-safe `xLARFG` reflector generator
+//!   and the fixed-order dot product, shared by the stage-2 chase and the
+//!   host QR.
+//! * [`reference`](mod@crate::reference) — host linear algebra: the
+//!   Householder QR (on [`householder`]'s generator) that the plan stages
+//!   every tall and wide solve through, and straightforward GEMM, `Q`
+//!   formation and norms used as test oracles and by the test-matrix
+//!   factory.
 //! * [`testmat`] — the accuracy-experiment matrix factory of §3.2: matrices
 //!   `A = U Σ Vᵀ` with Haar-random `U`, `V` and arithmetic / logarithmic /
 //!   quarter-circle singular value distributions on `[0, 1]`.
@@ -19,6 +24,7 @@
 
 pub mod band;
 pub mod dense;
+pub mod householder;
 pub mod reference;
 pub mod testmat;
 

@@ -1,10 +1,17 @@
-//! Reference (oracle) linear algebra: simple, obviously correct, host-only.
+//! Host linear algebra: the Householder QR of tall and wide solves, and
+//! the oracles that check the device path.
 //!
-//! Everything here exists to *check* the fast path and to build test
-//! matrices — it is deliberately straightforward (unblocked, no tiling, no
-//! simulated device) so that it can serve as an independent oracle in tests.
+//! [`householder_qr_into`] and [`apply_q_inplace`] are on the serving
+//! path: a plan reduces every tall or wide input to its triangle `R` with
+//! the first and lifts the device's vectors through `Q` with the second.
+//! Both run on column slices with the chase's scale-safe reflector
+//! generator and fixed-order dot product ([`crate::householder`]). The rest
+//! ([`gemm`], [`form_q`], the error measures) is deliberately
+//! straightforward — unblocked, indexed, one serial sum per entry — so
+//! that it can serve as an independent oracle in tests.
 
 use crate::dense::Matrix;
+use crate::householder::{dot, larfg};
 use unisvd_scalar::{Real, Scalar};
 
 /// `C ← alpha * op(A) * op(B) + beta * C` with optional transposition.
@@ -70,50 +77,45 @@ pub fn householder_qr<R: Real + Scalar<Accum = R>>(a: &mut Matrix<R>) -> Vec<R> 
 /// [`householder_qr`] writing the reflector coefficients into an existing
 /// vector (cleared and refilled; capacity is kept) — the steady-state
 /// path of a reused plan that retains the factorisation for later
-/// `Q`-application, without allocating per solve. Bit-identical to
-/// [`householder_qr`].
+/// `Q`-application, without allocating per solve.
+///
+/// Column `k`'s reflector comes from [`larfg`], so a zero tail gives
+/// `τ = 0` and leaves the column as it is, and no entry is squared
+/// unscaled: `R(2ᵏ·A) = 2ᵏ·R(A)` with the same `τ` and reflector tails
+/// wherever no entry is subnormal. Each trailing column `c` then takes
+/// `s = τ·(c[k] + v·c[k+1..])`, `c[k] −= s`, `c[k+1..] −= s·v`, with the
+/// fixed-order [`dot`].
 pub fn householder_qr_into<R: Real + Scalar<Accum = R>>(a: &mut Matrix<R>, tau: &mut Vec<R>) {
     let m = a.rows();
-    let n = a.cols();
-    let kmax = m.min(n);
+    let kmax = m.min(a.cols());
     tau.clear();
     tau.resize(kmax, R::ZERO);
-
+    let a = a.as_mut_slice();
     for k in 0..kmax {
-        // Norm of the column below (and including) the diagonal.
-        let mut nrm2 = R::ZERO;
-        for i in (k + 1)..m {
-            let v = a[(i, k)];
-            nrm2 += v * v;
-        }
-        let akk = a[(k, k)];
-        if nrm2 == R::ZERO {
-            tau[k] = R::ZERO; // column already upper triangular
-            continue;
-        }
-        let beta = -(akk * akk + nrm2).sqrt().copysign(akk);
-        let t = (beta - akk) / beta;
+        let (left, trailing) = a.split_at_mut((k + 1) * m);
+        let col = &mut left[k * m..];
+        let t = larfg(col, k, 1, m - k);
         tau[k] = t;
-        let scale = R::ONE / (akk - beta);
-        for i in (k + 1)..m {
-            let v = a[(i, k)] * scale;
-            a[(i, k)] = v;
+        if t != R::ZERO {
+            apply_reflector(t, &col[k + 1..], k, trailing.chunks_exact_mut(m));
         }
-        a[(k, k)] = beta;
+    }
+}
 
-        // Apply H_k to the trailing columns.
-        for j in (k + 1)..n {
-            let mut s = a[(k, j)];
-            for i in (k + 1)..m {
-                s += a[(i, k)] * a[(i, j)];
-            }
-            s *= t;
-            let akj = a[(k, j)];
-            a[(k, j)] = akj - s;
-            for i in (k + 1)..m {
-                let v = a[(i, j)] - s * a[(i, k)];
-                a[(i, j)] = v;
-            }
+/// `c ← (I − τ·[1; v]·[1; v]ᵀ)·c` on rows `k..` of each column `c` (the
+/// chase's left-reflector form).
+fn apply_reflector<'a, R: Real + 'a>(
+    t: R,
+    v: &[R],
+    k: usize,
+    cols: impl Iterator<Item = &'a mut [R]>,
+) {
+    for c in cols {
+        let (head, tail) = c[k..].split_first_mut().expect("k < m");
+        let s = t * (*head + dot(v, tail));
+        *head -= s;
+        for (y, &vi) in tail.iter_mut().zip(v) {
+            *y -= s * vi;
         }
     }
 }
@@ -121,10 +123,11 @@ pub fn householder_qr_into<R: Real + Scalar<Accum = R>>(a: &mut Matrix<R>, tau: 
 /// Applies the orthogonal factor of [`householder_qr`] to a dense
 /// column-major block in place: `w ← Q·w`, where `w` is `m × k` flat
 /// column-major and `qr`/`tau` are the retained factorisation of an
-/// `m × n` matrix (flat column-major `qr`, leading dimension `m`). The
-/// reflector loop is [`form_q`]'s, applied to `w`'s columns instead of
-/// the identity — used by the tall/wide singular-vector assembly to lift
-/// device-frame vectors through the host QR without forming `Q`.
+/// `m × n` matrix (flat column-major `qr`, leading dimension `m`). It
+/// applies [`form_q`]'s reflectors in [`householder_qr_into`]'s update
+/// form to `w`'s columns instead of the identity — used by the tall/wide
+/// singular-vector assembly to lift device-frame vectors through the host
+/// QR without forming `Q`.
 pub fn apply_q_inplace<R: Real + Scalar<Accum = R>>(
     qr: &[R],
     tau: &[R],
@@ -134,23 +137,10 @@ pub fn apply_q_inplace<R: Real + Scalar<Accum = R>>(
 ) {
     assert_eq!(w.len(), m * k, "w must be m × k column-major");
     // Q = H_0 H_1 … H_{kmax-1}; apply from the last reflector backwards.
-    for kr in (0..tau.len()).rev() {
-        let t = tau[kr];
-        if t == R::ZERO {
-            continue;
-        }
-        let v = &qr[kr * m..(kr + 1) * m];
-        for col in w.chunks_exact_mut(m) {
-            let mut s = col[kr];
-            for i in (kr + 1)..m {
-                s += v[i] * col[i];
-            }
-            s *= t;
-            col[kr] -= s;
-            for i in (kr + 1)..m {
-                let x = col[i] - s * v[i];
-                col[i] = x;
-            }
+    for (kr, &t) in tau.iter().enumerate().rev() {
+        if t != R::ZERO {
+            let v = &qr[kr * m + kr + 1..(kr + 1) * m];
+            apply_reflector(t, v, kr, w.chunks_exact_mut(m));
         }
     }
 }
@@ -297,6 +287,85 @@ mod tests {
         assert!((a[(0, 0)].abs() - 5.0).abs() < 1e-14);
         assert!(a[(0, 0)] < 0.0); // leading entry was +3 → beta negative
         assert!(tau[0] > 0.0 && tau[0] <= 2.0);
+    }
+
+    fn tall(m: usize, n: usize, seed: u64) -> Matrix<f64> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        crate::testmat::random_general(m, n, &mut rng)
+    }
+
+    /// `larfg` never squares an unscaled entry, so scaling `A` by a power
+    /// of two scales `R` by it exactly and leaves `τ` and the reflector
+    /// tails bit for bit as they were — also where the unscaled squares
+    /// would overflow (2¹⁰⁰⁰) or lose every digit (2⁻¹⁰⁰⁰).
+    #[test]
+    fn qr_is_bitwise_scale_equivariant() {
+        let a = tall(1024, 64, 7);
+        let mut qr = a.clone();
+        let tau = householder_qr(&mut qr);
+        for k in [-1000, -600, -300, 300, 600, 1000] {
+            let c = 2f64.powi(k);
+            let mut qrc = Matrix::from_fn(1024, 64, |i, j| a[(i, j)] * c);
+            let tauc = householder_qr(&mut qrc);
+            let bits = |t: &[f64]| t.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&tauc), bits(&tau), "k = {k}: τ moved");
+            for j in 0..64 {
+                for i in 0..1024 {
+                    let want = if i <= j { qr[(i, j)] * c } else { qr[(i, j)] };
+                    assert_eq!(qrc[(i, j)].to_bits(), want.to_bits(), "k = {k}: ({i}, {j})");
+                }
+            }
+        }
+    }
+
+    /// `Q·R = A` and `QᵀQ = I` at the serving shape 1024 × 64, with the
+    /// thin `Q` lifted through `apply_q_inplace`.
+    #[test]
+    fn tall_qr_reconstructs_and_is_orthogonal() {
+        let (m, n) = (1024, 64);
+        let a = tall(m, n, 11);
+        let mut qr = a.clone();
+        let tau = householder_qr(&mut qr);
+        let mut q = Matrix::<f64>::zeros(m, n);
+        for j in 0..n {
+            q[(j, j)] = 1.0;
+        }
+        apply_q_inplace(qr.as_slice(), &tau, m, q.as_mut_slice(), n);
+        let r = Matrix::from_fn(n, n, |i, j| if i <= j { qr[(i, j)] } else { 0.0 });
+        let tol = m as f64 * f64::EPSILON;
+        assert!(max_abs_diff(&matmul(&q, &r), &a) <= tol * a.fro_norm());
+        assert!(orthogonality_error(&q) <= tol);
+    }
+
+    /// The serving path's `Q·W` against the independent oracle
+    /// `form_q(qr, τ)·W`, on a tall and a wide factorisation.
+    #[test]
+    fn apply_q_matches_form_q() {
+        for (m, n, k) in [(200, 30, 7), (40, 90, 5)] {
+            let mut qr = tall(m, n, 3);
+            let tau = householder_qr(&mut qr);
+            let w = tall(m, k, 4);
+            let want = matmul(&form_q(&qr, &tau), &w);
+            let mut got = w.clone();
+            apply_q_inplace(qr.as_slice(), &tau, m, got.as_mut_slice(), k);
+            let tol = m as f64 * f64::EPSILON * w.max_abs();
+            assert!(max_abs_diff(&got, &want) <= tol, "{m} × {n}");
+        }
+    }
+
+    /// A zero column below earlier nonzero ones: its reflector is the
+    /// identity (τ = 0) and the column stays zero.
+    #[test]
+    fn qr_zero_column_gives_identity_reflector() {
+        let mut a = tall(50, 8, 5);
+        for i in 0..50 {
+            a[(i, 3)] = 0.0;
+        }
+        let tau = householder_qr(&mut a);
+        assert_eq!(tau[3], 0.0);
+        assert!((0..50).all(|i| a[(i, 3)] == 0.0));
+        assert!(tau.iter().enumerate().all(|(k, &t)| k == 3 || t > 0.0));
     }
 
     #[test]
