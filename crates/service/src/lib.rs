@@ -22,8 +22,8 @@
 //!   host work-stealing pool;
 //! * **asynchronous serving** — [`SvdService::submit`] enqueues a
 //!   request and returns a [`Ticket`] immediately; a drainer thread
-//!   coalesces same-signature submissions from *different* callers
-//!   (held open for a short arrival window) into one batched execute,
+//!   coalesces whatever same-signature submissions from *different*
+//!   callers are queued into one batched execute,
 //!   with typed admission backpressure
 //!   ([`ServiceError::QueueFull`] / [`ServiceError::Shedding`]) when
 //!   the queue depth or device-memory headroom saturates

@@ -9,10 +9,12 @@
 //!   is the `QueueFull` backpressure signal of the service;
 //! * **signature-coalescing pop** — [`next_batch`](SubmitQueue::next_batch)
 //!   takes the head entry's [`PlanSignature`] and gathers every queued
-//!   same-signature request (holding the batch open for a short arrival
-//!   window) so requests from *different* callers execute as one batched
-//!   fan-out. Extraction preserves arrival order within the signature,
-//!   which keeps ticket resolution order deterministic.
+//!   same-signature request, so requests from *different* callers that
+//!   piled up while the previous batch executed run as one batched
+//!   fan-out. It batches what is queued; only an explicit window holds
+//!   the batch open for stragglers. Extraction preserves arrival order
+//!   within the signature, which keeps ticket resolution order
+//!   deterministic.
 
 use crate::ticket::TicketResolver;
 use std::any::Any;

@@ -26,7 +26,8 @@ pub(crate) struct Knobs {
     pub max_cache_bytes: Option<u64>,
     /// Submission-queue depth bound (`0` clamps to 1).
     pub max_queue_depth: usize,
-    /// Coalescing window the drainer holds a batch open for.
+    /// How long the drainer holds a batch open for stragglers; zero
+    /// batches only what is already queued.
     pub coalesce_window: Duration,
     /// Most requests coalesced into one batched execute (`0` clamps to 1).
     pub max_coalesce: usize,
@@ -49,7 +50,7 @@ impl Default for Knobs {
             plans_per_shard: 32,
             max_cache_bytes: None,
             max_queue_depth: 1024,
-            coalesce_window: Duration::from_micros(200),
+            coalesce_window: Duration::ZERO,
             max_coalesce: 64,
             shed_headroom_bytes: 0,
             oocore_fallback: false,
@@ -75,7 +76,7 @@ impl Default for Knobs {
 ///     .plans_per_shard(8)
 ///     .memory_budget(64 << 20)
 ///     .queue_depth(128)
-///     .coalesce_window(Duration::ZERO)
+///     .coalesce_window(Duration::from_micros(200))
 ///     .max_coalesce(16)
 ///     .shed_headroom(1 << 20)
 ///     .build();
@@ -124,8 +125,12 @@ impl ServiceBuilder {
 
     /// How long the drainer holds a batch open for further
     /// same-signature arrivals after the first — the coalescing window.
-    /// `Duration::ZERO` batches only what is already queued. Default
-    /// 200 µs.
+    /// Default `Duration::ZERO`: the drainer batches what is already
+    /// queued and never idles waiting for stragglers. Under load that
+    /// still coalesces, because requests pile up while the previous
+    /// batch executes. A window trades latency for batch size; it helps
+    /// a caller that wants bigger batches across callers who arrive
+    /// apart.
     pub fn coalesce_window(mut self, window: Duration) -> Self {
         self.knobs.coalesce_window = window;
         self
@@ -611,11 +616,12 @@ impl SvdService {
     /// first submission) pops the queue, **coalesces every queued
     /// same-signature request — from any caller — into one batched
     /// execute** (one [`SvdPlan::execute_batch_refs_into`] fan-out over
-    /// the plan's lanes on the work-stealing pool, held open for
-    /// [`ServiceBuilder::coalesce_window`]), and resolves the tickets in
-    /// arrival order. [`Ticket::wait`] returns exactly what
-    /// [`solve`](Self::solve) would have: bit-identical values, and
-    /// per-request errors that never poison the rest of a batch.
+    /// the plan's lanes on the work-stealing pool; an opt-in
+    /// [`ServiceBuilder::coalesce_window`] holds it open for stragglers),
+    /// and resolves the tickets in arrival order. [`Ticket::wait`]
+    /// returns exactly what [`solve`](Self::solve) would have:
+    /// bit-identical values, and per-request errors that never poison
+    /// the rest of a batch.
     ///
     /// # Errors
     /// Admission backpressure only — [`ServiceError::QueueFull`] when

@@ -5,7 +5,7 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
-use unisvd_core::{Svd, SvdConfig, SvdError};
+use unisvd_core::{Svd, SvdConfig, SvdError, Want};
 use unisvd_gpu::hw::{h100, mi250};
 use unisvd_matrix::{testmat, Matrix, SvDistribution};
 use unisvd_scalar::F16;
@@ -543,6 +543,41 @@ fn coalescer_groups_cross_caller_submissions_into_one_batch() {
         1,
         "one plan checkout serves the whole batch"
     );
+}
+
+#[test]
+fn default_window_coalesces_what_queues_behind_a_running_batch() {
+    // No window: the drainer batches only what is queued. A long vector
+    // solve A is submitted first, then four small same-signature B's.
+    // Whether or not the drainer has popped A yet, the B's queue behind
+    // it and run as one batch, unless A finishes before they are all
+    // submitted (a cold 256² f64 vector solve takes far longer).
+    let service = SvdService::new(&h100());
+    let cfg = SvdConfig::default();
+    let long_cfg = SvdConfig {
+        vectors: Want::Thin,
+        ..cfg
+    };
+    let small: Vec<Matrix<f32>> = (0..4).map(|i| random_square(24, 400 + i)).collect();
+    let oracle: Vec<Vec<u64>> = small
+        .iter()
+        .map(|a| bits(&service.solve(a, &cfg).unwrap().values))
+        .collect();
+    let long = service
+        .submit(random_square_f64(256, 42), &long_cfg)
+        .expect("admitted");
+    let tickets: Vec<_> = small
+        .iter()
+        .map(|a| service.submit(a.clone(), &cfg).expect("admitted"))
+        .collect();
+    for (ticket, expect) in tickets.into_iter().zip(&oracle) {
+        assert_eq!(&bits(&ticket.wait().unwrap().values), expect);
+    }
+    assert!(long.wait().is_ok());
+    let qs = service.stats().queue;
+    assert_eq!(qs.batches, 2, "A alone, then the four B's together");
+    assert_eq!(qs.coalesced, 3);
+    assert_eq!(qs.submitted, qs.batches + qs.coalesced);
 }
 
 #[test]
